@@ -10,6 +10,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -356,11 +357,9 @@ def _cmd_group_importance(args) -> int:
 
 def _read_group_csv(path, feature_names) -> rate.GroupMap:
     """Rows of group_name,feature_name; a literal header row is skipped."""
-    import csv as _csv
-
     groups: dict[str, list[str]] = {}
     with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
+        for row in csv.reader(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
@@ -476,10 +475,8 @@ def _cmd_demo_collinearity(args) -> int:
         cov_all = np.stack([r[0] for r in rows])
         ols_all = np.stack([r[1] for r in rows])
     with _stage("write-output"):
-        import csv as _csv
-
         with open(out / "estimates.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["replicate", "covariance_f1", "covariance_f2", "ols_f1", "ols_f2"])
             for r in range(reps):
                 writer.writerow(
@@ -488,7 +485,7 @@ def _cmd_demo_collinearity(args) -> int:
                     + [repr(float(v)) for v in ols_all[r]]
                 )
         with open(out / "collinearity_summary.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["estimator", "coefficient", "mean", "std"])
             for label, block in (("covariance", cov_all), ("ols", ols_all)):
                 for j in range(block.shape[1]):

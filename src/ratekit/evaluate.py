@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.bnn import Network, predict_proba
+from ratekit.bnn import Network, _accuracy
 
 __all__ = [
     "RocCurve",
@@ -30,8 +28,6 @@ __all__ = [
     "roc_curve_to_csv",
     "degradation_curve_to_csv",
 ]
-
-THREADS_ENV_VAR = "RATEKIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -83,17 +79,6 @@ def roc_auc(scores, mask) -> RocCurve:
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
 
 
-def _predicted_labels(net: Network, x: np.ndarray) -> np.ndarray:
-    probs = predict_proba(net, x)
-    if net.config.link == "sigmoid":
-        return (probs[:, 0] > 0.5).astype(int)
-    return probs.argmax(axis=1)
-
-
-def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(_predicted_labels(net, x) == np.asarray(y).astype(int)))
-
-
 def shuffle_degradation(
     net: Network,
     test,
@@ -125,29 +110,18 @@ def shuffle_degradation(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    children = np.random.SeedSequence(seed).spawn(repeats)
-
-    def one_repeat(child) -> np.ndarray:
+    acc = np.empty((len(fractions), repeats))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
-        accs = np.empty(len(fractions))
         for i, frac in enumerate(fractions):
             n_cols = int(math.ceil(frac * p))
             if n_cols == 0:
-                accs[i] = _accuracy(net, x, y)
+                acc[i, r] = _accuracy(net, x, y)
                 continue
             shuffled = x.copy()
             for col in ranking[:n_cols]:
                 shuffled[:, col] = shuffled[rng.permutation(x.shape[0]), col]
-            accs[i] = _accuracy(net, shuffled, y)
-        return accs
-
-    workers = max(1, int(os.environ.get(THREADS_ENV_VAR, "1") or 1))
-    if workers == 1:
-        rows = [one_repeat(child) for child in children]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_repeat, children))
-    acc = np.stack(rows, axis=1)  # (fractions, repeats)
+            acc[i, r] = _accuracy(net, shuffled, y)
     if repeats > 1:
         std = acc.std(axis=1, ddof=1)
         # identical repeats (e.g. fraction 0) must report exactly zero spread

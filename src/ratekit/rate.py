@@ -1,24 +1,27 @@
 """Closed-form relative-centrality scores over a Gaussian effect-size posterior.
 
-For each variable j, the score is the KL divergence between the marginal
-posterior of the remaining effects and their conditional posterior given
-that effect j is pinned to zero. Two algebraically equivalent routes are
-provided: a naive one built literally from submatrices (one dense inverse
-per variable, O(p^4) total) and a fast one driven entirely by diagonal
-entries of the covariance and its inverse (O(p^3) total). The same
-divergence generalizes from single indices to index sets, which ranks
-named groups of features, and the trace/log-det part alone yields the
-mutual information between effect j and the rest.
+For an index set J (a single variable or a named group of m features), the
+score is the KL divergence between the marginal posterior of the remaining
+effects and their conditional posterior given the J-effects pinned to zero.
+With Lambda = Omega^{-1}, that divergence depends only on the m x m blocks
+Omega_JJ and Lambda_JJ:
+
+    kld_J = 0.5 [ sum_i (a_i - 1 - log a_i) + mu_J^T (Lambda_JJ - Omega_JJ^{-1}) mu_J ],
+
+where the a_i >= 1 are the eigenvalues of Omega_JJ Lambda_JJ, and
+0.5 sum_i log a_i is the mutual information between the J-effects and the
+rest. One function evaluates this identity for single features (m = 1,
+batched over all p of them) and for groups alike, so once Lambda is known a
+group costs O(m^3). A naive route built literally from the (p-1) x (p-1)
+submatrices (one dense factorization per variable, O(p^4) total) is kept as
+the reference the identity is tested against.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +47,11 @@ __all__ = [
     "report_to_csv",
 ]
 
-THREADS_ENV_VAR = "RATEKIT_THREADS"
-
 
 class InconsistentPrecisionError(ArithmeticError):
-    """omega_j * lambda_j < 1 signals a covariance/precision pair that is not
-    an inverse pair (impossible in exact arithmetic)."""
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_maybe_parallel(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """An eigenvalue of Omega_JJ Lambda_JJ below 1 (omega_j * lambda_j < 1 for
+    a single variable) signals a covariance/precision pair that is not an
+    inverse pair (impossible in exact arithmetic)."""
 
 
 @dataclass
@@ -192,10 +178,6 @@ def build_precision(
     )
 
 
-def _submatrix(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    return a[np.ix_(keep, keep)]
-
-
 def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
     """Centrality of variable j built literally from submatrices.
 
@@ -209,8 +191,8 @@ def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
     if not 0 <= j < p:
         raise IndexError(f"variable index {j} out of range [0, {p})")
     keep = np.arange(p) != j
-    omega_mj = _submatrix(pm.omega, keep)
-    lam_mj = _submatrix(pm.lam, keep)
+    omega_mj = pm.omega[np.ix_(keep, keep)]
+    lam_mj = pm.lam[np.ix_(keep, keep)]
     lam_off = pm.lam[keep, j]
 
     trace = float(np.sum(omega_mj * lam_mj))  # both symmetric
@@ -222,41 +204,47 @@ def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
     return max(kld, 0.0)
 
 
-def kld_variable_fast(pm: PrecisionModel, j: int) -> float:
-    """Same divergence via diagonal identities: O(1) once Lambda is known.
+def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL divergence and mutual information for a batch of index blocks.
 
-    With Lambda = Omega^{-1} exactly, tr(Omega_-j Lambda_-j) = p - 2 +
-    omega_j lambda_j, log|Omega_-j Lambda_-j| = log(omega_j lambda_j), and
-    delta_j = lambda_j - 1/omega_j.
+    ``blocks`` is a (b, m) integer array whose rows are the index sets J;
+    returns the two (b,) arrays described in the module docstring. Only the
+    m x m blocks of omega and lam are read. Exactly, every a_i >= 1; a
+    smaller one means omega and lam are not an inverse pair.
     """
-    omega_j = pm.omega[j, j]
-    lam_j = pm.lam[j, j]
-    a = omega_j * lam_j
-    if a < 1.0 - 1e-9:
+    rows, cols = blocks[:, :, None], blocks[:, None, :]
+    omega_jj = pm.omega[rows, cols]
+    lam_jj = pm.lam[rows, cols]
+    # the a_i are the eigenvalues of the symmetric L^T Lambda_JJ L, L L^T = Omega_JJ
+    lower = np.linalg.cholesky(omega_jj)
+    a = np.linalg.eigvalsh(lower.mT @ lam_jj @ lower)
+    smallest = a.min(axis=1)
+    worst = int(np.argmin(smallest))
+    if smallest[worst] < 1.0 - 1e-9:
         raise InconsistentPrecisionError(
-            f"omega_j * lambda_j = {a:.12f} < 1 at variable {j}; "
-            "covariance and precision are not an inverse pair"
+            f"smallest eigenvalue of Omega_JJ Lambda_JJ = {smallest[worst]:.12f} < 1 "
+            f"at indices {blocks[worst].tolist()}; covariance and precision are not "
+            "an inverse pair"
         )
-    a = max(a, 1.0)
-    delta = max(lam_j - 1.0 / omega_j, 0.0)
-    kld = 0.5 * (a - 1.0 - math.log(a) + delta * pm.mu[j] ** 2)
-    return max(kld, 0.0)
+    a = np.maximum(a, 1.0)
+    mu_j = pm.mu[blocks]
+    delta = lam_jj - np.linalg.inv(omega_jj)
+    quad = np.maximum(np.einsum("bi,bij,bj->b", mu_j, delta, mu_j), 0.0)
+    kld = 0.5 * (np.sum(a - 1.0 - np.log(a), axis=1) + quad)
+    return np.maximum(kld, 0.0), 0.5 * np.sum(np.log(a), axis=1)
 
 
-def _mutual_info_from_diag(omega_j: float, lam_j: float, j: int) -> float:
-    a = omega_j * lam_j
-    if a < 1.0 - 1e-9:
-        raise InconsistentPrecisionError(
-            f"omega_j * lambda_j = {a:.12f} < 1 at variable {j}; "
-            "covariance and precision are not an inverse pair"
-        )
-    return 0.5 * math.log(max(a, 1.0))
+def kld_variable_fast(pm: PrecisionModel, j: int) -> float:
+    """Same divergence via the block identity with J = {j}: O(1) once Lambda
+    is known, 0.5 [ a - 1 - log a + (lambda_j - 1/omega_j) mu_j^2 ] with
+    a = omega_j lambda_j."""
+    return float(_block_kl(pm, np.array([[j]]))[0][0])
 
 
 def mutual_info(pm: PrecisionModel, j: int) -> float:
     """Gaussian mutual information between effect j and the remaining effects,
     0.5 log(omega_j |Omega_-j| / |Omega|) = 0.5 log(omega_j lambda_j)."""
-    return _mutual_info_from_diag(pm.omega[j, j], pm.lam[j, j], j)
+    return float(_block_kl(pm, np.array([[j]]))[1][0])
 
 
 def _normalize(names, klds, signs, mis, members=None):
@@ -291,12 +279,9 @@ def rate_scores(pm: PrecisionModel, path: str = "fast") -> ImportanceReport:
     """
     if path not in ("naive", "fast"):
         raise ValueError(f"unknown path: {path!r}")
-    p = pm.p
-    if path == "fast":
-        klds = [kld_variable_fast(pm, j) for j in range(p)]
-    else:
-        klds = _map_maybe_parallel(lambda j: kld_variable_naive(pm, j), range(p))
-    mis = [mutual_info(pm, j) for j in range(p)]
+    klds, mis = _block_kl(pm, np.arange(pm.p)[:, None])
+    if path == "naive":
+        klds = [kld_variable_naive(pm, j) for j in range(pm.p)]
     signs = np.sign(pm.mu).astype(int)
     return _normalize(pm.feature_names, klds, signs, mis)
 
@@ -305,6 +290,8 @@ def kld_group(pm: PrecisionModel, indices) -> float:
     """Centrality of an index set J: KL between the marginal posterior of the
     complement and its conditional given the J-effects pinned to zero.
 
+    Evaluated from the m x m blocks Omega_JJ and Lambda_JJ alone (see the
+    module docstring); it equals the submatrix form
     0.5 [ tr(Omega_-J Lambda_-J) - log|Omega_-J Lambda_-J| - (p-m)
           + mu_J^T Delta_J mu_J ],
     Delta_J = Lambda_{J,-J} Lambda_-J^{-1} Lambda_{-J,J}.
@@ -315,24 +302,9 @@ def kld_group(pm: PrecisionModel, indices) -> float:
         raise ValueError("group is empty")
     if idx[0] < 0 or idx[-1] >= p:
         raise IndexError(f"group indices outside [0, {p})")
-    m = idx.size
-    if m >= p:
+    if idx.size >= p:
         raise ValueError("group complement is empty")
-    keep = np.ones(p, dtype=bool)
-    keep[idx] = False
-
-    omega_mj = _submatrix(pm.omega, keep)
-    lam_mj = _submatrix(pm.lam, keep)
-    lam_cross = pm.lam[np.ix_(keep, idx)]  # (p-m, m)
-
-    trace = float(np.sum(omega_mj * lam_mj))
-    f_omega = chol_spd(omega_mj, 0.0)
-    f_lam = chol_spd(lam_mj, 0.0)
-    log_det = f_omega.log_det + f_lam.log_det
-    delta = lam_cross.T @ f_lam.solve(lam_cross)  # (m, m)
-    quad = float(pm.mu[idx] @ delta @ pm.mu[idx])
-    kld = 0.5 * (trace - log_det - (p - m) + quad)
-    return max(kld, 0.0)
+    return float(_block_kl(pm, idx[None, :])[0][0])
 
 
 def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
@@ -353,7 +325,7 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
         warnings.warn("groups overlap; scores are normalized as provided", stacklevel=2)
 
     names = list(groups.groups)
-    klds = _map_maybe_parallel(lambda name: kld_group(pm, groups.groups[name]), names)
+    klds = [kld_group(pm, groups.groups[name]) for name in names]
     signs = [int(np.sign(np.sum(pm.mu[list(groups.groups[name])]))) for name in names]
     members = [
         tuple(pm.feature_names[j] for j in groups.groups[name]) for name in names

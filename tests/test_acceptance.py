@@ -162,7 +162,7 @@ def test_criterion_5_affine_invariance():
     _record(5, "scores invariant under (mu, Omega) -> (a mu, a^2 Omega)")
 
 
-def test_criterion_6_simulation_study(study, monkeypatch):
+def test_criterion_6_simulation_study(study):
     rate_aucs = np.array([entry["rate_auc"] for entry in study])
     corr_aucs = np.array([entry["corr_auc"] for entry in study])
     wins = int((rate_aucs >= corr_aucs).sum())
@@ -170,7 +170,6 @@ def test_criterion_6_simulation_study(study, monkeypatch):
     assert wins >= 8
 
     # scaled property in place of the full n=1e5 cells
-    monkeypatch.setenv("RATEKIT_THREADS", "1")
     rng = np.random.default_rng(6)
     g = rng.standard_normal((1000, 1000)) / math.sqrt(1000)
     pm = precision_from_covariance(

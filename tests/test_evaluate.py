@@ -101,14 +101,6 @@ class TestShuffleDegradation:
         with pytest.raises(ValueError, match="permutation"):
             shuffle_degradation(net, ds, [0, 0], repeats=2, seed=0)
 
-    def test_thread_cap_does_not_change_results(self, trained_blob_net, monkeypatch):
-        net, ds = trained_blob_net
-        sequential = shuffle_degradation(net, ds, [1, 0], fractions=[0.5, 1.0], repeats=4, seed=6)
-        monkeypatch.setenv("RATEKIT_THREADS", "3")
-        threaded = shuffle_degradation(net, ds, [1, 0], fractions=[0.5, 1.0], repeats=4, seed=6)
-        np.testing.assert_array_equal(sequential.mean_accuracy, threaded.mean_accuracy)
-        np.testing.assert_array_equal(sequential.std_accuracy, threaded.std_accuracy)
-
 
 class TestMarginalCorrelation:
     def test_perfect_correlation(self):
