@@ -372,15 +372,13 @@ def _dataset_xy(dataset):
 def _mean_squared_error(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     """Squared error of the posterior-mean prediction (Brier score for
     classification links)."""
-    h = penultimate_activations(net, x)
-    mean = h @ net.m + net.b
     link = net.config.link
     if link == "identity":
+        mean = penultimate_activations(net, x) @ net.m + net.b
         return float(np.mean((mean[:, 0] - y) ** 2))
+    probs = predict_proba(net, x)
     if link == "sigmoid":
-        return float(np.mean((_sigmoid(mean[:, 0]) - y) ** 2))
-    probs = np.exp(mean - mean.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+        return float(np.mean((probs[:, 0] - y) ** 2))
     onehot = np.zeros_like(probs)
     onehot[np.arange(len(y)), y.astype(int)] = 1.0
     return float(np.mean((probs - onehot) ** 2))

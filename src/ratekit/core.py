@@ -17,6 +17,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "center_columns",
     "chol_spd",
+    "chol_jittered",
     "spd_inverse",
     "gram",
 ]
@@ -119,8 +120,17 @@ def chol_spd(s, base_jitter: float = DEFAULT_JITTER) -> SpdFactor:
     if lower is not None:
         log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
         return SpdFactor(lower=lower, log_det=log_det, jitter_used=0.0)
+    return chol_jittered(s, base_jitter * np.trace(s) / p)
 
-    tau = base_jitter * np.trace(s) / p
+
+def chol_jittered(s: np.ndarray, tau: float) -> SpdFactor:
+    """Cholesky-factor ``S + tau * I`` for a symmetric ``S``, growing ``tau``
+    by x10 up to ``MAX_JITTER_ESCALATIONS`` times until it succeeds.
+
+    ``S`` is taken as given (no symmetry or finiteness checks); a ``tau`` of
+    zero never succeeds.
+    """
+    p = s.shape[0]
     eye = np.eye(p)
     for _ in range(MAX_JITTER_ESCALATIONS):
         if tau > 0:

@@ -15,6 +15,18 @@ batched over all p of them) and for groups alike, so once Lambda is known a
 group costs O(m^3). A naive route built literally from the (p-1) x (p-1)
 submatrices (one dense factorization per variable, O(p^4) total) is kept as
 the reference the identity is tested against.
+
+The effect-size posterior has a p x k factor G with Omega = G G^T, and only
+m x m blocks of Omega and Lambda are ever read, so ``build_precision`` picks
+its storage from the factor's shape:
+
+* k >= p: Omega = G G^T is formed and inverted densely (two p x p arrays,
+  no larger than G itself);
+* k < p: Omega is singular and gets the jitter tau = base_jitter ||G||_F^2 / p.
+  With C C^T = tau I_k + G^T G and W = G C^{-T}, Woodbury gives
+  Omega_JJ = G_J G_J^T + tau I and Lambda_JJ = (I - W_J W_J^T) / tau, and
+  log|Omega| = (p - k) log tau + 2 sum log diag C. Only G and W (p x k) are
+  kept, and building them costs O(p k^2).
 """
 
 from __future__ import annotations
@@ -25,8 +37,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ratekit.core import DEFAULT_JITTER, chol_spd, gram
+from ratekit.core import (
+    DEFAULT_JITTER,
+    NotPositiveDefiniteError,
+    chol_jittered,
+    chol_spd,
+    gram,
+)
 from ratekit.esa import EffectSizePosterior
 
 __all__ = [
@@ -56,22 +75,69 @@ class InconsistentPrecisionError(ArithmeticError):
 
 @dataclass
 class PrecisionModel:
-    """Jittered effect-size covariance, its inverse, and the posterior mean.
+    """Jittered effect-size covariance Omega, its inverse Lambda, and the
+    posterior mean.
 
-    Every downstream score is computed against the same jittered ``omega``
-    so the naive and fast routes see identical inputs.
+    Row j of ``omega_rows`` and ``lam_rows`` belongs to variable j, in one of
+    two forms (see the module docstring), told apart by their width.
+    ``build_precision`` uses the factor form when the effect-size factor is
+    p x k with k < p, and the dense form otherwise, as does
+    ``precision_from_covariance``:
+
+    * dense, p x p: ``omega_rows`` is Omega and ``lam_rows`` is Lambda;
+    * factor, p x k with k < p: ``omega_rows`` is G and ``lam_rows`` is W, so
+      Omega = G G^T + jitter I and Lambda = (I - W W^T) / jitter.
+
+    Scores read the two matrices only through ``omega_block`` and
+    ``lam_block``, so the naive and fast routes see identical inputs.
     """
 
     mu: np.ndarray  # (p,)
-    omega: np.ndarray  # (p, p), includes the jitter
-    lam: np.ndarray  # (p, p) = omega^{-1}
+    omega_rows: np.ndarray  # (p, p) Omega, or (p, k) G
+    lam_rows: np.ndarray  # (p, p) Lambda, or (p, k) W
     jitter: float
     log_det_omega: float
     feature_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        p, width = self.omega_rows.shape
+        if p != self.p or self.lam_rows.shape != (p, width) or width > p:
+            raise ValueError(
+                f"omega_rows {self.omega_rows.shape} and lam_rows {self.lam_rows.shape} "
+                f"must share one shape (p, k) with k <= p = {self.p}"
+            )
+
     @property
     def p(self) -> int:
         return self.mu.shape[0]
+
+    @property
+    def factored(self) -> bool:
+        return self.omega_rows.shape[1] < self.p
+
+    def omega_block(self, blocks: np.ndarray) -> np.ndarray:
+        """Omega_JJ for each row J of the (b, m) index array ``blocks``."""
+        if not self.factored:
+            return self.omega_rows[blocks[:, :, None], blocks[:, None, :]]
+        g = self.omega_rows[blocks]
+        return g @ g.mT + self.jitter * np.eye(blocks.shape[1])
+
+    def lam_block(self, blocks: np.ndarray) -> np.ndarray:
+        """Lambda_JJ for each row J of the (b, m) index array ``blocks``."""
+        if not self.factored:
+            return self.lam_rows[blocks[:, :, None], blocks[:, None, :]]
+        w = self.lam_rows[blocks]
+        return (np.eye(blocks.shape[1]) - w @ w.mT) / self.jitter
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Dense p x p Omega, built afresh on every access."""
+        return self.omega_block(np.arange(self.p)[None, :])[0]
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Dense p x p Lambda, built afresh on every access."""
+        return self.lam_block(np.arange(self.p)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -136,18 +202,8 @@ class ImportanceReport:
         return np.array([it.kld for it in self.items])
 
 
-def precision_from_covariance(
-    mu, omega, base_jitter: float = DEFAULT_JITTER, feature_names=None
-) -> PrecisionModel:
-    """Build the jittered covariance/precision pair from raw moments."""
-    mu = np.asarray(mu, dtype=np.float64).ravel()
+def _checked_model(mu, omega_rows, lam_rows, jitter, log_det, feature_names) -> PrecisionModel:
     p = mu.shape[0]
-    if p < 2:
-        raise ValueError("need at least 2 variables")
-    factor = chol_spd(omega, base_jitter)
-    omega_t = np.asarray(omega, dtype=np.float64)
-    omega_t = 0.5 * (omega_t + omega_t.T) + factor.jitter_used * np.eye(p)
-    lam = factor.inverse()
     names = tuple(feature_names) if feature_names is not None else tuple(
         f"f{j + 1}" for j in range(p)
     )
@@ -155,27 +211,69 @@ def precision_from_covariance(
         raise ValueError("feature_names length does not match mu")
     model = PrecisionModel(
         mu=mu,
-        omega=omega_t,
-        lam=lam,
-        jitter=factor.jitter_used,
-        log_det_omega=factor.log_det,
+        omega_rows=omega_rows,
+        lam_rows=lam_rows,
+        jitter=jitter,
+        log_det_omega=log_det,
         feature_names=names,
     )
-    if np.any(np.diagonal(model.omega) <= 0) or np.any(np.diagonal(model.lam) <= 0):
+    diagonal = np.arange(p)[:, None]
+    if np.any(model.omega_block(diagonal) <= 0) or np.any(model.lam_block(diagonal) <= 0):
         raise InconsistentPrecisionError("covariance or precision has a nonpositive diagonal")
     return model
+
+
+def precision_from_covariance(
+    mu, omega, base_jitter: float = DEFAULT_JITTER, feature_names=None
+) -> PrecisionModel:
+    """Build the dense jittered covariance/precision pair from raw moments."""
+    mu = np.asarray(mu, dtype=np.float64).ravel()
+    p = mu.shape[0]
+    if p < 2:
+        raise ValueError("need at least 2 variables")
+    factor = chol_spd(omega, base_jitter)
+    omega_t = np.asarray(omega, dtype=np.float64)
+    omega_t = 0.5 * (omega_t + omega_t.T) + factor.jitter_used * np.eye(p)
+    return _checked_model(
+        mu, omega_t, factor.inverse(), factor.jitter_used, factor.log_det, feature_names
+    )
 
 
 def build_precision(
     esa: EffectSizePosterior, base_jitter: float = DEFAULT_JITTER, class_index: int = 0
 ) -> PrecisionModel:
-    """Materialize Omega = G G^T (+ jitter if singular) and its inverse."""
-    return precision_from_covariance(
-        esa.mu[class_index],
-        gram(esa.factors[class_index]),
-        base_jitter=base_jitter,
-        feature_names=esa.feature_names,
+    """Precision model of Omega = G G^T (+ jitter if singular).
+
+    With G of shape p x k, k >= p builds the dense pair; k < p keeps G and
+    the Woodbury factor W instead (see the module docstring), with the jitter
+    ``chol_spd`` would start from, base_jitter * ||G||_F^2 / p, escalated x10
+    the same way if the k x k factorization fails.
+    """
+    mu = esa.mu[class_index]
+    g = np.asarray(esa.factors[class_index], dtype=np.float64)
+    p, k = g.shape
+    if k >= p:
+        return precision_from_covariance(
+            mu, gram(g), base_jitter=base_jitter, feature_names=esa.feature_names
+        )
+    gtg = gram(g.T)
+    tau = base_jitter * np.trace(gtg) / p
+    if not tau > 0:
+        raise NotPositiveDefiniteError(
+            f"Omega = G G^T ({p} x {p}, rank <= {k}) is singular and the jitter is {tau}"
+        )
+    factor = chol_jittered(gtg, tau)
+    tau = factor.jitter_used
+    w = solve_triangular(factor.lower, g.T, lower=True, check_finite=False).T
+    log_det = factor.log_det + (p - k) * float(np.log(tau))
+    return _checked_model(
+        np.asarray(mu, dtype=np.float64), g, w, tau, log_det, esa.feature_names
     )
+
+
+def _check_index(pm: PrecisionModel, j: int) -> None:
+    if not 0 <= j < pm.p:
+        raise IndexError(f"variable index {j} out of range [0, {pm.p})")
 
 
 def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
@@ -183,24 +281,28 @@ def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
 
     0.5 [ tr(Omega_-j Lambda_-j) - log|Omega_-j Lambda_-j| - (p-1)
           + delta_j mu_j^2 ],   delta_j = lambda_-j^T Lambda_-j^{-1} lambda_-j,
-    the effect of variable j being conditioned to zero.
+    the effect of variable j being conditioned to zero. Builds the dense
+    Omega and Lambda, so it is the reference, not a route for large p.
     """
-    p = pm.p
-    if p < 2:
+    if pm.p < 2:
         raise ValueError("need at least 2 variables")
-    if not 0 <= j < p:
-        raise IndexError(f"variable index {j} out of range [0, {p})")
+    _check_index(pm, j)
+    return _kld_naive(pm.mu, pm.omega, pm.lam, j)
+
+
+def _kld_naive(mu: np.ndarray, omega: np.ndarray, lam: np.ndarray, j: int) -> float:
+    p = mu.shape[0]
     keep = np.arange(p) != j
-    omega_mj = pm.omega[np.ix_(keep, keep)]
-    lam_mj = pm.lam[np.ix_(keep, keep)]
-    lam_off = pm.lam[keep, j]
+    omega_mj = omega[np.ix_(keep, keep)]
+    lam_mj = lam[np.ix_(keep, keep)]
+    lam_off = lam[keep, j]
 
     trace = float(np.sum(omega_mj * lam_mj))  # both symmetric
     f_omega = chol_spd(omega_mj, 0.0)
     f_lam = chol_spd(lam_mj, 0.0)
     log_det = f_omega.log_det + f_lam.log_det
     delta = float(lam_off @ f_lam.solve(lam_off))
-    kld = 0.5 * (trace - log_det - (p - 1) + delta * pm.mu[j] ** 2)
+    kld = 0.5 * (trace - log_det - (p - 1) + delta * mu[j] ** 2)
     return max(kld, 0.0)
 
 
@@ -209,12 +311,11 @@ def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``blocks`` is a (b, m) integer array whose rows are the index sets J;
     returns the two (b,) arrays described in the module docstring. Only the
-    m x m blocks of omega and lam are read. Exactly, every a_i >= 1; a
-    smaller one means omega and lam are not an inverse pair.
+    m x m blocks of Omega and Lambda are read. Exactly, every a_i >= 1; a
+    smaller one means Omega and Lambda are not an inverse pair.
     """
-    rows, cols = blocks[:, :, None], blocks[:, None, :]
-    omega_jj = pm.omega[rows, cols]
-    lam_jj = pm.lam[rows, cols]
+    omega_jj = pm.omega_block(blocks)
+    lam_jj = pm.lam_block(blocks)
     # the a_i are the eigenvalues of the symmetric L^T Lambda_JJ L, L L^T = Omega_JJ
     lower = np.linalg.cholesky(omega_jj)
     a = np.linalg.eigvalsh(lower.mT @ lam_jj @ lower)
@@ -238,12 +339,14 @@ def kld_variable_fast(pm: PrecisionModel, j: int) -> float:
     """Same divergence via the block identity with J = {j}: O(1) once Lambda
     is known, 0.5 [ a - 1 - log a + (lambda_j - 1/omega_j) mu_j^2 ] with
     a = omega_j lambda_j."""
+    _check_index(pm, j)
     return float(_block_kl(pm, np.array([[j]]))[0][0])
 
 
 def mutual_info(pm: PrecisionModel, j: int) -> float:
     """Gaussian mutual information between effect j and the remaining effects,
     0.5 log(omega_j |Omega_-j| / |Omega|) = 0.5 log(omega_j lambda_j)."""
+    _check_index(pm, j)
     return float(_block_kl(pm, np.array([[j]]))[1][0])
 
 
@@ -281,7 +384,8 @@ def rate_scores(pm: PrecisionModel, path: str = "fast") -> ImportanceReport:
         raise ValueError(f"unknown path: {path!r}")
     klds, mis = _block_kl(pm, np.arange(pm.p)[:, None])
     if path == "naive":
-        klds = [kld_variable_naive(pm, j) for j in range(pm.p)]
+        omega, lam = pm.omega, pm.lam
+        klds = [_kld_naive(pm.mu, omega, lam, j) for j in range(pm.p)]
     signs = np.sign(pm.mu).astype(int)
     return _normalize(pm.feature_names, klds, signs, mis)
 

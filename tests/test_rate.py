@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from ratekit.core import NotPositiveDefiniteError
 from ratekit.esa import EffectSizePosterior
 from ratekit.rate import (
     GroupMap,
@@ -69,6 +70,17 @@ def two_by_two(rho=0.5, mu=(1.0, 0.3)):
     return precision_from_covariance(np.asarray(mu), omega, base_jitter=0.0)
 
 
+def rank_deficient_esa(seed, p=60, k=20):
+    """Effect sizes with a p x k factor, k < p, so Omega = G G^T is singular."""
+    rng = np.random.default_rng(seed)
+    return EffectSizePosterior(
+        mu=rng.standard_normal((1, p)),
+        factors=rng.standard_normal((1, p, k)),
+        n_used=100,
+        feature_names=tuple(f"f{j}" for j in range(p)),
+    )
+
+
 # --- construction -----------------------------------------------------------
 
 
@@ -81,6 +93,7 @@ class TestBuildPrecision:
             feature_names=tuple("abcd"),
         )
         pm = build_precision(esa, base_jitter=0.0)
+        assert not pm.factored
         np.testing.assert_array_equal(pm.omega, np.eye(4))
         np.testing.assert_allclose(pm.lam, np.eye(4), atol=1e-14)
         assert pm.jitter == 0.0
@@ -149,8 +162,8 @@ class TestKldVariable:
     def test_fast_detects_inconsistent_inputs(self):
         pm = PrecisionModel(
             mu=np.zeros(3),
-            omega=np.eye(3),
-            lam=0.5 * np.eye(3),  # not the inverse of omega
+            omega_rows=np.eye(3),
+            lam_rows=0.5 * np.eye(3),  # not the inverse of omega
             jitter=0.0,
             log_det_omega=0.0,
             feature_names=("a", "b", "c"),
@@ -164,24 +177,20 @@ class TestKldVariable:
 
     def test_index_bounds(self):
         pm = two_by_two()
-        with pytest.raises(IndexError):
-            kld_variable_naive(pm, 2)
+        for score in (kld_variable_naive, kld_variable_fast, mutual_info):
+            for j in (-1, 2):
+                with pytest.raises(IndexError, match=r"variable index .* out of range \[0, 2\)"):
+                    score(pm, j)
 
 
 class TestRankDeficient:
     def test_identities_hold_under_jitter(self):
         # p > k: Omega = G G^T is singular, so build_precision adds jitter and
         # every kld scales with it; the identities must still hold exactly
-        rng = np.random.default_rng(26)
-        p, k = 60, 20
-        esa = EffectSizePosterior(
-            mu=rng.standard_normal((1, p)),
-            factors=rng.standard_normal((1, p, k)),
-            n_used=100,
-            feature_names=tuple(f"f{j}" for j in range(p)),
-        )
+        esa = rank_deficient_esa(26)
+        p = esa.n_features
         pm = build_precision(esa)
-        assert pm.jitter > 0
+        assert pm.factored and pm.jitter > 0
         for j in range(p):
             naive = kld_variable_naive(pm, j)
             assert abs(kld_variable_fast(pm, j) - naive) <= 1e-8 * (1 + naive)
@@ -192,6 +201,49 @@ class TestRankDeficient:
         rates = group_rate(pm, groups).rates()
         assert np.all(np.isfinite(rates))
         assert abs(rates.sum() - 1.0) <= 1e-12
+
+    def test_factor_route_matches_thin_svd(self):
+        # G = U S V^T gives Lambda = (I - U U^T) / tau + U diag(1 / (s^2 + tau)) U^T
+        esa = rank_deficient_esa(27)
+        g = esa.factors[0]
+        p, k = g.shape
+        pm = build_precision(esa)
+        tau = pm.jitter
+        u, s, _ = np.linalg.svd(g, full_matrices=False)
+        ref = (np.eye(p) - u @ u.T) / tau + (u / (s**2 + tau)) @ u.T
+        diag = pm.lam_block(np.arange(p)[:, None])[:, 0, 0]
+        np.testing.assert_allclose(diag, np.diagonal(ref), rtol=1e-12)
+        idx = np.array([3, 11, 25, 40, 58])
+        ref_block = ref[np.ix_(idx, idx)]
+        gap = np.abs(pm.lam_block(idx[None, :])[0] - ref_block).max()
+        assert gap <= 1e-12 * np.abs(ref_block).max()
+        expected_log_det = (p - k) * math.log(tau) + np.sum(np.log(s**2 + tau))
+        assert pm.log_det_omega == pytest.approx(expected_log_det, rel=1e-12)
+
+    def test_factor_route_jitter_and_storage(self):
+        esa = rank_deficient_esa(28)
+        g = esa.factors[0]
+        p, k = g.shape
+        for base in (1e-8, 1e-4):
+            pm = build_precision(esa, base_jitter=base)
+            assert pm.jitter == pytest.approx(base * np.sum(g**2) / p, rel=1e-12)
+            arrays = [v for v in vars(pm).values() if isinstance(v, np.ndarray)]
+            assert max(a.size for a in arrays) <= p * k
+
+    def test_factor_route_needs_jitter(self):
+        with pytest.raises(NotPositiveDefiniteError, match="singular"):
+            build_precision(rank_deficient_esa(29), base_jitter=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rates_are_jitter_invariant(self, seed):
+        # the raw klds scale like 1/jitter here, but their shares do not
+        esa = rank_deficient_esa(seed)
+        base, *others = [
+            rate_scores(build_precision(esa, base_jitter=b)).rates() for b in (1e-8, 1e-6, 1e-4)
+        ]
+        for rates in others:
+            np.testing.assert_array_equal(np.argsort(rates), np.argsort(base))
+            np.testing.assert_allclose(rates, base, rtol=1e-2)
 
 
 class TestInvariances:
