@@ -7,7 +7,8 @@ round-off, but the fast route turns an O(p^4) sweep into O(p^3) total.
 
 When the effect-size factor G (p x k) is narrower than p, the covariance
 G G^T is singular and ``build_precision`` keeps only G and a p x k Woodbury
-factor; the last section checks the fast route against the naive one there.
+factor, so the fast route costs O(p k^2) instead of O(p^3); the last section
+checks the fast route against the naive one there.
 """
 
 import time

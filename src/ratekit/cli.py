@@ -330,6 +330,12 @@ def _importance_common(args, with_groups: bool) -> int:
         pm = rate.build_precision(
             effect, base_jitter=float(cfg["jitter"]), class_index=int(cfg["class_index"])
         )
+    if pm.jitter > 0:
+        print(
+            f"ratekit: warning: the effect-size covariance is rank-deficient and got "
+            f"jitter {pm.jitter!r}; kld and mi scale with 1/jitter, rate does not",
+            file=sys.stderr,
+        )
     if with_groups:
         with _stage("load-groups"):
             groups = _read_group_csv(cfg["groups"], ds.feature_names)

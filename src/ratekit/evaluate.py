@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.bnn import Network, _accuracy
+from ratekit.bnn import Network, _accuracy, _hidden_buffers
 
 __all__ = [
     "RocCurve",
@@ -92,7 +92,8 @@ def shuffle_degradation(
     For each fraction, the rows of each of the top ceil(fraction * p) ranked
     columns are permuted independently (de-correlating those features from
     the labels), the test accuracy is recomputed, and the whole procedure is
-    repeated ``repeats`` times with independent permutations.
+    repeated ``repeats`` times with independent permutations. Fractions must
+    lie in [0, 1].
     """
     if net.config.link == "identity":
         raise ValueError("shuffle degradation requires a classification network")
@@ -107,21 +108,29 @@ def shuffle_degradation(
     if fractions is None:
         fractions = np.round(np.arange(0.0, 0.5001, 0.05), 10)
     fractions = np.asarray(fractions, dtype=np.float64)
+    for frac in fractions.tolist():
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"fraction {frac!r} is not in [0, 1]")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
+    n_cols = [int(math.ceil(frac * p)) for frac in fractions]
+    # every forward pass reuses these buffers; the unshuffled input draws no
+    # permutation, so its accuracy is the same in every repeat
+    hidden = _hidden_buffers(net, x.shape[0])
+    shuffled = np.empty_like(x)
+    baseline = _accuracy(net, x, y, hidden) if 0 in n_cols else None
     acc = np.empty((len(fractions), repeats))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
-        for i, frac in enumerate(fractions):
-            n_cols = int(math.ceil(frac * p))
-            if n_cols == 0:
-                acc[i, r] = _accuracy(net, x, y)
+        for i, cols in enumerate(n_cols):
+            if cols == 0:
+                acc[i, r] = baseline
                 continue
-            shuffled = x.copy()
-            for col in ranking[:n_cols]:
+            np.copyto(shuffled, x)
+            for col in ranking[:cols]:
                 shuffled[:, col] = shuffled[rng.permutation(x.shape[0]), col]
-            acc[i, r] = _accuracy(net, shuffled, y)
+            acc[i, r] = _accuracy(net, shuffled, y, hidden)
     if repeats > 1:
         std = acc.std(axis=1, ddof=1)
         # identical repeats (e.g. fraction 0) must report exactly zero spread

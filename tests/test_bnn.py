@@ -16,6 +16,7 @@ from ratekit.bnn import (
     NetworkConfig,
     TrainConfig,
     TrainingDivergedError,
+    _adam_step,
     _elbo,
     build_network,
     elbo_loss,
@@ -207,6 +208,42 @@ class TestGradients:
         rng = np.random.default_rng(21)
         _finite_difference_check("identity", 1, rng.standard_normal(8))
 
+    def test_out_buffers_are_filled(self):
+        net = small_net(link="softmax", n_classes=3, hidden=(5, 4), p=3, seed=2)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 2, 1, 0])
+        loss, grads = _elbo(net, x, y, 10, 2, 4, want_grads=True)
+        out = [np.full_like(p, np.nan) for p in net.parameters()]
+        loss_out, filled = _elbo(net, x, y, 10, 2, 4, want_grads=True, out=out)
+        assert filled is out and loss_out == loss
+        for a, b in zip(grads, out):
+            assert np.array_equal(a, b)
+
+
+class TestAdamStep:
+    def test_matches_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        shapes = [(5, 7), (7,), (3, 1)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in params])
+        ma, va, scratch = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
+        lr = 1e-3
+        for step in range(1, 6):
+            grads = [rng.standard_normal(s) for s in shapes]
+            for p, g, m, v in zip(params, grads, ref_m, ref_v):
+                m += (1 - 0.9) * (g - m)
+                v += (1 - 0.999) * (g * g - v)
+                mhat = m / (1 - 0.9**step)
+                vhat = v / (1 - 0.999**step)
+                p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            g_flat = np.concatenate([g.ravel() for g in grads])
+            # uneven blocks, as train runs the update block by block
+            for b in (slice(0, 20), slice(20, None)):
+                _adam_step(flat[b], g_flat[b], ma[b], va[b], scratch[b], step, lr)
+            assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+
 
 def blob_dataset(n=500, seed=0):
     rng = np.random.default_rng(seed)
@@ -248,6 +285,17 @@ class TestTrain:
         assert runs[0][1] == runs[1][1]
         for pa, pb in zip(runs[0][0].parameters(), runs[1][0].parameters()):
             assert np.array_equal(pa, pb)
+
+    def test_input_network_unchanged_and_unshared(self):
+        x, y = blob_dataset(n=120, seed=4)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8, 4)), seed=1)
+        before = [p.copy() for p in net.parameters()]
+        trained, _ = train(net, (x, y), TrainConfig(epochs=3, seed=2))
+        for p, ref in zip(net.parameters(), before):
+            assert np.array_equal(p, ref)
+        for t in trained.parameters():
+            assert not any(np.shares_memory(t, p) for p in net.parameters())
+        assert not all(np.array_equal(t, p) for t, p in zip(trained.parameters(), before))
 
     def test_divergence_raises(self):
         x, y = blob_dataset(n=64, seed=1)

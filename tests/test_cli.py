@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and its determinism."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -151,6 +152,46 @@ class TestPipeline:
         rows = (tmp_path / "degradation.csv").read_text().splitlines()
         assert rows[0] == "fraction,mean_accuracy,std_accuracy"
         assert len(rows) == 4
+
+    def test_degradation_rejects_fraction_outside_unit_interval(self, pipeline, tmp_path):
+        code = run(
+            "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--degradation", "--model", str(pipeline / "model" / "model.json"),
+            "--data", str(pipeline / "sim" / "test.csv"),
+            # "--fractions -0.1,0.5" would be an argparse usage error (exit 2)
+            "--fractions=-0.1,0.5", "--out", str(tmp_path),
+        )
+        assert code == 3
+
+    def test_rank_deficient_covariance_warns(self, pipeline, tmp_path, capsys):
+        # penultimate width 8 < p = 16 features: Omega = G G^T has rank <= 8
+        model = tmp_path / "narrow"
+        assert run(
+            "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
+            "--epochs", "1", "--seed", "11", "--out", str(model),
+        ) == 0
+        groups = tmp_path / "groups.csv"
+        groups.write_text("g1,f1\ng1,f2\ng2,f3\n")
+        for command, extra in (("importance", ()), ("group-importance", ("--groups", str(groups)))):
+            capsys.readouterr()
+            assert run(
+                command, "--data", str(pipeline / "sim" / "test.csv"),
+                "--model", str(model / "model.json"), *extra, "--out", str(tmp_path / command),
+            ) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            jitter = float(re.search(r"jitter (\S+);", lines[0]).group(1))
+            assert jitter > 0
+            assert "kld and mi scale with 1/jitter, rate does not" in lines[0]
+
+    def test_full_rank_covariance_does_not_warn(self, pipeline, tmp_path, capsys):
+        # hidden 32,16 at p = 16: k = p and Omega needs no jitter
+        capsys.readouterr()
+        assert run(
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"), "--out", str(tmp_path),
+        ) == 0
+        assert capsys.readouterr().err == ""
 
     def test_group_importance(self, pipeline, tmp_path):
         groups = tmp_path / "groups.csv"

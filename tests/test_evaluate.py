@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ratekit.bnn import NetworkConfig, TrainConfig, build_network, predict_proba, train
 from ratekit.esa import covariance_effect_sizes
 from ratekit.evaluate import (
     DegradationCurve,
@@ -18,6 +19,7 @@ from ratekit.evaluate import (
     student_t_sf_two_sided,
     ttest_stats,
 )
+from ratekit.simgen import Dataset
 
 
 class TestRocAuc:
@@ -67,7 +69,58 @@ class TestRocAuc:
             roc_auc([1.0, 2.0], np.array([True, True]))
 
 
+@pytest.fixture(scope="module")
+def trained_softmax_net():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((240, 4))
+    y = (x[:, 0] > 0).astype(int) + (x[:, 0] + x[:, 1] > 1).astype(int)
+    net = build_network(NetworkConfig(4, (12, 6), link="softmax", n_classes=3), seed=1)
+    trained, _ = train(net, (x, y), TrainConfig(epochs=10, learning_rate=1e-2, seed=2))
+    return trained, Dataset(X=x, y=y)
+
+
+def reference_degradation(net, ds, ranking, fractions, repeats, seed):
+    """Shuffle degradation written plainly: fresh copies, predict_proba."""
+    x, y = np.asarray(ds.X, dtype=np.float64), np.asarray(ds.y).astype(int)
+    acc = np.empty((len(fractions), repeats))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
+        rng = np.random.default_rng(child)
+        for i, frac in enumerate(fractions):
+            shuffled = x.copy()
+            for col in ranking[: math.ceil(frac * x.shape[1])]:
+                shuffled[:, col] = shuffled[rng.permutation(x.shape[0]), col]
+            probs = predict_proba(net, shuffled)
+            if probs.shape[1] == 1:
+                pred = (probs[:, 0] > 0.5).astype(int)
+            else:
+                pred = probs.argmax(axis=1)
+            acc[i, r] = np.mean(pred == y)
+    std = acc.std(axis=1, ddof=1)
+    std[acc.max(axis=1) == acc.min(axis=1)] = 0.0
+    return acc.mean(axis=1), std
+
+
 class TestShuffleDegradation:
+    @pytest.mark.parametrize(
+        "fixture, ranking, fractions",
+        [
+            ("trained_blob_net", [1, 0], [0.0, 0.5, 1.0]),
+            ("trained_softmax_net", [2, 0, 3, 1], [0.0, 0.25, 0.6, 1.0, 0.0]),
+        ],
+    )
+    def test_matches_reference_loop(self, request, fixture, ranking, fractions):
+        net, ds = request.getfixturevalue(fixture)
+        curve = shuffle_degradation(net, ds, ranking, fractions=fractions, repeats=4, seed=3)
+        mean, std = reference_degradation(net, ds, ranking, fractions, repeats=4, seed=3)
+        assert np.array_equal(curve.mean_accuracy, mean)
+        assert np.array_equal(curve.std_accuracy, std)
+
+    @pytest.mark.parametrize("frac", [-0.5, 1.5, math.nan])
+    def test_fraction_outside_unit_interval_rejected(self, trained_blob_net, frac):
+        net, ds = trained_blob_net
+        with pytest.raises(ValueError, match=f"fraction {frac!r} "):
+            shuffle_degradation(net, ds, [0, 1], fractions=[0.0, frac], repeats=2, seed=0)
+
     def test_zero_fraction_is_baseline(self, trained_blob_net):
         net, ds = trained_blob_net
         curve = shuffle_degradation(net, ds, [0, 1], fractions=[0.0], repeats=5, seed=0)
