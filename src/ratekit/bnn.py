@@ -38,6 +38,9 @@ __all__ = [
 
 LINKS = ("sigmoid", "identity", "softmax")
 
+#: The hidden-layer nonlinearity; recorded in serialized networks.
+ACTIVATION = "relu"
+
 SERIAL_FORMAT = "ratekit-network"
 SERIAL_VERSION = 1
 
@@ -58,7 +61,6 @@ class NetworkConfig:
     hidden_sizes: tuple[int, ...]
     link: str = "sigmoid"
     n_classes: int = 1
-    activation: str = "relu"
     prior_scale: float = 1.0
 
     def __post_init__(self):
@@ -69,8 +71,6 @@ class NetworkConfig:
             raise ValueError("hidden_sizes must be non-empty")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden layer widths must be >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
         if self.link not in LINKS:
             raise ValueError(f"unsupported link: {self.link!r}")
         if self.link == "softmax" and self.n_classes < 2:
@@ -124,7 +124,6 @@ class TrainConfig:
     mc_samples: int = 1
     val_fraction: float = 0.2
     seed: int = 0
-    kl_scale_mode: str = "uniform"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -135,8 +134,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        if self.kl_scale_mode != "uniform":
-            raise ValueError(f"unknown kl_scale_mode: {self.kl_scale_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -193,26 +190,13 @@ def _check_inputs(net: Network, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_hidden(net: Network, x: np.ndarray):
-    """Run the hidden stack, keeping pre-activations for backprop."""
-    activations = [x]
-    pre = []
-    a = x
-    for w, c in zip(net.hidden_weights, net.hidden_biases):
-        z = a @ w + c
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    return activations, pre
-
-
 def _hidden_buffers(net: Network, n: int) -> list[np.ndarray]:
     """One (n, width) float64 buffer per hidden layer, for ``_predict_hidden``."""
     return [np.empty((n, width)) for width in net.config.hidden_sizes]
 
 
 def _predict_hidden(net: Network, x: np.ndarray, out=None) -> np.ndarray:
-    """Run the hidden stack without keeping pre-activations.
+    """Run the affine+ReLU hidden stack.
 
     Layer l's activations are written in place into ``out[l]`` (see
     ``_hidden_buffers``), which the caller may reuse across calls; with
@@ -318,8 +302,9 @@ def _elbo(
     if n_total < x.shape[0]:
         raise ValueError("n_total must be at least the batch size")
 
-    activations, pre = _forward_hidden(net, x)
-    h = activations[-1]
+    hidden = _hidden_buffers(net, x.shape[0])
+    h = _predict_hidden(net, x, hidden)
+    activations = [x, *hidden]
     v = net.v
     mean = h @ net.m + net.b
     var = (h**2) @ v
@@ -365,7 +350,7 @@ def _elbo(
 
     da = dh
     for l in range(len(net.hidden_weights) - 1, -1, -1):
-        dz = da * (pre[l] > 0)
+        dz = da * (hidden[l] > 0)  # max(z, 0) > 0 exactly where z > 0
         np.sum(dz, axis=0, out=hidden_grads[2 * l + 1])  # bias
         np.matmul(activations[l].T, dz, out=hidden_grads[2 * l])  # weights
         if l:
@@ -625,7 +610,7 @@ def network_to_json(net: Network) -> str:
             "hidden_sizes": list(net.config.hidden_sizes),
             "link": net.config.link,
             "n_classes": net.config.n_classes,
-            "activation": net.config.activation,
+            "activation": ACTIVATION,
             "prior_scale": net.config.prior_scale,
         },
         "hidden": [
@@ -645,12 +630,13 @@ def network_from_json(text: str) -> Network:
         raise ValueError("not a serialized network document")
     if doc.get("version") != SERIAL_VERSION:
         raise ValueError(f"unsupported network document version: {doc.get('version')!r}")
+    if doc["config"]["activation"] != ACTIVATION:
+        raise ValueError(f"unsupported activation: {doc['config']['activation']!r}")
     cfg = NetworkConfig(
         input_dim=doc["config"]["input_dim"],
         hidden_sizes=tuple(doc["config"]["hidden_sizes"]),
         link=doc["config"]["link"],
         n_classes=doc["config"]["n_classes"],
-        activation=doc["config"]["activation"],
         prior_scale=doc["config"]["prior_scale"],
     )
     weights = [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["hidden"]]

@@ -309,11 +309,12 @@ def _importance_common(args, with_groups: bool) -> int:
             "data": None,
             "model": None,
             "jitter": 1e-8,
-            "path": "fast",
             "class_index": 0,
         }
         if with_groups:
             defaults["groups"] = None
+        else:
+            defaults["path"] = "fast"
         cfg = _merge(defaults, _load_config(args), args)
         for required in ("data", "model") + (("groups",) if with_groups else ()):
             if not cfg[required]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "SpdFactor",
@@ -53,9 +52,13 @@ class SpdFactor:
         return self.lower.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (S + jitter*I) x = b using the triangular factor."""
-        y = solve_triangular(self.lower, b, lower=True)
-        return solve_triangular(self.lower.T, y, lower=False)
+        """Solve (S + jitter*I) x = b using the triangular factor.
+
+        numpy has no triangular solver; its general solve on the factor
+        agrees with a triangular one to round-off.
+        """
+        y = np.linalg.solve(self.lower, b)
+        return np.linalg.solve(self.lower.T, y)
 
     def inverse(self) -> np.ndarray:
         """Materialize (S + jitter*I)^{-1}, symmetrized to round-off."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit.bnn import LogitPosterior
-from ratekit.core import center_columns
+from ratekit.core import center_columns, gram
 
 __all__ = [
     "EffectSizePosterior",
@@ -59,9 +59,7 @@ class EffectSizePosterior:
         return self.mu.shape[1]
 
     def omega(self, class_index: int = 0) -> np.ndarray:
-        g = self.factors[class_index]
-        prod = g @ g.T
-        return 0.5 * (prod + prod.T)
+        return gram(self.factors[class_index])
 
 
 def _default_names(p: int) -> tuple[str, ...]:

@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ratekit.core import (
     DEFAULT_JITTER,
@@ -264,7 +263,7 @@ def build_precision(
         )
     factor = chol_jittered(gtg, tau)
     tau = factor.jitter_used
-    w = solve_triangular(factor.lower, g.T, lower=True, check_finite=False).T
+    w = np.linalg.solve(factor.lower, g.T).T
     log_det = factor.log_det + (p - k) * float(np.log(tau))
     return _checked_model(
         np.asarray(mu, dtype=np.float64), g, w, tau, log_det, esa.feature_names

@@ -184,7 +184,7 @@ def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".mask.json")
 
 
-def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> Path:
+def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     """Write features-then-y CSV plus a JSON sidecar with mask and seed."""
     csv_path = Path(csv_path)
     integer_labels = np.issubdtype(ds.y.dtype, np.integer)
@@ -195,7 +195,7 @@ def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> Path:
             row = [repr(float(v)) for v in ds.X[i]]
             row.append(str(int(ds.y[i])) if integer_labels else repr(float(ds.y[i])))
             writer.writerow(row)
-    sidecar = _sidecar_path(csv_path) if sidecar_path is None else Path(sidecar_path)
+    sidecar = _sidecar_path(csv_path)
     meta = {
         "causal_mask": None if ds.causal_mask is None else ds.causal_mask.astype(int).tolist(),
         "column_permutation": (
@@ -210,7 +210,7 @@ def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> Path:
     return sidecar
 
 
-def load_dataset_csv(csv_path, sidecar_path=None) -> Dataset:
+def load_dataset_csv(csv_path) -> Dataset:
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -228,7 +228,7 @@ def load_dataset_csv(csv_path, sidecar_path=None) -> Dataset:
     perm = None
     seed = None
     integer_labels = all("." not in v and "e" not in v.lower() for v in y_raw)
-    sidecar = _sidecar_path(csv_path) if sidecar_path is None else Path(sidecar_path)
+    sidecar = _sidecar_path(csv_path)
     if sidecar.exists():
         with open(sidecar) as fh:
             meta = json.load(fh)

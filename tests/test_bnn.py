@@ -407,5 +407,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             network_from_json(json.dumps({"format": "something-else"}))
 
+    def test_rejects_unknown_activation(self):
+        doc = json.loads(network_to_json(small_net(hidden=(3,), seed=2)))
+        assert doc["config"]["activation"] == "relu"
+        doc["config"]["activation"] = "tanh"
+        with pytest.raises(ValueError, match="unsupported activation: 'tanh'"):
+            network_from_json(json.dumps(doc))
+
     def test_links_constant_is_exported(self):
         assert LINKS == ("sigmoid", "identity", "softmax")

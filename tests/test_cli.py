@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line pipeline and its determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,20 @@ class TestRenderCurveSvg:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             render_curve_svg([("d", [0.0, np.inf], [0.0, 1.0])], "x", "y")
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime needs numpy only; scipy is a test-time dependency
+        code = (
+            "import sys, ratekit, ratekit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -207,6 +225,24 @@ class TestPipeline:
         assert {item["name"] for item in doc["items"]} == {"g1", "g2"}
         assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
         assert all("members" in item for item in doc["items"])
+
+    def test_path_setting_belongs_to_importance_only(self, pipeline, tmp_path):
+        # group scoring has one route; a "path" in its config is not echoed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"path": "naive"}))
+        groups = tmp_path / "groups.csv"
+        groups.write_text("g1,f1\ng1,f2\ng2,f3\n")
+        common = (
+            "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"), "--config", str(cfg),
+        )
+        assert run("group-importance", *common, "--groups", str(groups),
+                   "--out", str(tmp_path / "group")) == 0
+        effective = json.loads((tmp_path / "group" / "effective_config.json").read_text())
+        assert "path" not in effective["config"]
+        assert run("importance", *common, "--out", str(tmp_path / "single")) == 0
+        effective = json.loads((tmp_path / "single" / "effective_config.json").read_text())
+        assert effective["config"]["path"] == "naive"
 
     def test_group_with_unknown_feature_is_data_error(self, pipeline, tmp_path):
         groups = tmp_path / "bad_groups.csv"
