@@ -146,7 +146,11 @@ def _load_config(args) -> dict:
 
 
 def _merge(defaults: dict, config: dict, args) -> dict:
-    """defaults < config file < explicitly passed flags."""
+    """defaults < config file < explicitly passed flags; a config key the
+    command has no default for is an error, not silently dropped."""
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     merged = dict(defaults)
     for key in defaults:
         if key in config:
@@ -308,7 +312,6 @@ def _importance_common(args, with_groups: bool) -> int:
         defaults = {
             "data": None,
             "model": None,
-            "jitter": 1e-8,
             "class_index": 0,
         }
         if with_groups:
@@ -328,13 +331,11 @@ def _importance_common(args, with_groups: bool) -> int:
         effect = esa.covariance_esa(ds.X, lp, feature_names=ds.feature_names)
         esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
     with _stage("precision"):
-        pm = rate.build_precision(
-            effect, base_jitter=float(cfg["jitter"]), class_index=int(cfg["class_index"])
-        )
-    if pm.jitter > 0:
+        pm = rate.build_precision(effect, class_index=int(cfg["class_index"]))
+    if pm.rank < pm.p:
         print(
-            f"ratekit: warning: the effect-size covariance is rank-deficient and got "
-            f"jitter {pm.jitter!r}; kld and mi scale with 1/jitter, rate does not",
+            f"ratekit: warning: the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
+            "kld is its jitter-free limit and mi is undefined (null)",
             file=sys.stderr,
         )
     if with_groups:
@@ -555,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", default=None, help="evaluation dataset CSV")
     p.add_argument("--model", default=None)
-    p.add_argument("--jitter", type=float, default=None)
     p.add_argument("--path", default=None, choices=("fast", "naive"))
     p.add_argument("--class-index", dest="class_index", type=int, default=None)
     p.set_defaults(func=_cmd_importance)
@@ -565,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--groups", default=None, help="CSV of group_name,feature_name rows")
-    p.add_argument("--jitter", type=float, default=None)
     p.add_argument("--class-index", dest="class_index", type=int, default=None)
     p.set_defaults(func=_cmd_group_importance)
 

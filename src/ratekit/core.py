@@ -16,43 +16,39 @@ __all__ = [
     "NotPositiveDefiniteError",
     "center_columns",
     "chol_spd",
-    "chol_jittered",
     "spd_inverse",
     "gram",
 ]
 
-#: Default relative jitter scale for near-singular covariance matrices.
-DEFAULT_JITTER = 1e-8
-
-#: Maximum number of x10 jitter escalations before giving up.
-MAX_JITTER_ESCALATIONS = 6
+#: An eigenvalue, or squared Cholesky pivot, of a symmetric positive
+#: semidefinite S at or below ``RANK_RTOL * trace(S)`` counts as zero.
+RANK_RTOL = 1e-14
 
 #: Relative asymmetry beyond which an input is rejected instead of symmetrized.
 ASYMMETRY_TOL = 1e-6
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a matrix cannot be factored even with maximal jitter."""
+    """Raised when a matrix has no Cholesky factor with a nonzero pivot."""
 
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor of ``S + jitter_used * I``.
+    """Lower-triangular Cholesky factor of ``S``.
 
-    ``lower @ lower.T`` reconstructs the jittered input and ``log_det`` is
-    the log-determinant of the jittered matrix.
+    ``lower @ lower.T`` reconstructs the input and ``log_det`` is its
+    log-determinant.
     """
 
     lower: np.ndarray
     log_det: float
-    jitter_used: float
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (S + jitter*I) x = b using the triangular factor.
+        """Solve S x = b using the triangular factor.
 
         numpy has no triangular solver; its general solve on the factor
         agrees with a triangular one to round-off.
@@ -61,7 +57,7 @@ class SpdFactor:
         return np.linalg.solve(self.lower.T, y)
 
     def inverse(self) -> np.ndarray:
-        """Materialize (S + jitter*I)^{-1}, symmetrized to round-off."""
+        """Materialize S^{-1}, symmetrized to round-off."""
         inv = self.solve(np.eye(self.dim))
         return 0.5 * (inv + inv.T)
 
@@ -94,62 +90,30 @@ def _symmetrize_checked(s: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def _try_cholesky(s: np.ndarray) -> np.ndarray | None:
-    try:
-        lower = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return None
-    # LAPACK accepts some numerically singular inputs; a collapsed pivot
-    # would poison every downstream solve, so treat it as a failure too.
-    diag = np.diagonal(lower)
-    if np.min(diag) ** 2 <= 1e-14 * np.trace(s):
-        return None
-    return lower
+def chol_spd(s) -> SpdFactor:
+    """Cholesky-factor a symmetric positive definite matrix.
 
-
-def chol_spd(s, base_jitter: float = DEFAULT_JITTER) -> SpdFactor:
-    """Cholesky-factor a symmetric matrix, escalating diagonal jitter on failure.
-
-    The factorization is attempted on the raw (symmetrized) input first;
-    on failure, jitter starts at ``base_jitter * trace(S)/p`` and grows by
-    x10 up to ``MAX_JITTER_ESCALATIONS`` times.
+    A singular or indefinite input raises ``NotPositiveDefiniteError``.
     """
     s = _symmetrize_checked(_as_matrix(s, "S"), "S")
     p = s.shape[0]
     if s.shape[1] != p:
         raise ValueError(f"S must be square, got shape {s.shape}")
-
-    lower = _try_cholesky(s)
-    if lower is not None:
-        log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-        return SpdFactor(lower=lower, log_det=log_det, jitter_used=0.0)
-    return chol_jittered(s, base_jitter * np.trace(s) / p)
-
-
-def chol_jittered(s: np.ndarray, tau: float) -> SpdFactor:
-    """Cholesky-factor ``S + tau * I`` for a symmetric ``S``, growing ``tau``
-    by x10 up to ``MAX_JITTER_ESCALATIONS`` times until it succeeds.
-
-    ``S`` is taken as given (no symmetry or finiteness checks); a ``tau`` of
-    zero never succeeds.
-    """
-    p = s.shape[0]
-    eye = np.eye(p)
-    for _ in range(MAX_JITTER_ESCALATIONS):
-        if tau > 0:
-            lower = _try_cholesky(s + tau * eye)
-            if lower is not None:
-                log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-                return SpdFactor(lower=lower, log_det=log_det, jitter_used=float(tau))
-        tau *= 10.0
-    raise NotPositiveDefiniteError(
-        f"matrix of size {p} is not positive definite even with jitter"
-    )
+    try:
+        lower = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix of size {p} is not positive definite") from exc
+    # LAPACK accepts some numerically singular inputs; a collapsed pivot
+    # would poison every downstream solve, so reject it too.
+    if np.min(np.diagonal(lower)) ** 2 <= RANK_RTOL * np.trace(s):
+        raise NotPositiveDefiniteError(f"matrix of size {p} is singular (a pivot collapsed)")
+    log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    return SpdFactor(lower=lower, log_det=log_det)
 
 
-def spd_inverse(s, base_jitter: float = DEFAULT_JITTER) -> np.ndarray:
+def spd_inverse(s) -> np.ndarray:
     """Invert a symmetric positive definite matrix through its Cholesky factor."""
-    return chol_spd(s, base_jitter).inverse()
+    return chol_spd(s).inverse()
 
 
 def gram(g) -> np.ndarray:

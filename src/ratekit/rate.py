@@ -16,17 +16,40 @@ group costs O(m^3). A naive route built literally from the (p-1) x (p-1)
 submatrices (one dense factorization per variable, O(p^4) total) is kept as
 the reference the identity is tested against.
 
-The effect-size posterior has a p x k factor G with Omega = G G^T, and only
-m x m blocks of Omega and Lambda are ever read, so ``build_precision`` picks
-its storage from the factor's shape:
+The effect-size posterior has a p x k factor G with Omega = G G^T. Its rank r
+is below p when the last hidden layer is narrower than p or when there are
+fewer evaluation rows than features; then Lambda does not exist. Take
+Omega_tau = Omega + tau I and let tau -> 0. With U (p x r) an orthonormal
+basis of range(G), Lambda_tau = (I - U U^T) / tau + O(1). For a block J let
+S_J = G_J G_J^T, P_J = I - U_J U_J^T and Pi_J the projector onto
+range(S_J); then (S_J + tau I)^{-1} = (I - Pi_J) / tau + O(1), and
 
-* k >= p: Omega = G G^T is formed and inverted densely (two p x p arrays,
-  no larger than G itself);
-* k < p: Omega is singular and gets the jitter tau = base_jitter ||G||_F^2 / p.
-  With C C^T = tau I_k + G^T G and W = G C^{-T}, Woodbury gives
-  Omega_JJ = G_J G_J^T + tau I and Lambda_JJ = (I - W_J W_J^T) / tau, and
-  log|Omega| = (p - k) log tau + 2 sum log diag C. Only G and W (p x k) are
-  kept, and building them costs O(p k^2).
+    Omega_JJ Lambda_JJ        = S_J P_J / tau + O(1),
+    Lambda_JJ - Omega_JJ^{-1} = (Pi_J - U_J U_J^T) / tau + O(1)
+                              = Pi_J P_J Pi_J / tau + O(1),
+
+the last step because range(U_J) lies in range(G_J) = range(S_J). The a_i
+grow like 1/tau while the log a_i grow only like log(1/tau), so
+
+    tau kld_J -> 0.5 [ tr(S_J P_J) + mu~_J^T P_J mu~_J ],   mu~_J = Pi_J mu_J,
+
+with a gap of O(tau log(1/tau)). For one feature with omega_j > 0 this is
+0.5 (1 - h_j)(omega_j + mu_j^2), where h_j = ||u_j||^2 is the leverage of
+feature j. The projection matters when S_J is singular, as it is for every
+group of m > r features: mu_J's component in the null space of S_J carries
+no 1/tau term. The common factor 1/tau cancels from the rates, so a
+rank-deficient model is scored by this limit, with no jitter to pick. The
+mutual information has no such limit: each a_i that grows like 1/tau adds
+0.5 log(1/tau), so it diverges and is reported as null.
+
+``build_precision`` takes one ``eigh`` of the smaller Gram matrix of G
+(G^T G when k < p, G G^T otherwise); its eigenvalues above ``RANK_RTOL``
+times its trace count toward r. At r = p, Omega is formed and inverted
+densely (two p x p arrays, no larger than G). At r < p only a p x r factor
+of Omega and U are kept: with G^T G = V diag(lambda) V^T, U = G V
+lambda^{-1/2}, O(p k^2) for k < p, and the factor is G itself when r = k or
+G V otherwise; for k >= p, U holds eigenvectors of G G^T and the factor is
+U lambda^{1/2}. A zero G scores 0 everywhere.
 """
 
 from __future__ import annotations
@@ -38,13 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import (
-    DEFAULT_JITTER,
-    NotPositiveDefiniteError,
-    chol_jittered,
-    chol_spd,
-    gram,
-)
+from ratekit.core import RANK_RTOL, chol_spd, gram
 from ratekit.esa import EffectSizePosterior
 
 __all__ = [
@@ -65,78 +82,72 @@ __all__ = [
     "report_to_csv",
 ]
 
+#: Round-off allowed on the identities a_i >= 1 (dense) and P_J >= 0 (rank-deficient).
+CONSISTENCY_TOL = 1e-9
+
 
 class InconsistentPrecisionError(ArithmeticError):
     """An eigenvalue of Omega_JJ Lambda_JJ below 1 (omega_j * lambda_j < 1 for
-    a single variable) signals a covariance/precision pair that is not an
-    inverse pair (impossible in exact arithmetic)."""
+    a single variable), or of I - U_J U_J^T below 0, signals a model whose two
+    matrices do not belong together (impossible in exact arithmetic)."""
 
 
 @dataclass
 class PrecisionModel:
-    """Jittered effect-size covariance Omega, its inverse Lambda, and the
-    posterior mean.
+    """Effect-size covariance Omega, its inverse Lambda when it exists, and
+    the posterior mean.
 
     Row j of ``omega_rows`` and ``lam_rows`` belongs to variable j, in one of
-    two forms (see the module docstring), told apart by their width.
-    ``build_precision`` uses the factor form when the effect-size factor is
-    p x k with k < p, and the dense form otherwise, as does
-    ``precision_from_covariance``:
+    two forms (see the module docstring), told apart by their width, the
+    ``rank``:
 
     * dense, p x p: ``omega_rows`` is Omega and ``lam_rows`` is Lambda;
-    * factor, p x k with k < p: ``omega_rows`` is G and ``lam_rows`` is W, so
-      Omega = G G^T + jitter I and Lambda = (I - W W^T) / jitter.
-
-    Scores read the two matrices only through ``omega_block`` and
-    ``lam_block``, so the naive and fast routes see identical inputs.
+    * rank-deficient, p x r with r < p: ``omega_rows`` is a factor G with
+      Omega = G G^T and ``lam_rows`` an orthonormal basis U of its range.
+      Lambda does not exist, scores come from the tau -> 0 limit and the
+      mutual information and the naive route are undefined.
     """
 
     mu: np.ndarray  # (p,)
-    omega_rows: np.ndarray  # (p, p) Omega, or (p, k) G
-    lam_rows: np.ndarray  # (p, p) Lambda, or (p, k) W
-    jitter: float
-    log_det_omega: float
-    feature_names: tuple[str, ...] = ()
+    omega_rows: np.ndarray  # (p, p) Omega, or (p, r) G
+    lam_rows: np.ndarray  # (p, p) Lambda, or (p, r) U
+    feature_names: tuple[str, ...] = ()  # f1, f2, ... when empty or None
 
     def __post_init__(self):
         p, width = self.omega_rows.shape
         if p != self.p or self.lam_rows.shape != (p, width) or width > p:
             raise ValueError(
                 f"omega_rows {self.omega_rows.shape} and lam_rows {self.lam_rows.shape} "
-                f"must share one shape (p, k) with k <= p = {self.p}"
+                f"must share one shape (p, r) with r <= p = {self.p}"
             )
+        self.feature_names = tuple(self.feature_names or (f"f{j + 1}" for j in range(p)))
+        if len(self.feature_names) != p:
+            raise ValueError("feature_names length does not match mu")
 
     @property
     def p(self) -> int:
         return self.mu.shape[0]
 
     @property
-    def factored(self) -> bool:
-        return self.omega_rows.shape[1] < self.p
-
-    def omega_block(self, blocks: np.ndarray) -> np.ndarray:
-        """Omega_JJ for each row J of the (b, m) index array ``blocks``."""
-        if not self.factored:
-            return self.omega_rows[blocks[:, :, None], blocks[:, None, :]]
-        g = self.omega_rows[blocks]
-        return g @ g.mT + self.jitter * np.eye(blocks.shape[1])
-
-    def lam_block(self, blocks: np.ndarray) -> np.ndarray:
-        """Lambda_JJ for each row J of the (b, m) index array ``blocks``."""
-        if not self.factored:
-            return self.lam_rows[blocks[:, :, None], blocks[:, None, :]]
-        w = self.lam_rows[blocks]
-        return (np.eye(blocks.shape[1]) - w @ w.mT) / self.jitter
+    def rank(self) -> int:
+        """Rank of Omega: p on the dense form, r < p otherwise."""
+        return self.omega_rows.shape[1]
 
     @property
     def omega(self) -> np.ndarray:
         """Dense p x p Omega, built afresh on every access."""
-        return self.omega_block(np.arange(self.p)[None, :])[0]
+        if self.rank < self.p:
+            return gram(self.omega_rows)
+        return self.omega_rows.copy()
 
     @property
     def lam(self) -> np.ndarray:
         """Dense p x p Lambda, built afresh on every access."""
-        return self.lam_block(np.arange(self.p)[None, :])[0]
+        if self.rank < self.p:
+            raise ValueError(
+                f"Lambda does not exist: Omega has rank {self.rank} < p = {self.p}"
+            )
+        return self.lam_rows.copy()
 
 
 @dataclass(frozen=True)
@@ -201,73 +212,54 @@ class ImportanceReport:
         return np.array([it.kld for it in self.items])
 
 
-def _checked_model(mu, omega_rows, lam_rows, jitter, log_det, feature_names) -> PrecisionModel:
-    p = mu.shape[0]
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"f{j + 1}" for j in range(p)
-    )
-    if len(names) != p:
-        raise ValueError("feature_names length does not match mu")
-    model = PrecisionModel(
-        mu=mu,
-        omega_rows=omega_rows,
-        lam_rows=lam_rows,
-        jitter=jitter,
-        log_det_omega=log_det,
-        feature_names=names,
-    )
-    diagonal = np.arange(p)[:, None]
-    if np.any(model.omega_block(diagonal) <= 0) or np.any(model.lam_block(diagonal) <= 0):
-        raise InconsistentPrecisionError("covariance or precision has a nonpositive diagonal")
-    return model
-
-
-def precision_from_covariance(
-    mu, omega, base_jitter: float = DEFAULT_JITTER, feature_names=None
-) -> PrecisionModel:
-    """Build the dense jittered covariance/precision pair from raw moments."""
+def precision_from_covariance(mu, omega, feature_names=None) -> PrecisionModel:
+    """Build the dense covariance/precision pair from raw moments; a singular
+    ``omega`` raises ``NotPositiveDefiniteError``."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
     p = mu.shape[0]
     if p < 2:
         raise ValueError("need at least 2 variables")
-    factor = chol_spd(omega, base_jitter)
-    omega_t = np.asarray(omega, dtype=np.float64)
-    omega_t = 0.5 * (omega_t + omega_t.T) + factor.jitter_used * np.eye(p)
-    return _checked_model(
-        mu, omega_t, factor.inverse(), factor.jitter_used, factor.log_det, feature_names
+    factor = chol_spd(omega)
+    omega = np.asarray(omega, dtype=np.float64)
+    model = PrecisionModel(
+        mu=mu,
+        omega_rows=0.5 * (omega + omega.T),
+        lam_rows=factor.inverse(),
+        feature_names=feature_names,
     )
+    if np.any(np.diagonal(model.omega_rows) <= 0) or np.any(np.diagonal(model.lam_rows) <= 0):
+        raise InconsistentPrecisionError("covariance or precision has a nonpositive diagonal")
+    return model
 
 
-def build_precision(
-    esa: EffectSizePosterior, base_jitter: float = DEFAULT_JITTER, class_index: int = 0
-) -> PrecisionModel:
-    """Precision model of Omega = G G^T (+ jitter if singular).
-
-    With G of shape p x k, k >= p builds the dense pair; k < p keeps G and
-    the Woodbury factor W instead (see the module docstring), with the jitter
-    ``chol_spd`` would start from, base_jitter * ||G||_F^2 / p, escalated x10
-    the same way if the k x k factorization fails.
-    """
-    mu = esa.mu[class_index]
+def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> PrecisionModel:
+    """Precision model of Omega = G G^T, dense when Omega has full rank and
+    scored from its tau -> 0 limit otherwise (see the module docstring)."""
+    mu = np.asarray(esa.mu[class_index], dtype=np.float64)
     g = np.asarray(esa.factors[class_index], dtype=np.float64)
     p, k = g.shape
-    if k >= p:
-        return precision_from_covariance(
-            mu, gram(g), base_jitter=base_jitter, feature_names=esa.feature_names
-        )
-    gtg = gram(g.T)
-    tau = base_jitter * np.trace(gtg) / p
-    if not tau > 0:
-        raise NotPositiveDefiniteError(
-            f"Omega = G G^T ({p} x {p}, rank <= {k}) is singular and the jitter is {tau}"
-        )
-    factor = chol_jittered(gtg, tau)
-    tau = factor.jitter_used
-    w = np.linalg.solve(factor.lower, g.T).T
-    log_det = factor.log_det + (p - k) * float(np.log(tau))
-    return _checked_model(
-        np.asarray(mu, dtype=np.float64), g, w, tau, log_det, esa.feature_names
-    )
+    small = gram(g.T) if k < p else gram(g)
+    eigvals, eigvecs = np.linalg.eigh(small)
+    kept = eigvals > RANK_RTOL * np.trace(small)
+    rank = int(np.count_nonzero(kept))
+    if rank == p:
+        return precision_from_covariance(mu, small, feature_names=esa.feature_names)
+    eigvals, eigvecs = eigvals[kept], eigvecs[:, kept]
+    if k < p:
+        # G V drops G's null directions; with none to drop, G itself serves and is not copied
+        basis = g @ eigvecs
+        if rank < k:
+            g = basis.copy()
+        basis /= np.sqrt(eigvals)
+        # the columns drift from orthonormal by about eps * lambda_max / lambda_min;
+        # when that shows, one Cholesky QR pass on them restores it
+        gram_u = basis.T @ basis
+        if np.linalg.norm(gram_u - np.eye(rank)) > CONSISTENCY_TOL:
+            basis = np.linalg.solve(np.linalg.cholesky(gram_u), basis.T).T
+    else:
+        basis = eigvecs
+        g = eigvecs * np.sqrt(eigvals)
+    return PrecisionModel(mu=mu, omega_rows=g, lam_rows=basis, feature_names=esa.feature_names)
 
 
 def _check_index(pm: PrecisionModel, j: int) -> None:
@@ -281,12 +273,14 @@ def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
     0.5 [ tr(Omega_-j Lambda_-j) - log|Omega_-j Lambda_-j| - (p-1)
           + delta_j mu_j^2 ],   delta_j = lambda_-j^T Lambda_-j^{-1} lambda_-j,
     the effect of variable j being conditioned to zero. Builds the dense
-    Omega and Lambda, so it is the reference, not a route for large p.
+    Omega and Lambda, so it is the reference, not a route for large p; a
+    rank-deficient model has no Lambda and raises ``ValueError``.
     """
     if pm.p < 2:
         raise ValueError("need at least 2 variables")
     _check_index(pm, j)
-    return _kld_naive(pm.mu, pm.omega, pm.lam, j)
+    lam = pm.lam
+    return _kld_naive(pm.mu, pm.omega, lam, j)
 
 
 def _kld_naive(mu: np.ndarray, omega: np.ndarray, lam: np.ndarray, j: int) -> float:
@@ -297,30 +291,33 @@ def _kld_naive(mu: np.ndarray, omega: np.ndarray, lam: np.ndarray, j: int) -> fl
     lam_off = lam[keep, j]
 
     trace = float(np.sum(omega_mj * lam_mj))  # both symmetric
-    f_omega = chol_spd(omega_mj, 0.0)
-    f_lam = chol_spd(lam_mj, 0.0)
+    f_omega = chol_spd(omega_mj)
+    f_lam = chol_spd(lam_mj)
     log_det = f_omega.log_det + f_lam.log_det
     delta = float(lam_off @ f_lam.solve(lam_off))
     kld = 0.5 * (trace - log_det - (p - 1) + delta * mu[j] ** 2)
     return max(kld, 0.0)
 
 
-def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """KL divergence and mutual information for a batch of index blocks.
 
     ``blocks`` is a (b, m) integer array whose rows are the index sets J;
-    returns the two (b,) arrays described in the module docstring. Only the
-    m x m blocks of Omega and Lambda are read. Exactly, every a_i >= 1; a
-    smaller one means Omega and Lambda are not an inverse pair.
+    returns the two (b,) arrays described in the module docstring, or the
+    limit KL and None on a rank-deficient model. Only the m x m blocks of
+    Omega and Lambda are read. Exactly, every a_i >= 1; a smaller one means
+    Omega and Lambda are not an inverse pair.
     """
-    omega_jj = pm.omega_block(blocks)
-    lam_jj = pm.lam_block(blocks)
+    if pm.rank < pm.p:
+        return _limit_kl(pm, blocks), None
+    omega_jj = pm.omega_rows[blocks[:, :, None], blocks[:, None, :]]
+    lam_jj = pm.lam_rows[blocks[:, :, None], blocks[:, None, :]]
     # the a_i are the eigenvalues of the symmetric L^T Lambda_JJ L, L L^T = Omega_JJ
     lower = np.linalg.cholesky(omega_jj)
     a = np.linalg.eigvalsh(lower.mT @ lam_jj @ lower)
     smallest = a.min(axis=1)
     worst = int(np.argmin(smallest))
-    if smallest[worst] < 1.0 - 1e-9:
+    if smallest[worst] < 1.0 - CONSISTENCY_TOL:
         raise InconsistentPrecisionError(
             f"smallest eigenvalue of Omega_JJ Lambda_JJ = {smallest[worst]:.12f} < 1 "
             f"at indices {blocks[worst].tolist()}; covariance and precision are not "
@@ -334,19 +331,56 @@ def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.maximum(kld, 0.0), 0.5 * np.sum(np.log(a), axis=1)
 
 
+def _limit_kl(pm: PrecisionModel, blocks: np.ndarray) -> np.ndarray:
+    """0.5 [ tr(S_J P_J) + mu~_J^T P_J mu~_J ] for each row J of ``blocks``,
+    the tau -> 0 limit of tau kld_J (see the module docstring). Exactly,
+    P_J = I - U_J U_J^T has no eigenvalue below 0; one below it means U is
+    not an orthonormal basis."""
+    s = _block_gram(pm.omega_rows, blocks)
+    u_uT = _block_gram(pm.lam_rows, blocks)
+    largest = np.linalg.eigvalsh(u_uT)[:, -1]
+    worst = int(np.argmax(largest))
+    if largest[worst] > 1.0 + CONSISTENCY_TOL:
+        raise InconsistentPrecisionError(
+            f"largest eigenvalue of U_J U_J^T = {largest[worst]:.12f} > 1 at indices "
+            f"{blocks[worst].tolist()}; U is not an orthonormal basis"
+        )
+    p_j = np.eye(blocks.shape[1]) - u_uT
+    # mu~_J drops mu_J's components along the null eigenvectors of S_J
+    sig, q = np.linalg.eigh(s)
+    coef = np.einsum("bim,bi->bm", q, pm.mu[blocks])
+    coef[sig <= RANK_RTOL * np.trace(s, axis1=1, axis2=2)[:, None]] = 0.0
+    mu_t = np.einsum("bim,bm->bi", q, coef)
+    kld = 0.5 * (np.einsum("bij,bij->b", s, p_j) + np.einsum("bi,bij,bj->b", mu_t, p_j, mu_t))
+    return np.maximum(kld, 0.0)
+
+
+def _block_gram(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """R_J R_J^T for each row J of ``blocks``; R_J is a temporary, freed here."""
+    r_j = rows[blocks]
+    return r_j @ r_j.mT
+
+
 def kld_variable_fast(pm: PrecisionModel, j: int) -> float:
     """Same divergence via the block identity with J = {j}: O(1) once Lambda
     is known, 0.5 [ a - 1 - log a + (lambda_j - 1/omega_j) mu_j^2 ] with
-    a = omega_j lambda_j."""
+    a = omega_j lambda_j; on a rank-deficient model, its limit
+    0.5 (1 - h_j)(omega_j + mu_j^2)."""
     _check_index(pm, j)
     return float(_block_kl(pm, np.array([[j]]))[0][0])
 
 
 def mutual_info(pm: PrecisionModel, j: int) -> float:
     """Gaussian mutual information between effect j and the remaining effects,
-    0.5 log(omega_j |Omega_-j| / |Omega|) = 0.5 log(omega_j lambda_j)."""
+    0.5 log(omega_j |Omega_-j| / |Omega|) = 0.5 log(omega_j lambda_j). It
+    diverges on a rank-deficient model, which raises ``ValueError``."""
     _check_index(pm, j)
-    return float(_block_kl(pm, np.array([[j]]))[1][0])
+    mi = _block_kl(pm, np.array([[j]]))[1]
+    if mi is None:
+        raise ValueError(
+            f"mutual information is undefined: Omega has rank {pm.rank} < p = {pm.p}"
+        )
+    return float(mi[0])
 
 
 def _normalize(names, klds, signs, mis, members=None):
@@ -376,14 +410,15 @@ def rate_scores(pm: PrecisionModel, path: str = "fast") -> ImportanceReport:
     """Per-variable normalized centrality, plus sign and mutual information.
 
     ``path`` selects the naive or fast route; the two agree to round-off and
-    the tests hold them to 1e-8 relative. If every divergence is zero the
+    the tests hold them to 1e-8 relative. A rank-deficient model has only the
+    fast route and reports ``mi`` as None. If every divergence is zero the
     report is flagged degenerate and scores are uniform.
     """
     if path not in ("naive", "fast"):
         raise ValueError(f"unknown path: {path!r}")
     klds, mis = _block_kl(pm, np.arange(pm.p)[:, None])
     if path == "naive":
-        omega, lam = pm.omega, pm.lam
+        lam, omega = pm.lam, pm.omega
         klds = [_kld_naive(pm.mu, omega, lam, j) for j in range(pm.p)]
     signs = np.sign(pm.mu).astype(int)
     return _normalize(pm.feature_names, klds, signs, mis)

@@ -67,9 +67,7 @@ def study():
 
 def test_criterion_1_closed_form_two_by_two():
     start = time.perf_counter()
-    pm = precision_from_covariance(
-        [1.0, 0.3], np.array([[1.0, 0.5], [0.5, 1.0]]), base_jitter=0.0
-    )
+    pm = precision_from_covariance([1.0, 0.3], np.array([[1.0, 0.5], [0.5, 1.0]]))
     kld = rate.kld_variable_naive(pm, 0)
     mi = rate.mutual_info(pm, 0)
     elapsed = time.perf_counter() - start
@@ -118,7 +116,7 @@ def test_criterion_3_normalization_and_threshold(study):
     reports.append(
         rate.group_rate(pm, GroupMap.from_indices({"a": [0, 1, 2], "b": [5, 6]}, p=9))
     )
-    degenerate = precision_from_covariance(np.zeros(4), np.eye(4), base_jitter=0.0)
+    degenerate = precision_from_covariance(np.zeros(4), np.eye(4))
     reports.append(rate.rate_scores(degenerate))
     for report in reports:
         rates = report.rates()
@@ -137,7 +135,7 @@ def test_criterion_4_independence_zeroing():
     omega[:4, :4] = b @ b.T + np.eye(4)
     omega[4:, 4:] = np.diag(rng.uniform(0.5, 3.0, size=5))
     mu = rng.uniform(-50, 50, size=9)
-    pm = precision_from_covariance(mu, omega, base_jitter=0.0)
+    pm = precision_from_covariance(mu, omega)
     for j in range(4, 9):
         assert abs(rate.kld_variable_naive(pm, j)) <= 1e-10
         assert abs(rate.kld_variable_fast(pm, j)) <= 1e-10
@@ -152,7 +150,7 @@ def test_criterion_5_affine_invariance():
     base_rates = rate.rate_scores(base).rates()
     base_mi = np.array([rate.mutual_info(base, j) for j in range(10)])
     for a in (0.1, 3.0, -2.0):
-        scaled = precision_from_covariance(a * base.mu, a * a * base.omega, base_jitter=0.0)
+        scaled = precision_from_covariance(a * base.mu, a * a * base.omega)
         kld = np.array([rate.kld_variable_fast(scaled, j) for j in range(10)])
         rates = rate.rate_scores(scaled).rates()
         mi = np.array([rate.mutual_info(scaled, j) for j in range(10)])
@@ -172,9 +170,7 @@ def test_criterion_6_simulation_study(study):
     # scaled property in place of the full n=1e5 cells
     rng = np.random.default_rng(6)
     g = rng.standard_normal((1000, 1000)) / math.sqrt(1000)
-    pm = precision_from_covariance(
-        rng.standard_normal(1000), g @ g.T + 0.5 * np.eye(1000), base_jitter=0.0
-    )
+    pm = precision_from_covariance(rng.standard_normal(1000), g @ g.T + 0.5 * np.eye(1000))
     start = time.perf_counter()
     report = rate.rate_scores(pm, path="fast")
     elapsed = time.perf_counter() - start

@@ -182,28 +182,33 @@ class TestPipeline:
         assert code == 3
 
     def test_rank_deficient_covariance_warns(self, pipeline, tmp_path, capsys):
-        # penultimate width 8 < p = 16 features: Omega = G G^T has rank <= 8
+        # penultimate width 8 < p = 16 features: Omega = G G^T has rank <= 8,
+        # and group g1 has more members than that
         model = tmp_path / "narrow"
         assert run(
             "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
             "--epochs", "1", "--seed", "11", "--out", str(model),
         ) == 0
         groups = tmp_path / "groups.csv"
-        groups.write_text("g1,f1\ng1,f2\ng2,f3\n")
+        groups.write_text("".join(f"g1,f{j}\n" for j in range(1, 11)) + "g2,f11\ng2,f12\n")
+        data = ("--data", str(pipeline / "sim" / "test.csv"), "--model", str(model / "model.json"))
         for command, extra in (("importance", ()), ("group-importance", ("--groups", str(groups)))):
             capsys.readouterr()
-            assert run(
-                command, "--data", str(pipeline / "sim" / "test.csv"),
-                "--model", str(model / "model.json"), *extra, "--out", str(tmp_path / command),
-            ) == 0
+            assert run(command, *data, *extra, "--out", str(tmp_path / command)) == 0
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
-            jitter = float(re.search(r"jitter (\S+);", lines[0]).group(1))
-            assert jitter > 0
-            assert "kld and mi scale with 1/jitter, rate does not" in lines[0]
+            rank, p = map(int, re.search(r"has rank (\d+) < p = (\d+);", lines[0]).groups())
+            assert 0 < rank <= 8 and p == 16
+            assert "mi is undefined" in lines[0]
+        doc = json.loads((tmp_path / "importance" / "report.json").read_text())
+        assert all(item["mi"] is None for item in doc["items"])
+        doc = json.loads((tmp_path / "group-importance" / "group_report.json").read_text())
+        assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
+        # the naive route needs Lambda, which a rank-deficient covariance lacks
+        assert run("importance", *data, "--path", "naive", "--out", str(tmp_path / "naive")) == 3
 
     def test_full_rank_covariance_does_not_warn(self, pipeline, tmp_path, capsys):
-        # hidden 32,16 at p = 16: k = p and Omega needs no jitter
+        # hidden 32,16 at p = 16: k = p and Omega has full rank
         capsys.readouterr()
         assert run(
             "importance", "--data", str(pipeline / "sim" / "test.csv"),
@@ -226,8 +231,8 @@ class TestPipeline:
         assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
         assert all("members" in item for item in doc["items"])
 
-    def test_path_setting_belongs_to_importance_only(self, pipeline, tmp_path):
-        # group scoring has one route; a "path" in its config is not echoed
+    def test_path_setting_belongs_to_importance_only(self, pipeline, tmp_path, capsys):
+        # group scoring has one route, so a "path" in its config is an error
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"path": "naive"}))
         groups = tmp_path / "groups.csv"
@@ -236,13 +241,27 @@ class TestPipeline:
             "--data", str(pipeline / "sim" / "test.csv"),
             "--model", str(pipeline / "model" / "model.json"), "--config", str(cfg),
         )
+        capsys.readouterr()
         assert run("group-importance", *common, "--groups", str(groups),
-                   "--out", str(tmp_path / "group")) == 0
-        effective = json.loads((tmp_path / "group" / "effective_config.json").read_text())
-        assert "path" not in effective["config"]
+                   "--out", str(tmp_path / "group")) == 3
+        assert "unknown config key(s): 'path'" in capsys.readouterr().err
         assert run("importance", *common, "--out", str(tmp_path / "single")) == 0
         effective = json.loads((tmp_path / "single" / "effective_config.json").read_text())
         assert effective["config"]["path"] == "naive"
+
+    def test_unknown_config_key_is_data_error(self, pipeline, tmp_path, capsys):
+        # a misspelt key, and the jitter setting this version no longer has
+        common = (
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"), "--out", str(tmp_path / "out"),
+        )
+        for key in ("jiter", "jitter"):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: 1e-8, "class_index": 0}))
+            capsys.readouterr()
+            assert run(*common, "--config", str(cfg)) == 3
+            assert f"unknown config key(s): {key!r}" in capsys.readouterr().err
+        assert run(*common, "--jitter", "1e-8") == 2
 
     def test_group_with_unknown_feature_is_data_error(self, pipeline, tmp_path):
         groups = tmp_path / "bad_groups.csv"

@@ -44,7 +44,6 @@ class TestCholSpd:
         f = chol_spd(np.eye(2))
         np.testing.assert_array_equal(f.lower, np.eye(2))
         assert f.log_det == 0.0
-        assert f.jitter_used == 0.0
 
     def test_diagonal(self):
         f = chol_spd(np.diag([4.0, 4.0]))
@@ -57,8 +56,7 @@ class TestCholSpd:
         a = b @ b.T + np.eye(10)
         f = chol_spd(a)
         recon = f.lower @ f.lower.T
-        target = a + f.jitter_used * np.eye(10)
-        err = np.linalg.norm(recon - target) / np.linalg.norm(a)
+        err = np.linalg.norm(recon - a) / np.linalg.norm(a)
         assert err < 1e-8
 
     def test_log_det_matches_slogdet(self):
@@ -66,18 +64,18 @@ class TestCholSpd:
         b = rng.standard_normal((6, 6))
         a = b @ b.T + np.eye(6)
         f = chol_spd(a)
-        _, ref = np.linalg.slogdet(a + f.jitter_used * np.eye(6))
+        _, ref = np.linalg.slogdet(a)
         np.testing.assert_allclose(f.log_det, ref, rtol=1e-12)
 
-    def test_singular_matrix_gets_jitter(self):
+    def test_singular_matrix_rejected(self):
         g = np.array([[1.0], [2.0], [3.0]])
         a = g @ g.T  # rank 1, p = 3
-        f = chol_spd(a, base_jitter=1e-8)
-        assert f.jitter_used > 0
+        with pytest.raises(NotPositiveDefiniteError):
+            chol_spd(a)
 
     def test_negative_definite_fails(self):
         with pytest.raises(NotPositiveDefiniteError):
-            chol_spd(-np.eye(3), base_jitter=1e-8)
+            chol_spd(-np.eye(3))
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -95,20 +93,20 @@ class TestCholSpd:
 
 class TestSpdInverse:
     def test_identity(self):
-        np.testing.assert_allclose(spd_inverse(np.eye(3), 0.0), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(spd_inverse(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_two_by_two_adjugate(self):
         # [[1, r], [r, 1]]^{-1} = (1/(1-r^2)) [[1, -r], [-r, 1]]
         r = 0.5
         a = np.array([[1.0, r], [r, 1.0]])
         expected = np.array([[1.0, -r], [-r, 1.0]]) / 0.75
-        np.testing.assert_allclose(spd_inverse(a, 0.0), expected, rtol=1e-14)
+        np.testing.assert_allclose(spd_inverse(a), expected, rtol=1e-14)
 
     def test_inverse_product_is_identity(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((8, 8))
         a = b @ b.T + np.eye(8)
-        inv = spd_inverse(a, 0.0)
+        inv = spd_inverse(a)
         err = np.abs(a @ inv - np.eye(8)).max()
         assert err < 1e-8
 
@@ -116,7 +114,7 @@ class TestSpdInverse:
         rng = np.random.default_rng(4)
         b = rng.standard_normal((6, 6))
         a = b @ b.T + 2 * np.eye(6)
-        back = spd_inverse(spd_inverse(a, 0.0), 0.0)
+        back = spd_inverse(spd_inverse(a))
         err = np.linalg.norm(back - a) / np.linalg.norm(a)
         assert err < 1e-6
 

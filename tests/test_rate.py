@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from ratekit.core import NotPositiveDefiniteError
-from ratekit.esa import EffectSizePosterior
+from ratekit.bnn import NetworkConfig, build_network, logit_posterior
+from ratekit.esa import EffectSizePosterior, covariance_esa
 from ratekit.rate import (
     GroupMap,
     InconsistentPrecisionError,
@@ -29,6 +29,7 @@ from ratekit.rate import (
     report_to_csv,
     report_to_json,
 )
+from ratekit.simgen import SynthSpec, synth_classification
 
 # --- independent oracle -----------------------------------------------------
 
@@ -62,23 +63,48 @@ def random_model(p, seed, diag_boost=0.5):
     b = rng.standard_normal((p, p))
     omega = b @ b.T + diag_boost * p * np.eye(p)
     mu = rng.standard_normal(p)
-    return precision_from_covariance(mu, omega, base_jitter=0.0)
+    return precision_from_covariance(mu, omega)
 
 
 def two_by_two(rho=0.5, mu=(1.0, 0.3)):
     omega = np.array([[1.0, rho], [rho, 1.0]])
-    return precision_from_covariance(np.asarray(mu), omega, base_jitter=0.0)
+    return precision_from_covariance(np.asarray(mu), omega)
 
 
-def rank_deficient_esa(seed, p=60, k=20):
-    """Effect sizes with a p x k factor, k < p, so Omega = G G^T is singular."""
+def rank_deficient_esa(seed, p=60, k=20, g=None):
+    """Effect sizes whose factor G has rank below p, so Omega = G G^T is
+    singular: ``g``, or a random p x k one with k < p."""
     rng = np.random.default_rng(seed)
+    if g is None:
+        g = rng.standard_normal((p, k))
     return EffectSizePosterior(
-        mu=rng.standard_normal((1, p)),
-        factors=rng.standard_normal((1, p, k)),
+        mu=rng.standard_normal((1, g.shape[0])),
+        factors=g[None, :, :],
         n_used=100,
-        feature_names=tuple(f"f{j}" for j in range(p)),
+        feature_names=tuple(f"f{j}" for j in range(g.shape[0])),
     )
+
+
+def limit_reference(mu, g, blocks, rank=None):
+    """0.5 [tr(S_J P_J) + mu~^T P_J mu~] from a thin SVD of G truncated to
+    ``rank`` columns, with the projection onto range(S_J) taken by pinv."""
+    u, sv, _ = np.linalg.svd(g, full_matrices=False)
+    rank = int(np.sum(sv > 0)) if rank is None else rank
+    u, g = u[:, :rank], (u[:, :rank] * sv[:rank])
+    out = []
+    for idx in blocks:
+        idx = np.asarray(idx)
+        s_j = g[idx] @ g[idx].T
+        p_j = np.eye(idx.size) - u[idx] @ u[idx].T
+        mu_t = s_j @ np.linalg.pinv(s_j) @ mu[idx]
+        out.append(0.5 * (np.sum(s_j * p_j) + mu_t @ p_j @ mu_t))
+    return np.array(out)
+
+
+def jittered_model(esa, tau):
+    """The literal dense model of Omega + tau I, Omega = G G^T."""
+    g = esa.factors[0]
+    return precision_from_covariance(esa.mu[0], g @ g.T + tau * np.eye(g.shape[0]))
 
 
 # --- construction -----------------------------------------------------------
@@ -92,33 +118,40 @@ class TestBuildPrecision:
             n_used=10,
             feature_names=tuple("abcd"),
         )
-        pm = build_precision(esa, base_jitter=0.0)
-        assert not pm.factored
+        pm = build_precision(esa)
+        assert pm.rank == 4
         np.testing.assert_array_equal(pm.omega, np.eye(4))
         np.testing.assert_allclose(pm.lam, np.eye(4), atol=1e-14)
-        assert pm.jitter == 0.0
 
-    def test_rank_deficient_forces_jitter(self):
-        g = np.array([[1.0], [2.0], [3.0]])  # p=3, k=1
+    def test_rank_deficient_takes_limit_route(self):
+        # p=3, k=1: h_j = g_j^2 / 14 and kld_j = 0.5 (1 - h_j)(g_j^2 + mu_j^2)
+        g = np.array([[1.0], [2.0], [3.0]])
+        mu = np.array([1.0, -1.0, 0.5])
         esa = EffectSizePosterior(
-            mu=np.zeros((1, 3)),
-            factors=g[None, :, :],
-            n_used=10,
-            feature_names=("a", "b", "c"),
+            mu=mu[None, :], factors=g[None, :, :], n_used=10, feature_names=("a", "b", "c")
         )
-        pm = build_precision(esa, base_jitter=1e-8)
-        assert pm.jitter > 0
-        assert np.abs(pm.omega @ pm.lam - np.eye(3)).max() < 1e-6
+        pm = build_precision(esa)
+        assert pm.rank == 1
+        h = g[:, 0] ** 2 / 14.0
+        expected = 0.5 * (1 - h) * (g[:, 0] ** 2 + mu**2)
+        report = rate_scores(pm)
+        np.testing.assert_allclose(report.klds(), expected, rtol=1e-14)
+        assert all(item.mi is None for item in report.items)
+        np.testing.assert_allclose(pm.omega, g @ g.T, rtol=1e-14)
+        for undefined in (
+            lambda: pm.lam,
+            lambda: kld_variable_naive(pm, 0),
+            lambda: rate_scores(pm, path="naive"),
+        ):
+            with pytest.raises(ValueError, match=r"Lambda does not exist: Omega has rank 1 < p = 3"):
+                undefined()
+        with pytest.raises(ValueError, match="mutual information is undefined"):
+            mutual_info(pm, 0)
 
     def test_two_by_two_adjugate(self):
         pm = two_by_two()
         expected = (4.0 / 3.0) * np.array([[1.0, -0.5], [-0.5, 1.0]])
         np.testing.assert_allclose(pm.lam, expected, rtol=1e-12)
-
-    def test_log_det_recorded(self):
-        pm = random_model(6, seed=0)
-        _, ref = np.linalg.slogdet(pm.omega)
-        np.testing.assert_allclose(pm.log_det_omega, ref, rtol=1e-10)
 
     def test_needs_two_variables(self):
         with pytest.raises(ValueError):
@@ -130,9 +163,7 @@ class TestBuildPrecision:
 
 class TestKldVariable:
     def test_diagonal_covariance_scores_zero(self):
-        pm = precision_from_covariance(
-            [5.0, -3.0, 0.7], np.diag([1.0, 2.0, 0.5]), base_jitter=0.0
-        )
+        pm = precision_from_covariance([5.0, -3.0, 0.7], np.diag([1.0, 2.0, 0.5]))
         for j in range(3):
             assert kld_variable_naive(pm, j) == pytest.approx(0.0, abs=1e-12)
             assert kld_variable_fast(pm, j) == pytest.approx(0.0, abs=1e-12)
@@ -164,8 +195,6 @@ class TestKldVariable:
             mu=np.zeros(3),
             omega_rows=np.eye(3),
             lam_rows=0.5 * np.eye(3),  # not the inverse of omega
-            jitter=0.0,
-            log_det_omega=0.0,
             feature_names=("a", "b", "c"),
         )
         with pytest.raises(InconsistentPrecisionError):
@@ -174,6 +203,18 @@ class TestKldVariable:
             mutual_info(pm, 0)
         with pytest.raises(InconsistentPrecisionError):
             kld_group(pm, [0, 1])
+        # rank 1: U must have unit norm; h_2 = 1.21 and the [0, 1] block has eigenvalue 1.62
+        limit = PrecisionModel(
+            mu=np.zeros(3),
+            omega_rows=np.ones((3, 1)),
+            lam_rows=np.array([[0.9], [0.9], [1.1]]),
+            feature_names=("a", "b", "c"),
+        )
+        kld_variable_fast(limit, 0)
+        with pytest.raises(InconsistentPrecisionError):
+            kld_variable_fast(limit, 2)
+        with pytest.raises(InconsistentPrecisionError):
+            kld_group(limit, [0, 1])
 
     def test_index_bounds(self):
         pm = two_by_two()
@@ -185,65 +226,134 @@ class TestKldVariable:
 
 class TestRankDeficient:
     def test_identities_hold_under_jitter(self):
-        # p > k: Omega = G G^T is singular, so build_precision adds jitter and
-        # every kld scales with it; the identities must still hold exactly
+        # a jittered singular covariance is an ordinary dense model: the
+        # identities hold, also for groups wider than G's rank
         esa = rank_deficient_esa(26)
         p = esa.n_features
-        pm = build_precision(esa)
-        assert pm.factored and pm.jitter > 0
+        g = esa.factors[0]
+        pm = jittered_model(esa, 1e-3 * np.sum(g**2) / p)
+        assert pm.rank == p
         for j in range(p):
             naive = kld_variable_naive(pm, j)
             assert abs(kld_variable_fast(pm, j) - naive) <= 1e-8 * (1 + naive)
             assert abs(kld_group(pm, [j]) - naive) <= 1e-8 * (1 + naive)
-        groups = GroupMap.from_indices(
-            {f"g{i}": range(5 * i, 5 * i + 5) for i in range(p // 5)}, p=p
-        )
-        rates = group_rate(pm, groups).rates()
-        assert np.all(np.isfinite(rates))
-        assert abs(rates.sum() - 1.0) <= 1e-12
+        for size in (5, 30):
+            groups = GroupMap.from_indices(
+                {f"g{i}": range(i, p, p // size) for i in range(p // size)}, p=p
+            )
+            rates = group_rate(pm, groups).rates()
+            assert np.all(np.isfinite(rates))
+            assert abs(rates.sum() - 1.0) <= 1e-12
 
     def test_factor_route_matches_thin_svd(self):
-        # G = U S V^T gives Lambda = (I - U U^T) / tau + U diag(1 / (s^2 + tau)) U^T
-        esa = rank_deficient_esa(27)
-        g = esa.factors[0]
-        p, k = g.shape
-        pm = build_precision(esa)
-        tau = pm.jitter
-        u, s, _ = np.linalg.svd(g, full_matrices=False)
-        ref = (np.eye(p) - u @ u.T) / tau + (u / (s**2 + tau)) @ u.T
-        diag = pm.lam_block(np.arange(p)[:, None])[:, 0, 0]
-        np.testing.assert_allclose(diag, np.diagonal(ref), rtol=1e-12)
-        idx = np.array([3, 11, 25, 40, 58])
-        ref_block = ref[np.ix_(idx, idx)]
-        gap = np.abs(pm.lam_block(idx[None, :])[0] - ref_block).max()
-        assert gap <= 1e-12 * np.abs(ref_block).max()
-        expected_log_det = (p - k) * math.log(tau) + np.sum(np.log(s**2 + tau))
-        assert pm.log_det_omega == pytest.approx(expected_log_det, rel=1e-12)
+        # k = 20 < p, and k = 80 > p with rank 20 (fewer rows than features)
+        rng = np.random.default_rng(27)
+        p, r = 60, 20
+        singles = [[j] for j in range(p)]
+        blocks = [[3, 11, 25, 40, 58], list(range(0, 50, 2))]  # m = 5 and m = 25 > r
+        for k in (20, 80):
+            g = rng.standard_normal((p, r)) @ rng.standard_normal((r, k))
+            esa = rank_deficient_esa(27, g=g)
+            mu = esa.mu[0]
+            pm = build_precision(esa)
+            assert pm.rank == r
+            u = np.linalg.svd(g, full_matrices=False)[0][:, :r]
+            np.testing.assert_allclose(pm.lam_rows @ pm.lam_rows.T, u @ u.T, atol=1e-12)
+            fast = np.array([kld_variable_fast(pm, j) for j in range(p)])
+            groups = np.array([kld_group(pm, idx) for idx in blocks])
+            for got, ref in ((fast, limit_reference(mu, g, singles, r)),
+                             (groups, limit_reference(mu, g, blocks, r))):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            np.testing.assert_allclose(rate_scores(pm).klds(), fast, rtol=1e-14)
 
-    def test_factor_route_jitter_and_storage(self):
+    def test_factor_route_storage(self):
         esa = rank_deficient_esa(28)
-        g = esa.factors[0]
-        p, k = g.shape
-        for base in (1e-8, 1e-4):
-            pm = build_precision(esa, base_jitter=base)
-            assert pm.jitter == pytest.approx(base * np.sum(g**2) / p, rel=1e-12)
-            arrays = [v for v in vars(pm).values() if isinstance(v, np.ndarray)]
-            assert max(a.size for a in arrays) <= p * k
+        p, k = esa.factors[0].shape
+        pm = build_precision(esa)
+        arrays = [v for v in vars(pm).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= p * k
 
-    def test_factor_route_needs_jitter(self):
-        with pytest.raises(NotPositiveDefiniteError, match="singular"):
-            build_precision(rank_deficient_esa(29), base_jitter=0.0)
+    def test_zero_factor_is_degenerate(self):
+        # Omega_tau = tau I leaves the effects independent, so every limit kld is 0
+        for k in (2, 8):
+            pm = build_precision(rank_deficient_esa(29, g=np.zeros((6, k))))
+            assert pm.rank == 0
+            report = rate_scores(pm)
+            assert report.degenerate
+            np.testing.assert_array_equal(report.klds(), 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rates_are_jitter_invariant(self, seed):
-        # the raw klds scale like 1/jitter here, but their shares do not
+        # the raw klds of a jittered model scale like 1/tau, but their shares
+        # approach the limit's
         esa = rank_deficient_esa(seed)
-        base, *others = [
-            rate_scores(build_precision(esa, base_jitter=b)).rates() for b in (1e-8, 1e-6, 1e-4)
-        ]
-        for rates in others:
-            np.testing.assert_array_equal(np.argsort(rates), np.argsort(base))
-            np.testing.assert_allclose(rates, base, rtol=1e-2)
+        limit = rate_scores(build_precision(esa)).rates()
+        g = esa.factors[0]
+        for tau in (1e-4, 1e-6):
+            rates = rate_scores(jittered_model(esa, tau * np.sum(g**2) / g.shape[0])).rates()
+            np.testing.assert_array_equal(np.argsort(rates), np.argsort(limit))
+            np.testing.assert_allclose(rates, limit, rtol=1e-2)
+
+    def test_jittered_model_converges_to_limit(self):
+        # tau kld_J of the literal Omega + tau I model approaches the limit with a
+        # gap of O(tau log(1/tau)): each 100x smaller tau cuts it by well over 30x
+        esa = rank_deficient_esa(30)
+        mu, g = esa.mu[0], esa.factors[0]
+        p = g.shape[0]
+        pm = build_precision(esa)
+        block_sets = {
+            "singles": [[j] for j in range(p)],
+            "groups of 5": [list(range(i, i + 5)) for i in range(0, p, 5)],
+            "m > r": [list(range(0, 50, 2))],
+        }
+        scale = np.sum(g**2) / p
+        for name, blocks in block_sets.items():
+            limit = np.array([kld_group(pm, idx) for idx in blocks])
+            np.testing.assert_allclose(limit, limit_reference(mu, g, blocks), rtol=1e-10)
+            gaps = []
+            for rel in (1e-2, 1e-4, 1e-6):
+                tau = rel * scale
+                jittered = jittered_model(esa, tau)
+                klds = np.array([kld_group(jittered, idx) for idx in blocks])
+                gaps.append(np.abs(tau * klds - limit).max() / limit.max())
+            assert gaps[-1] < 1e-4, name
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert coarse / fine > 30, (name, gaps)
+
+    def test_eigenvalues_straddling_the_rank_tolerance(self):
+        # Gram eigenvalues of about 3e-13 and 3e-17 times the trace sit either
+        # side of RANK_RTOL = 1e-14: the first counts toward the rank, the
+        # second not. The Gram eigh leaves U's columns about 1e-4 off
+        # orthonormal here, so U needs its Cholesky QR pass
+        rng = np.random.default_rng(31)
+        p, k = 30, 8
+        left = np.linalg.qr(rng.standard_normal((p, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        sv2 = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 1e-12, 1e-16])
+        g = (left * np.sqrt(sv2 / sv2.sum())) @ right.T
+        esa = rank_deficient_esa(31, g=g)
+        pm = build_precision(esa)
+        assert pm.rank == 7
+        u = pm.lam_rows
+        np.testing.assert_allclose(u.T @ u, np.eye(7), atol=1e-12)
+        ref = limit_reference(esa.mu[0], g, [[j] for j in range(p)], rank=7)
+        fast = rate_scores(pm).klds()
+        assert np.abs(fast - ref).max() <= 1e-6 * ref.max()
+        groups = GroupMap.from_indices({f"g{i}": range(10 * i, 10 * i + 10) for i in range(3)}, p=p)
+        rates = group_rate(pm, groups).rates()
+        assert np.all(np.isfinite(rates)) and abs(rates.sum() - 1.0) <= 1e-12
+
+    def test_groups_wider_than_the_network(self):
+        # last hidden width 8 < p = 100 and ten groups of 10 features each
+        ds = synth_classification(SynthSpec(n=300, p=100, seed=3))
+        net = build_network(NetworkConfig(100, (8,)), seed=3)
+        effect = covariance_esa(ds.X, logit_posterior(net, ds.X))
+        pm = build_precision(effect)
+        assert pm.rank == 8
+        groups = GroupMap.from_indices({f"g{i}": range(10 * i, 10 * i + 10) for i in range(10)}, p=100)
+        rates = group_rate(pm, groups).rates()
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+        assert abs(rates.sum() - 1.0) <= 1e-12
 
 
 class TestInvariances:
@@ -252,9 +362,7 @@ class TestInvariances:
         base_klds = [kld_variable_fast(base, j) for j in range(8)]
         base_mis = [mutual_info(base, j) for j in range(8)]
         for a in (0.1, 3.0, -2.0):
-            scaled = precision_from_covariance(
-                a * base.mu, a * a * base.omega, base_jitter=0.0
-            )
+            scaled = precision_from_covariance(a * base.mu, a * a * base.omega)
             for j in range(8):
                 kld = kld_variable_fast(scaled, j)
                 assert abs(kld - base_klds[j]) <= 1e-10 * (1 + abs(base_klds[j]))
@@ -269,7 +377,7 @@ class TestInvariances:
         omega[:3, :3] = block
         omega[3:, 3:] = np.eye(3)
         mu = np.array([1.0, -2.0, 0.5, 100.0, -50.0, 7.0])
-        pm = precision_from_covariance(mu, omega, base_jitter=0.0)
+        pm = precision_from_covariance(mu, omega)
         for j in range(3, 6):
             assert abs(kld_variable_naive(pm, j)) <= 1e-10
             assert abs(kld_variable_fast(pm, j)) <= 1e-10
@@ -277,7 +385,7 @@ class TestInvariances:
 
     def test_zero_mean_kld_and_mi_formulas(self):
         pm = random_model(7, seed=9)
-        zero_mu = precision_from_covariance(np.zeros(7), pm.omega, base_jitter=0.0)
+        zero_mu = precision_from_covariance(np.zeros(7), pm.omega)
         for j in range(7):
             a = zero_mu.omega[j, j] * zero_mu.lam[j, j]
             expected = 0.5 * (a - 1 - math.log(a))
@@ -310,7 +418,7 @@ class TestRateScores:
         np.testing.assert_allclose(fast.rates(), naive.rates(), rtol=1e-8)
 
     def test_degenerate_uniform(self):
-        pm = precision_from_covariance([0.0, 0.0, 0.0], np.eye(3), base_jitter=0.0)
+        pm = precision_from_covariance([0.0, 0.0, 0.0], np.eye(3))
         report = rate_scores(pm)
         assert report.degenerate
         np.testing.assert_allclose(report.rates(), 1 / 3)
@@ -349,7 +457,7 @@ class TestKldGroup:
         omega[:3, :3] = b @ b.T + np.eye(3)
         omega[3:, 3:] = np.diag([2.0, 1.0, 0.5])
         mu = rng.standard_normal(6)
-        pm = precision_from_covariance(mu, omega, base_jitter=0.0)
+        pm = precision_from_covariance(mu, omega)
         assert abs(kld_group(pm, [0, 1, 2])) <= 1e-10
 
     def test_matches_conditional_gaussian_oracle(self):
@@ -388,7 +496,7 @@ class TestGroupRate:
         b = rng.standard_normal((6, 6))
         omega = b @ b.T + 3 * np.eye(6)
         mu = np.array([2.0, -1.5, 1.0, 0.0, 0.0, 0.0])
-        pm = precision_from_covariance(mu, omega, base_jitter=0.0)
+        pm = precision_from_covariance(mu, omega)
         a_idx, b_idx = [0, 1, 2], [3, 4, 5]
         oracle_a = conditional_kl_oracle(mu, omega, a_idx)
         oracle_b = conditional_kl_oracle(mu, omega, b_idx)
@@ -442,7 +550,7 @@ class TestGroupMap:
 
 class TestMutualInfo:
     def test_diagonal_covariance_gives_zero(self):
-        pm = precision_from_covariance([1.0, 2.0], np.diag([3.0, 4.0]), base_jitter=0.0)
+        pm = precision_from_covariance([1.0, 2.0], np.diag([3.0, 4.0]))
         assert mutual_info(pm, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_by_two_value(self):
