@@ -2,13 +2,14 @@
 
 The naive route rebuilds every leave-one-out submatrix and inverts it
 (one dense inverse per variable); the fast route gets the same number from
-the diagonals of the covariance and its single inverse. They agree to
-round-off, but the fast route turns an O(p^4) sweep into O(p^3) total.
+row j of the covariance's eigenvectors U and its eigenvalues lambda, which
+give omega_j and lambda_j = sum_i U_ji^2 / lambda_i. They agree to round-off,
+but the fast route turns an O(p^4) sweep into O(p^3) total.
 
 When the effect-size factor G (p x k) is narrower than p, the covariance
 G G^T is singular and has no inverse. ``build_precision`` then scores the
-jitter-free limit from G and an orthonormal basis of its range, both p x k,
-in O(p k^2); the naive route, which needs the inverse, refuses. The last
+jitter-free limit from an orthonormal basis U of its range (p x k) and the
+k eigenvalues, in O(p k^2); the naive route, which needs the inverse, refuses. The last
 section shows that route and its rank.
 """
 

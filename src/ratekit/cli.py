@@ -231,11 +231,16 @@ def _cmd_simulate(args) -> int:
             flip_y=float(cfg["flip_y"]),
             seed=int(cfg["seed"]),
         )
+        test_fraction = float(cfg["test_fraction"])
+        n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
+        if test_fraction != 0 and not 0 < n_test < spec.n:
+            raise ValueError(
+                f"test_fraction {test_fraction} must be 0 (no split) or leave both the "
+                f"train and test parts of n = {spec.n} rows non-empty"
+            )
         ds = simgen.synth_classification(spec)
     with _stage("write-output"):
-        test_fraction = float(cfg["test_fraction"])
-        if test_fraction > 0:
-            n_test = int(round(test_fraction * ds.n))
+        if n_test:
             split_rng = np.random.default_rng(spec.seed)
             order = split_rng.permutation(ds.n)
             test_idx, train_idx = order[:n_test], order[n_test:]

@@ -15,8 +15,8 @@ __all__ = [
     "SpdFactor",
     "NotPositiveDefiniteError",
     "center_columns",
+    "checked_symmetric",
     "chol_spd",
-    "spd_inverse",
     "gram",
 ]
 
@@ -43,10 +43,6 @@ class SpdFactor:
     lower: np.ndarray
     log_det: float
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve S x = b using the triangular factor.
 
@@ -55,11 +51,6 @@ class SpdFactor:
         """
         y = np.linalg.solve(self.lower, b)
         return np.linalg.solve(self.lower.T, y)
-
-    def inverse(self) -> np.ndarray:
-        """Materialize S^{-1}, symmetrized to round-off."""
-        inv = self.solve(np.eye(self.dim))
-        return 0.5 * (inv + inv.T)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -79,7 +70,12 @@ def center_columns(m) -> np.ndarray:
     return m - m.mean(axis=0, keepdims=True)
 
 
-def _symmetrize_checked(s: np.ndarray, name: str) -> np.ndarray:
+def checked_symmetric(s, name: str = "S") -> np.ndarray:
+    """The symmetric part of a finite square matrix; an asymmetry beyond
+    ``ASYMMETRY_TOL`` relative to its largest entry raises ``ValueError``."""
+    s = _as_matrix(s, name)
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {s.shape}")
     scale = np.abs(s).max()
     asym = np.abs(s - s.T).max()
     if scale > 0 and asym > ASYMMETRY_TOL * scale:
@@ -95,10 +91,8 @@ def chol_spd(s) -> SpdFactor:
 
     A singular or indefinite input raises ``NotPositiveDefiniteError``.
     """
-    s = _symmetrize_checked(_as_matrix(s, "S"), "S")
+    s = checked_symmetric(s)
     p = s.shape[0]
-    if s.shape[1] != p:
-        raise ValueError(f"S must be square, got shape {s.shape}")
     try:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
@@ -109,11 +103,6 @@ def chol_spd(s) -> SpdFactor:
         raise NotPositiveDefiniteError(f"matrix of size {p} is singular (a pivot collapsed)")
     log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
     return SpdFactor(lower=lower, log_det=log_det)
-
-
-def spd_inverse(s) -> np.ndarray:
-    """Invert a symmetric positive definite matrix through its Cholesky factor."""
-    return chol_spd(s).inverse()
 
 
 def gram(g) -> np.ndarray:

@@ -11,8 +11,8 @@ Omega_JJ and Lambda_JJ:
 where the a_i >= 1 are the eigenvalues of Omega_JJ Lambda_JJ, and
 0.5 sum_i log a_i is the mutual information between the J-effects and the
 rest. One function evaluates this identity for single features (m = 1,
-batched over all p of them) and for groups alike, so once Lambda is known a
-group costs O(m^3). A naive route built literally from the (p-1) x (p-1)
+batched over all p of them) and for groups alike, so once the model is built a
+group costs O(m^2 r + m^3). A naive route built literally from the (p-1) x (p-1)
 submatrices (one dense factorization per variable, O(p^4) total) is kept as
 the reference the identity is tested against.
 
@@ -43,13 +43,13 @@ mutual information has no such limit: each a_i that grows like 1/tau adds
 0.5 log(1/tau), so it diverges and is reported as null.
 
 ``build_precision`` takes one ``eigh`` of the smaller Gram matrix of G
-(G^T G when k < p, G G^T otherwise); its eigenvalues above ``RANK_RTOL``
-times its trace count toward r. At r = p, Omega is formed and inverted
-densely (two p x p arrays, no larger than G). At r < p only a p x r factor
-of Omega and U are kept: with G^T G = V diag(lambda) V^T, U = G V
-lambda^{-1/2}, O(p k^2) for k < p, and the factor is G itself when r = k or
-G V otherwise; for k >= p, U holds eigenvectors of G G^T and the factor is
-U lambda^{1/2}. A zero G scores 0 everywhere.
+(G^T G when k < p, G G^T otherwise); its eigenvalues lambda above
+``RANK_RTOL`` times its trace count toward r. On both routes the model keeps
+Omega in eigen form, Omega = U diag(lambda) U^T with U p x r and orthonormal:
+for k >= p, U holds the kept eigenvectors of G G^T; for k < p, with
+G^T G = V diag(lambda) V^T, U = G V lambda^{-1/2}, O(p k^2). Every block is
+U_J diag(lambda^s) U_J^T: Omega_JJ = S_J at s = 1, Lambda_JJ at s = -1 (when
+r = p) and U_J U_J^T at s = 0. A zero G scores 0 everywhere.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import RANK_RTOL, chol_spd, gram
+from ratekit.core import RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, chol_spd, gram
 from ratekit.esa import EffectSizePosterior
 
 __all__ = [
@@ -88,40 +88,37 @@ CONSISTENCY_TOL = 1e-9
 
 class InconsistentPrecisionError(ArithmeticError):
     """An eigenvalue of Omega_JJ Lambda_JJ below 1 (omega_j * lambda_j < 1 for
-    a single variable), or of I - U_J U_J^T below 0, signals a model whose two
-    matrices do not belong together (impossible in exact arithmetic)."""
+    a single variable), or of I - U_J U_J^T below 0, signals a basis U whose
+    columns are not orthonormal (impossible in exact arithmetic)."""
 
 
 @dataclass
 class PrecisionModel:
-    """Effect-size covariance Omega, its inverse Lambda when it exists, and
-    the posterior mean.
+    """Posterior mean and effect-size covariance Omega in eigen form,
+    Omega = U diag(lambda) U^T (see the module docstring).
 
-    Row j of ``omega_rows`` and ``lam_rows`` belongs to variable j, in one of
-    two forms (see the module docstring), told apart by their width, the
-    ``rank``:
-
-    * dense, p x p: ``omega_rows`` is Omega and ``lam_rows`` is Lambda;
-    * rank-deficient, p x r with r < p: ``omega_rows`` is a factor G with
-      Omega = G G^T and ``lam_rows`` an orthonormal basis U of its range.
-      Lambda does not exist, scores come from the tau -> 0 limit and the
-      mutual information and the naive route are undefined.
+    Row j of ``basis`` (U, p x r with orthonormal columns) belongs to
+    variable j, and ``eigvals`` holds the r eigenvalues lambda > 0. At r = p,
+    Lambda = Omega^{-1} = U diag(1/lambda) U^T. At r < p Lambda does not
+    exist: scores come from the tau -> 0 limit and the mutual information
+    and the naive route are undefined.
     """
 
     mu: np.ndarray  # (p,)
-    omega_rows: np.ndarray  # (p, p) Omega, or (p, r) G
-    lam_rows: np.ndarray  # (p, p) Lambda, or (p, r) U
+    basis: np.ndarray  # (p, r) U
+    eigvals: np.ndarray  # (r,) lambda
     feature_names: tuple[str, ...] = ()  # f1, f2, ... when empty or None
 
     def __post_init__(self):
-        p, width = self.omega_rows.shape
-        if p != self.p or self.lam_rows.shape != (p, width) or width > p:
+        if self.eigvals.ndim != 1 or self.basis.shape != (self.p, self.rank) or self.rank > self.p:
             raise ValueError(
-                f"omega_rows {self.omega_rows.shape} and lam_rows {self.lam_rows.shape} "
-                f"must share one shape (p, r) with r <= p = {self.p}"
+                f"basis {self.basis.shape} and eigvals {self.eigvals.shape} must have "
+                f"shapes (p, r) and (r,) with r <= p = {self.p}"
             )
-        self.feature_names = tuple(self.feature_names or (f"f{j + 1}" for j in range(p)))
-        if len(self.feature_names) != p:
+        if np.any(self.eigvals <= 0):
+            raise ValueError("eigvals must be positive")
+        self.feature_names = tuple(self.feature_names or (f"f{j + 1}" for j in range(self.p)))
+        if len(self.feature_names) != self.p:
             raise ValueError("feature_names length does not match mu")
 
     @property
@@ -130,15 +127,13 @@ class PrecisionModel:
 
     @property
     def rank(self) -> int:
-        """Rank of Omega: p on the dense form, r < p otherwise."""
-        return self.omega_rows.shape[1]
+        """Rank r of Omega."""
+        return self.eigvals.shape[0]
 
     @property
     def omega(self) -> np.ndarray:
         """Dense p x p Omega, built afresh on every access."""
-        if self.rank < self.p:
-            return gram(self.omega_rows)
-        return self.omega_rows.copy()
+        return _block_gram(self, np.arange(self.p)[None, :], 1)[0]
 
     @property
     def lam(self) -> np.ndarray:
@@ -147,7 +142,7 @@ class PrecisionModel:
             raise ValueError(
                 f"Lambda does not exist: Omega has rank {self.rank} < p = {self.p}"
             )
-        return self.lam_rows.copy()
+        return _block_gram(self, np.arange(self.p)[None, :], -1)[0]
 
 
 @dataclass(frozen=True)
@@ -212,54 +207,46 @@ class ImportanceReport:
         return np.array([it.kld for it in self.items])
 
 
+def _eigen_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the symmetric positive semidefinite ``s`` above
+    ``RANK_RTOL`` times its trace, and their eigenvectors."""
+    eigvals, eigvecs = np.linalg.eigh(s)
+    kept = eigvals > RANK_RTOL * np.trace(s)
+    return eigvals[kept], eigvecs[:, kept]
+
+
 def precision_from_covariance(mu, omega, feature_names=None) -> PrecisionModel:
-    """Build the dense covariance/precision pair from raw moments; a singular
-    ``omega`` raises ``NotPositiveDefiniteError``."""
+    """Build the model from raw moments; a singular or indefinite ``omega``
+    raises ``NotPositiveDefiniteError``."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
-    p = mu.shape[0]
-    if p < 2:
+    if mu.shape[0] < 2:
         raise ValueError("need at least 2 variables")
-    factor = chol_spd(omega)
-    omega = np.asarray(omega, dtype=np.float64)
-    model = PrecisionModel(
-        mu=mu,
-        omega_rows=0.5 * (omega + omega.T),
-        lam_rows=factor.inverse(),
-        feature_names=feature_names,
-    )
-    if np.any(np.diagonal(model.omega_rows) <= 0) or np.any(np.diagonal(model.lam_rows) <= 0):
-        raise InconsistentPrecisionError("covariance or precision has a nonpositive diagonal")
-    return model
+    omega = checked_symmetric(omega, "Omega")
+    eigvals, basis = _eigen_form(omega)
+    if eigvals.shape[0] < omega.shape[0]:
+        raise NotPositiveDefiniteError(
+            f"Omega of size {omega.shape[0]} has only {eigvals.shape[0]} eigenvalues "
+            "above the rank tolerance"
+        )
+    return PrecisionModel(mu=mu, basis=basis, eigvals=eigvals, feature_names=feature_names)
 
 
 def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> PrecisionModel:
-    """Precision model of Omega = G G^T, dense when Omega has full rank and
-    scored from its tau -> 0 limit otherwise (see the module docstring)."""
+    """Eigen-form model of Omega = G G^T, scored densely when Omega has full
+    rank and from its tau -> 0 limit otherwise (see the module docstring)."""
     mu = np.asarray(esa.mu[class_index], dtype=np.float64)
     g = np.asarray(esa.factors[class_index], dtype=np.float64)
     p, k = g.shape
-    small = gram(g.T) if k < p else gram(g)
-    eigvals, eigvecs = np.linalg.eigh(small)
-    kept = eigvals > RANK_RTOL * np.trace(small)
-    rank = int(np.count_nonzero(kept))
-    if rank == p:
-        return precision_from_covariance(mu, small, feature_names=esa.feature_names)
-    eigvals, eigvecs = eigvals[kept], eigvecs[:, kept]
+    eigvals, basis = _eigen_form(gram(g.T) if k < p else gram(g))
     if k < p:
-        # G V drops G's null directions; with none to drop, G itself serves and is not copied
-        basis = g @ eigvecs
-        if rank < k:
-            g = basis.copy()
+        basis = g @ basis
         basis /= np.sqrt(eigvals)
         # the columns drift from orthonormal by about eps * lambda_max / lambda_min;
         # when that shows, one Cholesky QR pass on them restores it
         gram_u = basis.T @ basis
-        if np.linalg.norm(gram_u - np.eye(rank)) > CONSISTENCY_TOL:
+        if np.linalg.norm(gram_u - np.eye(eigvals.shape[0])) > CONSISTENCY_TOL:
             basis = np.linalg.solve(np.linalg.cholesky(gram_u), basis.T).T
-    else:
-        basis = eigvecs
-        g = eigvecs * np.sqrt(eigvals)
-    return PrecisionModel(mu=mu, omega_rows=g, lam_rows=basis, feature_names=esa.feature_names)
+    return PrecisionModel(mu=mu, basis=basis, eigvals=eigvals, feature_names=esa.feature_names)
 
 
 def _check_index(pm: PrecisionModel, j: int) -> None:
@@ -305,13 +292,13 @@ def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.nd
     ``blocks`` is a (b, m) integer array whose rows are the index sets J;
     returns the two (b,) arrays described in the module docstring, or the
     limit KL and None on a rank-deficient model. Only the m x m blocks of
-    Omega and Lambda are read. Exactly, every a_i >= 1; a smaller one means
-    Omega and Lambda are not an inverse pair.
+    Omega and Lambda are formed, from the rows J of U. Exactly, every
+    a_i >= 1; a smaller one means U is not orthonormal.
     """
     if pm.rank < pm.p:
         return _limit_kl(pm, blocks), None
-    omega_jj = pm.omega_rows[blocks[:, :, None], blocks[:, None, :]]
-    lam_jj = pm.lam_rows[blocks[:, :, None], blocks[:, None, :]]
+    omega_jj = _block_gram(pm, blocks, 1)
+    lam_jj = _block_gram(pm, blocks, -1)
     # the a_i are the eigenvalues of the symmetric L^T Lambda_JJ L, L L^T = Omega_JJ
     lower = np.linalg.cholesky(omega_jj)
     a = np.linalg.eigvalsh(lower.mT @ lam_jj @ lower)
@@ -336,8 +323,8 @@ def _limit_kl(pm: PrecisionModel, blocks: np.ndarray) -> np.ndarray:
     the tau -> 0 limit of tau kld_J (see the module docstring). Exactly,
     P_J = I - U_J U_J^T has no eigenvalue below 0; one below it means U is
     not an orthonormal basis."""
-    s = _block_gram(pm.omega_rows, blocks)
-    u_uT = _block_gram(pm.lam_rows, blocks)
+    s = _block_gram(pm, blocks, 1)
+    u_uT = _block_gram(pm, blocks, 0)
     largest = np.linalg.eigvalsh(u_uT)[:, -1]
     worst = int(np.argmax(largest))
     if largest[worst] > 1.0 + CONSISTENCY_TOL:
@@ -355,15 +342,18 @@ def _limit_kl(pm: PrecisionModel, blocks: np.ndarray) -> np.ndarray:
     return np.maximum(kld, 0.0)
 
 
-def _block_gram(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """R_J R_J^T for each row J of ``blocks``; R_J is a temporary, freed here."""
-    r_j = rows[blocks]
-    return r_j @ r_j.mT
+def _block_gram(pm: PrecisionModel, blocks: np.ndarray, power: int) -> np.ndarray:
+    """U_J diag(lambda^power) U_J^T for each row J of ``blocks``: Omega_JJ at
+    power 1, Lambda_JJ at -1 and U_J U_J^T at 0."""
+    rows = pm.basis[blocks]  # a gathered copy, scaled in place to spare a second one
+    if power:
+        rows *= pm.eigvals ** (0.5 * power)
+    return rows @ rows.mT
 
 
 def kld_variable_fast(pm: PrecisionModel, j: int) -> float:
-    """Same divergence via the block identity with J = {j}: O(1) once Lambda
-    is known, 0.5 [ a - 1 - log a + (lambda_j - 1/omega_j) mu_j^2 ] with
+    """Same divergence via the block identity with J = {j}: O(r) from row j
+    of U, 0.5 [ a - 1 - log a + (lambda_j - 1/omega_j) mu_j^2 ] with
     a = omega_j lambda_j; on a rank-deficient model, its limit
     0.5 (1 - h_j)(omega_j + mu_j^2)."""
     _check_index(pm, j)

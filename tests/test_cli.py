@@ -77,6 +77,19 @@ class TestSimulate:
         assert (tmp_path / "train.csv").exists()
         assert (tmp_path / "test.csv").exists()
 
+    def test_test_fraction_leaving_a_part_empty_is_data_error(self, tmp_path, capsys):
+        # 1.0 would empty train.csv, 0.0001 of 1000 rows would empty test.csv and a
+        # negative fraction would write an unsplit dataset.csv
+        for fraction in ("1.0", "0.0001", "-0.5"):
+            out = tmp_path / fraction
+            code = run(
+                "simulate", "--n", "1000", "--p", "8", "--frac-causal", "0.25",
+                f"--test-fraction={fraction}", "--out", str(out),
+            )
+            assert code == 3
+            assert "error [simulate]: test_fraction" in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
+
     def test_infeasible_spec_is_data_error(self, tmp_path):
         # frac_causal 0 yields no causal features
         code = run(

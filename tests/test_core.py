@@ -8,7 +8,6 @@ from ratekit.core import (
     center_columns,
     chol_spd,
     gram,
-    spd_inverse,
 )
 
 
@@ -89,41 +88,6 @@ class TestCholSpd:
         f = chol_spd(a)
         x = f.solve(np.ones(5))
         np.testing.assert_allclose(a @ x, np.ones(5), atol=1e-10)
-
-
-class TestSpdInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(spd_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_two_by_two_adjugate(self):
-        # [[1, r], [r, 1]]^{-1} = (1/(1-r^2)) [[1, -r], [-r, 1]]
-        r = 0.5
-        a = np.array([[1.0, r], [r, 1.0]])
-        expected = np.array([[1.0, -r], [-r, 1.0]]) / 0.75
-        np.testing.assert_allclose(spd_inverse(a), expected, rtol=1e-14)
-
-    def test_inverse_product_is_identity(self):
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((8, 8))
-        a = b @ b.T + np.eye(8)
-        inv = spd_inverse(a)
-        err = np.abs(a @ inv - np.eye(8)).max()
-        assert err < 1e-8
-
-    def test_involution_on_well_conditioned(self):
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal((6, 6))
-        a = b @ b.T + 2 * np.eye(6)
-        back = spd_inverse(spd_inverse(a))
-        err = np.linalg.norm(back - a) / np.linalg.norm(a)
-        assert err < 1e-6
-
-    def test_result_symmetric(self):
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal((7, 7))
-        a = b @ b.T + np.eye(7)
-        inv = spd_inverse(a)
-        assert np.abs(inv - inv.T).max() < 1e-12
 
 
 class TestGram:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ratekit.bnn import NetworkConfig, build_network, logit_posterior
+from ratekit.core import NotPositiveDefiniteError
 from ratekit.esa import EffectSizePosterior, covariance_esa
 from ratekit.rate import (
     GroupMap,
@@ -71,9 +72,9 @@ def two_by_two(rho=0.5, mu=(1.0, 0.3)):
     return precision_from_covariance(np.asarray(mu), omega)
 
 
-def rank_deficient_esa(seed, p=60, k=20, g=None):
-    """Effect sizes whose factor G has rank below p, so Omega = G G^T is
-    singular: ``g``, or a random p x k one with k < p."""
+def factor_esa(seed, p=60, k=20, g=None):
+    """Effect sizes with Omega = G G^T for the factor ``g``, or a random p x k
+    one, rank-deficient for k < p."""
     rng = np.random.default_rng(seed)
     if g is None:
         g = rng.standard_normal((p, k))
@@ -148,6 +149,25 @@ class TestBuildPrecision:
         with pytest.raises(ValueError, match="mutual information is undefined"):
             mutual_info(pm, 0)
 
+    def test_full_rank_route_matches_conditional_gaussian_oracle(self):
+        # k > p: U and lambda come from the eigh of G G^T, and both scoring routes read them
+        rng = np.random.default_rng(32)
+        p = 12
+        g = rng.standard_normal((p, 30))
+        esa = factor_esa(32, g=g)
+        mu, omega = esa.mu[0], g @ g.T
+        pm = build_precision(esa)
+        assert pm.rank == p
+        assert np.abs(pm.omega - omega).max() <= 1e-12 * np.abs(omega).max()
+        for j in range(p):
+            assert kld_variable_fast(pm, j) == pytest.approx(
+                conditional_kl_oracle(mu, omega, j), rel=1e-9
+            )
+        for idx in ([0, 5], [1, 4, 6, 11], list(range(0, p, 2))):
+            assert kld_group(pm, idx) == pytest.approx(
+                conditional_kl_oracle(mu, omega, idx), rel=1e-9
+            )
+
     def test_two_by_two_adjugate(self):
         pm = two_by_two()
         expected = (4.0 / 3.0) * np.array([[1.0, -0.5], [-0.5, 1.0]])
@@ -156,6 +176,15 @@ class TestBuildPrecision:
     def test_needs_two_variables(self):
         with pytest.raises(ValueError):
             precision_from_covariance([1.0], [[1.0]])
+
+    def test_rejects_invalid_covariance(self):
+        g = np.array([[1.0], [2.0], [3.0]])
+        for singular in (g @ g.T, -np.eye(3), np.diag([1.0, 1.0, 1e-15])):
+            with pytest.raises(NotPositiveDefiniteError):
+                precision_from_covariance(np.ones(3), singular)
+        for malformed in ([[1.0, 0.5], [0.0, 1.0]], np.eye(2)[:1], [[1.0, np.nan], [np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                precision_from_covariance(np.ones(2), malformed)
 
 
 # --- per-variable divergence ------------------------------------------------
@@ -193,8 +222,8 @@ class TestKldVariable:
     def test_fast_detects_inconsistent_inputs(self):
         pm = PrecisionModel(
             mu=np.zeros(3),
-            omega_rows=np.eye(3),
-            lam_rows=0.5 * np.eye(3),  # not the inverse of omega
+            basis=np.sqrt(0.5) * np.eye(3),  # not orthonormal: Omega = Lambda = I / 2
+            eigvals=np.ones(3),
             feature_names=("a", "b", "c"),
         )
         with pytest.raises(InconsistentPrecisionError):
@@ -206,8 +235,8 @@ class TestKldVariable:
         # rank 1: U must have unit norm; h_2 = 1.21 and the [0, 1] block has eigenvalue 1.62
         limit = PrecisionModel(
             mu=np.zeros(3),
-            omega_rows=np.ones((3, 1)),
-            lam_rows=np.array([[0.9], [0.9], [1.1]]),
+            basis=np.array([[0.9], [0.9], [1.1]]),
+            eigvals=np.ones(1),
             feature_names=("a", "b", "c"),
         )
         kld_variable_fast(limit, 0)
@@ -228,7 +257,7 @@ class TestRankDeficient:
     def test_identities_hold_under_jitter(self):
         # a jittered singular covariance is an ordinary dense model: the
         # identities hold, also for groups wider than G's rank
-        esa = rank_deficient_esa(26)
+        esa = factor_esa(26)
         p = esa.n_features
         g = esa.factors[0]
         pm = jittered_model(esa, 1e-3 * np.sum(g**2) / p)
@@ -253,12 +282,12 @@ class TestRankDeficient:
         blocks = [[3, 11, 25, 40, 58], list(range(0, 50, 2))]  # m = 5 and m = 25 > r
         for k in (20, 80):
             g = rng.standard_normal((p, r)) @ rng.standard_normal((r, k))
-            esa = rank_deficient_esa(27, g=g)
+            esa = factor_esa(27, g=g)
             mu = esa.mu[0]
             pm = build_precision(esa)
             assert pm.rank == r
             u = np.linalg.svd(g, full_matrices=False)[0][:, :r]
-            np.testing.assert_allclose(pm.lam_rows @ pm.lam_rows.T, u @ u.T, atol=1e-12)
+            np.testing.assert_allclose(pm.basis @ pm.basis.T, u @ u.T, atol=1e-12)
             fast = np.array([kld_variable_fast(pm, j) for j in range(p)])
             groups = np.array([kld_group(pm, idx) for idx in blocks])
             for got, ref in ((fast, limit_reference(mu, g, singles, r)),
@@ -267,16 +296,19 @@ class TestRankDeficient:
             np.testing.assert_allclose(rate_scores(pm).klds(), fast, rtol=1e-14)
 
     def test_factor_route_storage(self):
-        esa = rank_deficient_esa(28)
-        p, k = esa.factors[0].shape
-        pm = build_precision(esa)
-        arrays = [v for v in vars(pm).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) <= p * k
+        # both routes keep mu, one p x r basis and r eigenvalues: k = 20 < p = 60
+        # takes the limit route, k = 80 the full-rank one
+        for k in (20, 80):
+            esa = factor_esa(28, k=k)
+            p, r = esa.n_features, min(esa.n_features, k)
+            pm = build_precision(esa)
+            shapes = {name: v.shape for name, v in vars(pm).items() if isinstance(v, np.ndarray)}
+            assert shapes == {"mu": (p,), "basis": (p, r), "eigvals": (r,)}
 
     def test_zero_factor_is_degenerate(self):
         # Omega_tau = tau I leaves the effects independent, so every limit kld is 0
         for k in (2, 8):
-            pm = build_precision(rank_deficient_esa(29, g=np.zeros((6, k))))
+            pm = build_precision(factor_esa(29, g=np.zeros((6, k))))
             assert pm.rank == 0
             report = rate_scores(pm)
             assert report.degenerate
@@ -286,7 +318,7 @@ class TestRankDeficient:
     def test_rates_are_jitter_invariant(self, seed):
         # the raw klds of a jittered model scale like 1/tau, but their shares
         # approach the limit's
-        esa = rank_deficient_esa(seed)
+        esa = factor_esa(seed)
         limit = rate_scores(build_precision(esa)).rates()
         g = esa.factors[0]
         for tau in (1e-4, 1e-6):
@@ -297,7 +329,7 @@ class TestRankDeficient:
     def test_jittered_model_converges_to_limit(self):
         # tau kld_J of the literal Omega + tau I model approaches the limit with a
         # gap of O(tau log(1/tau)): each 100x smaller tau cuts it by well over 30x
-        esa = rank_deficient_esa(30)
+        esa = factor_esa(30)
         mu, g = esa.mu[0], esa.factors[0]
         p = g.shape[0]
         pm = build_precision(esa)
@@ -331,10 +363,10 @@ class TestRankDeficient:
         right = np.linalg.qr(rng.standard_normal((k, k)))[0]
         sv2 = np.array([1.0, 0.8, 0.5, 0.3, 0.2, 0.1, 1e-12, 1e-16])
         g = (left * np.sqrt(sv2 / sv2.sum())) @ right.T
-        esa = rank_deficient_esa(31, g=g)
+        esa = factor_esa(31, g=g)
         pm = build_precision(esa)
         assert pm.rank == 7
-        u = pm.lam_rows
+        u = pm.basis
         np.testing.assert_allclose(u.T @ u, np.eye(7), atol=1e-12)
         ref = limit_reference(esa.mu[0], g, [[j] for j in range(p)], rank=7)
         fast = rate_scores(pm).klds()
