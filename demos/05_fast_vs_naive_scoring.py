@@ -1,10 +1,14 @@
-"""Compare the two scoring routes and the analytic mutual information.
+"""Compare the literal-submatrix reference with the closed form, and the
+analytic mutual information.
 
-The naive route rebuilds every leave-one-out submatrix and inverts it
-(one dense inverse per variable); the fast route gets the same number from
-row j of the covariance's eigenvectors U and its eigenvalues lambda, which
-give omega_j and lambda_j = sum_i U_ji^2 / lambda_i. They agree to round-off,
-but the fast route turns an O(p^4) sweep into O(p^3) total.
+The naive route (``kld_variable_naive``, or ``rate_scores(pm, path="naive")``)
+is a library-only reference: for every variable it Cholesky-factors the
+(p-1) x (p-1) leave-one-out submatrices of the covariance and of its
+inverse. The fast route, the only one the ``ratekit`` command runs, gets the
+same number from row j of the covariance's eigenvectors U and its
+eigenvalues lambda, which give omega_j and lambda_j = sum_i U_ji^2 / lambda_i.
+They agree to round-off, but the fast route turns an O(p^4) sweep into
+O(p^3) total.
 
 When the effect-size factor G (p x k) is narrower than p, the covariance
 G G^T is singular and has no inverse. ``build_precision`` then scores the

@@ -128,6 +128,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not 0 <= self.val_fraction < 1:
             raise ValueError("val_fraction must be in [0, 1)")
         if self.batch_size < 1:
@@ -147,8 +151,6 @@ class LogitPosterior:
 
     mean: np.ndarray  # (n, c)
     factors: np.ndarray  # (c, n, k)
-    activations: np.ndarray  # (n, k)
-    bias: np.ndarray  # (c,)
 
     @property
     def n(self) -> int:
@@ -572,9 +574,8 @@ def logit_posterior(net: Network, x) -> LogitPosterior:
     x = _check_inputs(net, x)
     h = penultimate_activations(net, x)
     mean = h @ net.m + net.b
-    sd = np.sqrt(net.v)  # (k, c)
-    factors = np.stack([h * sd[:, c] for c in range(net.config.n_classes)])
-    return LogitPosterior(mean=mean, factors=factors, activations=h, bias=net.b.copy())
+    factors = h[None] * np.sqrt(net.v).T[:, None, :]  # (c, n, k)
+    return LogitPosterior(mean=mean, factors=factors)
 
 
 def predict_proba(net: Network, x) -> np.ndarray:

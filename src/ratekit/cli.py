@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from ratekit import bnn, esa, evaluate, rate, simgen
-from ratekit.core import NotPositiveDefiniteError
 
 __all__ = ["main", "dispatch", "render_curve_svg"]
 
@@ -27,14 +26,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_NUMERIC_ERRORS = (
-    NotPositiveDefiniteError,
-    bnn.TrainingDivergedError,
-    rate.InconsistentPrecisionError,
-    np.linalg.LinAlgError,
-    ArithmeticError,
-    FloatingPointError,
-)
+_NUMERIC_ERRORS = (bnn.TrainingDivergedError, np.linalg.LinAlgError, ArithmeticError)
 
 
 class StageError(Exception):
@@ -321,8 +313,6 @@ def _importance_common(args, with_groups: bool) -> int:
         }
         if with_groups:
             defaults["groups"] = None
-        else:
-            defaults["path"] = "fast"
         cfg = _merge(defaults, _load_config(args), args)
         for required in ("data", "model") + (("groups",) if with_groups else ()):
             if not cfg[required]:
@@ -353,7 +343,7 @@ def _importance_common(args, with_groups: bool) -> int:
             rate.report_to_csv(report, out / "group_report.csv")
     else:
         with _stage("importance"):
-            report = rate.rate_scores(pm, path=str(cfg["path"]))
+            report = rate.rate_scores(pm)
         with _stage("write-output"):
             (out / "report.json").write_text(rate.report_to_json(report) + "\n")
             rate.report_to_csv(report, out / "report.csv")
@@ -561,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", default=None, help="evaluation dataset CSV")
     p.add_argument("--model", default=None)
-    p.add_argument("--path", default=None, choices=("fast", "naive"))
     p.add_argument("--class-index", dest="class_index", type=int, default=None)
     p.set_defaults(func=_cmd_importance)
 
@@ -614,3 +603,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,22 +1,19 @@
-"""Dense symmetric linear algebra shared by the posterior-projection code.
+"""Dense symmetric helpers shared by the posterior-projection code.
 
-Everything here operates on plain float64 ndarrays. Factorizations carry
-their log-determinant so downstream KL computations never form a raw
-determinant (which overflows long before p ~ 2000).
+Everything here operates on plain float64 ndarrays: column centering, the
+exactly symmetric Gram matrix G G^T, the checked symmetric part of an input
+matrix, and the one relative bound below which an eigenvalue or a squared
+Cholesky pivot counts as zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SpdFactor",
     "NotPositiveDefiniteError",
     "center_columns",
     "checked_symmetric",
-    "chol_spd",
     "gram",
 ]
 
@@ -30,27 +27,6 @@ ASYMMETRY_TOL = 1e-6
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when a matrix has no Cholesky factor with a nonzero pivot."""
-
-
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor of ``S``.
-
-    ``lower @ lower.T`` reconstructs the input and ``log_det`` is its
-    log-determinant.
-    """
-
-    lower: np.ndarray
-    log_det: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve S x = b using the triangular factor.
-
-        numpy has no triangular solver; its general solve on the factor
-        agrees with a triangular one to round-off.
-        """
-        y = np.linalg.solve(self.lower, b)
-        return np.linalg.solve(self.lower.T, y)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -84,25 +60,6 @@ def checked_symmetric(s, name: str = "S") -> np.ndarray:
             f"(relative asymmetry {asym / scale:.3e})"
         )
     return 0.5 * (s + s.T)
-
-
-def chol_spd(s) -> SpdFactor:
-    """Cholesky-factor a symmetric positive definite matrix.
-
-    A singular or indefinite input raises ``NotPositiveDefiniteError``.
-    """
-    s = checked_symmetric(s)
-    p = s.shape[0]
-    try:
-        lower = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix of size {p} is not positive definite") from exc
-    # LAPACK accepts some numerically singular inputs; a collapsed pivot
-    # would poison every downstream solve, so reject it too.
-    if np.min(np.diagonal(lower)) ** 2 <= RANK_RTOL * np.trace(s):
-        raise NotPositiveDefiniteError(f"matrix of size {p} is singular (a pivot collapsed)")
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-    return SpdFactor(lower=lower, log_det=log_det)
 
 
 def gram(g) -> np.ndarray:

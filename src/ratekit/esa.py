@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit.bnn import LogitPosterior
-from ratekit.core import center_columns, gram
+from ratekit.core import center_columns
 
 __all__ = [
     "EffectSizePosterior",
@@ -57,9 +57,6 @@ class EffectSizePosterior:
     @property
     def n_features(self) -> int:
         return self.mu.shape[1]
-
-    def omega(self, class_index: int = 0) -> np.ndarray:
-        return gram(self.factors[class_index])
 
 
 def _default_names(p: int) -> tuple[str, ...]:

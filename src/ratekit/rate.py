@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, chol_spd, gram
+from ratekit.core import RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, gram
 from ratekit.esa import EffectSizePosterior
 
 __all__ = [
@@ -234,6 +234,11 @@ def precision_from_covariance(mu, omega, feature_names=None) -> PrecisionModel:
 def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> PrecisionModel:
     """Eigen-form model of Omega = G G^T, scored densely when Omega has full
     rank and from its tau -> 0 limit otherwise (see the module docstring)."""
+    if not 0 <= class_index < esa.n_classes:
+        raise ValueError(
+            f"class index {class_index} is outside [0, {esa.n_classes}): "
+            f"the effect-size posterior has {esa.n_classes} class(es)"
+        )
     mu = np.asarray(esa.mu[class_index], dtype=np.float64)
     g = np.asarray(esa.factors[class_index], dtype=np.float64)
     p, k = g.shape
@@ -278,12 +283,32 @@ def _kld_naive(mu: np.ndarray, omega: np.ndarray, lam: np.ndarray, j: int) -> fl
     lam_off = lam[keep, j]
 
     trace = float(np.sum(omega_mj * lam_mj))  # both symmetric
-    f_omega = chol_spd(omega_mj)
-    f_lam = chol_spd(lam_mj)
-    log_det = f_omega.log_det + f_lam.log_det
-    delta = float(lam_off @ f_lam.solve(lam_off))
+    l_omega, log_det_omega = _cholesky(omega_mj)
+    l_lam, log_det_lam = _cholesky(lam_mj)
+    log_det = log_det_omega + log_det_lam
+    # numpy has no triangular solver; its general solve on the factor
+    # agrees with a triangular one to round-off
+    delta = float(lam_off @ np.linalg.solve(l_lam.T, np.linalg.solve(l_lam, lam_off)))
     kld = 0.5 * (trace - log_det - (p - 1) + delta * mu[j] ** 2)
     return max(kld, 0.0)
+
+
+def _cholesky(s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the symmetric part of ``s`` and its
+    log-determinant. An indefinite input, or one whose smallest squared pivot
+    is at or below ``RANK_RTOL`` times its trace, raises
+    ``NotPositiveDefiniteError``."""
+    s = checked_symmetric(s)
+    p = s.shape[0]
+    try:
+        lower = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix of size {p} is not positive definite") from exc
+    # LAPACK accepts some numerically singular inputs; a collapsed pivot
+    # would poison the log-determinant and the solve, so reject it too
+    if np.min(np.diagonal(lower)) ** 2 <= RANK_RTOL * np.trace(s):
+        raise NotPositiveDefiniteError(f"matrix of size {p} is singular (a pivot collapsed)")
+    return lower, 2.0 * float(np.sum(np.log(np.diagonal(lower))))
 
 
 def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -308,8 +308,6 @@ def test_criterion_10_pvalue_ordering():
         lp = bnn.LogitPosterior(
             mean=y[:, None],
             factors=np.zeros((1, n, 1)),
-            activations=np.zeros((n, 1)),
-            bias=np.zeros(1),
         )
         effect = esa.covariance_esa(x, lp)
         _, pvals = evaluate.ttest_stats(x, y)

@@ -274,6 +274,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_invalid_step_size_and_patience_rejected(self):
+        for rate in (-0.01, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(patience=-3)
+        TrainConfig(learning_rate=1e18, patience=0)  # large but valid
+
     def test_fixed_seed_reproducible(self):
         x, y = blob_dataset(n=120, seed=3)
         cfg = NetworkConfig(input_dim=2, hidden_sizes=(8,))
@@ -339,7 +347,7 @@ class TestLogitPosterior:
         net = small_net(hidden=(3,), seed=4)
         x = np.random.default_rng(5).standard_normal((6, 3))
         lp = logit_posterior(net, x)
-        h = lp.activations
+        h = penultimate_activations(net, x)
         direct = h @ np.diag(net.v[:, 0]) @ h.T
         np.testing.assert_allclose(lp.factors[0] @ lp.factors[0].T, direct, atol=1e-12)
 
@@ -349,7 +357,7 @@ class TestLogitPosterior:
         base = logit_posterior(net, x)
         net.m *= 2.0
         doubled = logit_posterior(net, x)
-        np.testing.assert_allclose(doubled.mean - net.b, 2.0 * (base.mean - base.bias))
+        np.testing.assert_allclose(doubled.mean - net.b, 2.0 * (base.mean - net.b))
 
     def test_factor_linear_in_sqrt_v(self):
         net = small_net(seed=10)

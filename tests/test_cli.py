@@ -56,6 +56,15 @@ class TestRuntimeDependencies:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_module_entry_point_runs_cli(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        subprocess.run(
+            [sys.executable, "-m", "ratekit.cli", "simulate", "--n", "50", "--p", "8",
+             "--frac-causal", "0.25", "--out", str(tmp_path)],
+            env=env, capture_output=True, check=True,
+        )
+        assert (tmp_path / "dataset.csv").is_file()
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
@@ -217,8 +226,6 @@ class TestPipeline:
         assert all(item["mi"] is None for item in doc["items"])
         doc = json.loads((tmp_path / "group-importance" / "group_report.json").read_text())
         assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
-        # the naive route needs Lambda, which a rank-deficient covariance lacks
-        assert run("importance", *data, "--path", "naive", "--out", str(tmp_path / "naive")) == 3
 
     def test_full_rank_covariance_does_not_warn(self, pipeline, tmp_path, capsys):
         # hidden 32,16 at p = 16: k = p and Omega has full rank
@@ -245,22 +252,21 @@ class TestPipeline:
         assert all("members" in item for item in doc["items"])
 
     def test_path_setting_belongs_to_importance_only(self, pipeline, tmp_path, capsys):
-        # group scoring has one route, so a "path" in its config is an error
+        # scoring has one route, so a "path" setting is an error on both commands
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"path": "naive"}))
         groups = tmp_path / "groups.csv"
         groups.write_text("g1,f1\ng1,f2\ng2,f3\n")
-        common = (
+        data = (
             "--data", str(pipeline / "sim" / "test.csv"),
-            "--model", str(pipeline / "model" / "model.json"), "--config", str(cfg),
+            "--model", str(pipeline / "model" / "model.json"),
         )
-        capsys.readouterr()
-        assert run("group-importance", *common, "--groups", str(groups),
-                   "--out", str(tmp_path / "group")) == 3
-        assert "unknown config key(s): 'path'" in capsys.readouterr().err
-        assert run("importance", *common, "--out", str(tmp_path / "single")) == 0
-        effective = json.loads((tmp_path / "single" / "effective_config.json").read_text())
-        assert effective["config"]["path"] == "naive"
+        for command, extra in (("group-importance", ("--groups", str(groups))), ("importance", ())):
+            capsys.readouterr()
+            assert run(command, *data, *extra, "--config", str(cfg),
+                       "--out", str(tmp_path / command)) == 3
+            assert "unknown config key(s): 'path'" in capsys.readouterr().err
+        assert run("importance", *data, "--path", "naive", "--out", str(tmp_path)) == 2
 
     def test_unknown_config_key_is_data_error(self, pipeline, tmp_path, capsys):
         # a misspelt key, and the jitter setting this version no longer has
@@ -285,6 +291,28 @@ class TestPipeline:
             "--groups", str(groups), "--out", str(tmp_path / "out2"),
         )
         assert code == 3
+
+    def test_class_index_out_of_range_is_data_error(self, pipeline, tmp_path, capsys):
+        # the pipeline network has one (sigmoid) output class
+        groups = tmp_path / "groups.csv"
+        groups.write_text("g1,f1\ng1,f2\ng2,f3\n")
+        common = (
+            "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"),
+        )
+        for command, extra in (("importance", ()), ("group-importance", ("--groups", str(groups)))):
+            for class_index in ("5", "-1"):
+                capsys.readouterr()
+                assert run(command, *common, *extra, f"--class-index={class_index}",
+                           "--out", str(tmp_path / command)) == 3
+                assert "error [precision]" in capsys.readouterr().err
+
+    def test_invalid_training_settings_are_data_errors(self, pipeline, tmp_path, capsys):
+        data = ("--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8")
+        for setting in ("--learning-rate=-0.01", "--learning-rate=nan", "--patience=-3"):
+            capsys.readouterr()
+            assert run("train", *data, setting, "--out", str(tmp_path)) == 3
+            assert "error [train]" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, pipeline, tmp_path):
         with np.errstate(all="ignore"):

@@ -28,8 +28,6 @@ def deterministic_lp(f, factors=None):
     return LogitPosterior(
         mean=f.reshape(n, 1),
         factors=np.asarray(factors, dtype=np.float64),
-        activations=np.zeros((n, 1)),
-        bias=np.zeros(1),
     )
 
 
@@ -93,9 +91,7 @@ class TestCovarianceEsa:
         x = rng.standard_normal((n, p))
         mean = rng.standard_normal((n, c))
         factors = rng.standard_normal((c, n, k))
-        lp = LogitPosterior(
-            mean=mean, factors=factors, activations=np.zeros((n, k)), bias=np.zeros(c)
-        )
+        lp = LogitPosterior(mean=mean, factors=factors)
         esa = covariance_esa(x, lp)
         assert esa.mu.shape == (c, p)
         assert esa.factors.shape == (c, p, k)
@@ -216,7 +212,8 @@ class TestCsvExport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["feature", "class", "mu", "omega_diag"]
         assert len(rows) == 1 + 3
-        omega_diag = np.diag(esa.omega(0))
+        g = esa.factors[0]
+        omega_diag = np.diag(g @ g.T)
         for j, row in enumerate(rows[1:]):
             assert row[0] == f"f{j + 1}"
             np.testing.assert_allclose(float(row[2]), esa.mu[0, j])

@@ -177,6 +177,12 @@ class TestBuildPrecision:
         with pytest.raises(ValueError):
             precision_from_covariance([1.0], [[1.0]])
 
+    def test_class_index_out_of_range(self):
+        esa = factor_esa(0, p=6, k=3)  # one class
+        for class_index in (1, 5, -1):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\).* 1 class"):
+                build_precision(esa, class_index=class_index)
+
     def test_rejects_invalid_covariance(self):
         g = np.array([[1.0], [2.0], [3.0]])
         for singular in (g @ g.T, -np.eye(3), np.diag([1.0, 1.0, 1e-15])):
@@ -218,6 +224,17 @@ class TestKldVariable:
             naive = kld_variable_naive(pm, j)
             fast = kld_variable_fast(pm, j)
             assert abs(fast - naive) <= 1e-8 * (1 + naive)
+
+    def test_naive_refuses_a_singular_submatrix(self):
+        # full rank, but Omega = diag(3, 3, 0) once U is not orthonormal: the
+        # submatrix Omega_-0 = diag(3, 0) has no Cholesky factor
+        pm = PrecisionModel(
+            mu=np.zeros(3),
+            basis=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+            eigvals=np.array([1.0, 2.0, 3.0]),
+        )
+        with pytest.raises(NotPositiveDefiniteError):
+            kld_variable_naive(pm, 0)
 
     def test_fast_detects_inconsistent_inputs(self):
         pm = PrecisionModel(
