@@ -13,6 +13,8 @@ in the test suite.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ LINKS = ("sigmoid", "identity", "softmax")
 ACTIVATION = "relu"
 
 SERIAL_FORMAT = "ratekit-network"
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -600,8 +602,33 @@ def _probabilities(net: Network, h: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """One parameter array as its shape and the base64 of its little-endian
+    float64 bytes, which round-trip every bit pattern (-0.0, nan, inf)."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(obj: dict, name: str, expected: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_encode_array``, checked against the shape the config
+    implies; returns a native float64 array that owns its data."""
+    shape = tuple(obj["shape"])
+    if shape != expected:
+        raise ValueError(f"{name} has shape {shape}, expected {expected}")
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name} data is not valid base64: {exc}") from None
+    size = 8 * math.prod(expected)
+    if len(raw) != size:
+        raise ValueError(f"{name} holds {len(raw)} bytes, expected {size} for shape {expected}")
+    return np.frombuffer(raw, dtype="<f8").reshape(expected).astype(np.float64)
+
+
 def network_to_json(net: Network) -> str:
-    """Serialize to a versioned JSON document; float repr round-trips bit-exactly."""
+    """Serialize to a versioned JSON document; the parameter arrays are
+    stored as raw float64 bytes (see ``_encode_array``), so they round-trip
+    bit-exactly."""
     doc = {
         "format": SERIAL_FORMAT,
         "version": SERIAL_VERSION,
@@ -615,22 +642,27 @@ def network_to_json(net: Network) -> str:
             "prior_scale": net.config.prior_scale,
         },
         "hidden": [
-            {"weights": w.tolist(), "bias": c.tolist()}
+            {"weights": _encode_array(w), "bias": _encode_array(c)}
             for w, c in zip(net.hidden_weights, net.hidden_biases)
         ],
-        "m": net.m.tolist(),
-        "rho": net.rho.tolist(),
-        "b": net.b.tolist(),
+        "m": _encode_array(net.m),
+        "rho": _encode_array(net.rho),
+        "b": _encode_array(net.b),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def network_from_json(text: str) -> Network:
+    """Read a document written by ``network_to_json``; every array's shape
+    must match the one its config implies."""
     doc = json.loads(text)
     if doc.get("format") != SERIAL_FORMAT:
         raise ValueError("not a serialized network document")
     if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported network document version: {doc.get('version')!r}")
+        raise ValueError(
+            f"unsupported network document version: {doc.get('version')!r} "
+            f"(this ratekit reads version {SERIAL_VERSION}); retrain the model"
+        )
     if doc["config"]["activation"] != ACTIVATION:
         raise ValueError(f"unsupported activation: {doc['config']['activation']!r}")
     cfg = NetworkConfig(
@@ -640,14 +672,24 @@ def network_from_json(text: str) -> Network:
         n_classes=doc["config"]["n_classes"],
         prior_scale=doc["config"]["prior_scale"],
     )
-    weights = [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["hidden"]]
-    biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["hidden"]]
+    if len(doc["hidden"]) != len(cfg.hidden_sizes):
+        raise ValueError(
+            f"document has {len(doc['hidden'])} hidden layers, "
+            f"its config lists {len(cfg.hidden_sizes)}"
+        )
+    weights, biases = [], []
+    fan_in = cfg.input_dim
+    for l, (layer, width) in enumerate(zip(doc["hidden"], cfg.hidden_sizes)):
+        weights.append(_decode_array(layer["weights"], f"hidden[{l}].weights", (fan_in, width)))
+        biases.append(_decode_array(layer["bias"], f"hidden[{l}].bias", (width,)))
+        fan_in = width
+    k, c = cfg.penultimate_dim, cfg.n_classes
     return Network(
         config=cfg,
         hidden_weights=weights,
         hidden_biases=biases,
-        m=np.asarray(doc["m"], dtype=np.float64),
-        rho=np.asarray(doc["rho"], dtype=np.float64),
-        b=np.asarray(doc["b"], dtype=np.float64),
+        m=_decode_array(doc["m"], "m", (k, c)),
+        rho=_decode_array(doc["rho"], "rho", (k, c)),
+        b=_decode_array(doc["b"], "b", (c,)),
         seed=int(doc["seed"]),
     )

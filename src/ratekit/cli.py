@@ -468,6 +468,8 @@ def _cmd_demo_collinearity(args) -> int:
         _echo_config(out, "demo-collinearity", cfg)
     with _stage("replicates"):
         rho, n, reps = float(cfg["rho"]), int(cfg["n"]), int(cfg["reps"])
+        if reps < 2:
+            raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {reps}")
         seeds = np.random.SeedSequence(int(cfg["seed"])).generate_state(reps)
         rows = []
         for r in range(reps):

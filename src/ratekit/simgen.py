@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,8 @@ class SynthSpec:
             raise ValueError("n_clusters_per_class must be >= 1")
         if not 0 <= self.flip_y < 1:
             raise ValueError("flip_y must lie in [0, 1)")
+        if not (math.isfinite(self.class_sep) and self.class_sep > 0):
+            raise ValueError(f"class_sep must be finite and > 0, got {self.class_sep}")
 
     @property
     def n_causal(self) -> int:

@@ -4,6 +4,7 @@ The centerpiece is the finite-difference oracle: every hand-written gradient
 is checked against central differences of the loss at fixed sampling noise.
 """
 
+import base64
 import json
 import math
 
@@ -414,6 +415,44 @@ class TestSerialization:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             network_from_json(json.dumps({"format": "something-else"}))
+
+    def test_round_trip_keeps_special_bit_patterns(self):
+        net = small_net(hidden=(3,), p=2, seed=4)
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        specials = [-0.0, 5e-324, np.inf, -np.inf, np.nan, nan_payload]
+        net.hidden_weights[0].flat[:] = specials
+        net.m[:, 0] = specials[3:]
+        back = network_from_json(network_to_json(net))
+        for pa, pb in zip(net.parameters(), back.parameters()):
+            assert np.array_equal(pa.view(np.uint64), pb.view(np.uint64))
+            assert pb.dtype == np.float64 and pb.dtype.isnative
+            assert pb.flags.owndata and pb.flags.writeable
+
+    def test_refuses_version_1_documents(self):
+        doc = json.loads(network_to_json(small_net(hidden=(3,), seed=2)))
+        doc["version"] = 1
+        with pytest.raises(ValueError, match="version: 1 .*retrain"):
+            network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("data", "AAAA!AAA", r"hidden\[0\]\.weights data is not valid base64"),
+            ("data", base64.b64encode(bytes(88)).decode(), r"weights holds 88 bytes, expected 96"),
+            ("shape", [4, 3], r"hidden\[0\]\.weights has shape \(4, 3\), expected \(3, 4\)"),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, field, value, message):
+        doc = json.loads(network_to_json(small_net(hidden=(4,), p=3, seed=2)))
+        doc["hidden"][0]["weights"][field] = value
+        with pytest.raises(ValueError, match=message):
+            network_from_json(json.dumps(doc))
+
+    def test_rejects_layer_count_mismatch(self):
+        doc = json.loads(network_to_json(small_net(hidden=(4, 3), seed=2)))
+        doc["config"]["hidden_sizes"] = [4]
+        with pytest.raises(ValueError, match="document has 2 hidden layers, its config lists 1"):
+            network_from_json(json.dumps(doc))
 
     def test_rejects_unknown_activation(self):
         doc = json.loads(network_to_json(small_net(hidden=(3,), seed=2)))

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line pipeline and its determinism."""
 
+import base64
 import json
+import math
 import os
 import re
 import subprocess
@@ -97,6 +99,17 @@ class TestSimulate:
             )
             assert code == 3
             assert "error [simulate]: test_fraction" in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
+
+    def test_class_sep_must_be_finite_and_positive(self, tmp_path, capsys):
+        for sep in ("nan", "0", "-1"):
+            out = tmp_path / sep
+            code = run(
+                "simulate", "--n", "200", "--p", "10", "--frac-causal", "0.3",
+                f"--class-sep={sep}", "--out", str(out),
+            )
+            assert code == 3
+            assert "error [simulate]: class_sep must be finite and > 0" in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
 
     def test_infeasible_spec_is_data_error(self, tmp_path):
@@ -314,6 +327,52 @@ class TestPipeline:
             assert run("train", *data, setting, "--out", str(tmp_path)) == 3
             assert "error [train]" in capsys.readouterr().err
 
+    def test_bad_model_fails_at_load(self, pipeline, tmp_path, capsys):
+        # the pipeline network is 16 -> 32 -> 16 -> 1
+        def truncate(array):
+            shape = [array["shape"][0] - 1, *array["shape"][1:]]
+            raw = base64.b64decode(array["data"])
+            return {"shape": shape, "data": base64.b64encode(raw[: 8 * math.prod(shape)]).decode()}
+
+        def edit_weight_row(doc):
+            doc["hidden"][0]["weights"] = truncate(doc["hidden"][0]["weights"])
+
+        def edit_bias(doc):
+            doc["hidden"][1]["bias"] = truncate(doc["hidden"][1]["bias"])
+
+        def edit_m(doc):
+            doc["m"] = truncate(doc["m"])
+
+        def edit_input_dim(doc):
+            doc["config"]["input_dim"] = 17
+
+        def edit_version(doc):
+            doc["version"] = 1
+
+        cases = (
+            (edit_weight_row, "hidden[0].weights has shape (15, 32), expected (16, 32)"),
+            (edit_bias, "hidden[1].bias has shape (15,), expected (16,)"),
+            (edit_m, "m has shape (15, 1), expected (16, 1)"),
+            (edit_input_dim, "hidden[0].weights has shape (16, 32), expected (17, 32)"),
+            (edit_version, "unsupported network document version: 1 "
+                           "(this ratekit reads version 2); retrain the model"),
+        )
+        data = str(pipeline / "sim" / "test.csv")
+        for edit, message in cases:
+            doc = json.loads((pipeline / "model" / "model.json").read_text())
+            edit(doc)
+            model = tmp_path / f"{edit.__name__}.json"
+            model.write_text(json.dumps(doc))
+            for command, stage, extra in (
+                ("importance", "load-data", ()),
+                ("evaluate", "degradation",
+                 ("--report", str(pipeline / "imp" / "report.json"), "--degradation")),
+            ):
+                capsys.readouterr()
+                assert run(command, "--data", data, "--model", str(model), *extra,
+                           "--out", str(tmp_path / command)) == 3
+                assert f"error [{stage}]: {message}" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, pipeline, tmp_path):
         with np.errstate(all="ignore"):
             code = run(
@@ -386,6 +445,16 @@ class TestDemoCollinearity:
             stds[(est, coef)] = float(std)
         assert stds[("covariance", "f1")] < stds[("ols", "f1")]
         assert stds[("covariance", "f2")] < stds[("ols", "f2")]
+
+    def test_fewer_than_two_reps_is_data_error(self, tmp_path, capsys):
+        for reps in ("1", "0"):
+            capsys.readouterr()
+            code = run(
+                "demo-collinearity", "--n", "100", "--reps", reps, "--out", str(tmp_path / reps),
+            )
+            assert code == 3
+            assert "error [replicates]: reps must be >= 2" in capsys.readouterr().err
+            assert not (tmp_path / reps / "collinearity_summary.csv").exists()
 
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):
