@@ -64,7 +64,8 @@ def main(p: int = 200, seed: int = 0) -> None:
     k = p // 4
     esa = EffectSizePosterior(
         mu=rng.standard_normal((1, p)),
-        factors=rng.standard_normal((1, p, k)),
+        projection=rng.standard_normal((p, k)),
+        scales=np.ones((1, k)),
         n_used=p,
         feature_names=tuple(f"f{j + 1}" for j in range(p)),
     )

@@ -25,8 +25,6 @@ from ratekit.bnn import (
 from ratekit.esa import (
     EffectSizePosterior,
     covariance_esa,
-    draw_effect_samples,
-    effect_signs,
     ols_effect_size,
 )
 from ratekit.rate import (

@@ -146,13 +146,15 @@ class TrainConfig:
 class LogitPosterior:
     """Gaussian over the latent pre-link outputs of a fixed input batch.
 
-    Per class c the covariance is ``factors[c] @ factors[c].T`` with
-    ``factors[c] = H @ diag(sqrt(v[:, c]))``; the n-by-n matrix itself is
-    never materialized.
+    Class c has mean ``mean[:, c]`` and covariance H diag(v[:, c]) H^T, with
+    H the penultimate activations ``hidden`` and v the output-layer weight
+    ``variances`` (the local reparameterization). Every class shares H, so
+    neither the n-by-n matrix nor a per-class n-by-k factor is materialized.
     """
 
     mean: np.ndarray  # (n, c)
-    factors: np.ndarray  # (c, n, k)
+    hidden: np.ndarray  # (n, k)
+    variances: np.ndarray  # (k, c)
 
     @property
     def n(self) -> int:
@@ -575,9 +577,7 @@ def logit_posterior(net: Network, x) -> LogitPosterior:
     """The Gaussian over latent pre-link outputs implied by the output layer."""
     x = _check_inputs(net, x)
     h = penultimate_activations(net, x)
-    mean = h @ net.m + net.b
-    factors = h[None] * np.sqrt(net.v).T[:, None, :]  # (c, n, k)
-    return LogitPosterior(mean=mean, factors=factors)
+    return LogitPosterior(mean=h @ net.m + net.b, hidden=h, variances=net.v)
 
 
 def predict_proba(net: Network, x) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The projection is the per-feature sample covariance between a feature column
 and the latent outputs: mu = X^T C f / (n-1) with C the centering matrix.
-Because the logit posterior is Gaussian with a low-rank covariance factor,
-the projected effect sizes are Gaussian too, and their covariance factor is
-just the same linear map applied to the logit factor. An ordinary
-least-squares baseline is kept around for comparison; unlike the covariance
-projection it becomes unstable when features are nearly collinear.
+Because the logit posterior is Gaussian with covariance H diag(v_c) H^T for
+class c, the projected effect sizes are Gaussian too, with covariance factor
+G_c = A diag(sqrt(v_c)) for the one p-by-k projection A = X^T C H / (n-1)
+that every class shares. An ordinary least-squares baseline is kept around
+for comparison; unlike the covariance projection it becomes unstable when
+features are nearly collinear.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit.bnn import LogitPosterior
-from ratekit.core import center_columns
 
 __all__ = [
     "EffectSizePosterior",
@@ -26,8 +26,6 @@ __all__ = [
     "covariance_esa",
     "covariance_effect_sizes",
     "ols_effect_size",
-    "effect_signs",
-    "draw_effect_samples",
     "effect_sizes_to_csv",
 ]
 
@@ -41,12 +39,14 @@ class RankDeficientWarning(UserWarning):
 class EffectSizePosterior:
     """Gaussian over projected effect sizes, one block per output class.
 
-    ``mu[c]`` is the length-p posterior mean for class c and ``factors[c]``
-    the p-by-k factor G with covariance Omega = G G^T.
+    ``mu[c]`` is the length-p posterior mean for class c. Its covariance is
+    Omega = G G^T with the p-by-k factor ``factor(c)`` = A diag(scales[c]),
+    where the ``projection`` A is shared by every class.
     """
 
     mu: np.ndarray  # (c, p)
-    factors: np.ndarray  # (c, p, k)
+    projection: np.ndarray  # (p, k)
+    scales: np.ndarray  # (c, k)
     n_used: int
     feature_names: tuple[str, ...]
 
@@ -58,27 +58,38 @@ class EffectSizePosterior:
     def n_features(self) -> int:
         return self.mu.shape[1]
 
+    def factor(self, class_index: int) -> np.ndarray:
+        """The p-by-k covariance factor G of class ``class_index``."""
+        return self.projection * self.scales[class_index]
+
 
 def _default_names(p: int) -> tuple[str, ...]:
     return tuple(f"f{j + 1}" for j in range(p))
 
 
 def covariance_effect_sizes(x, f) -> np.ndarray:
-    """Sample covariance of each column of x with the vector f."""
+    """Sample covariance of each column of x with each column of f.
+
+    ``f`` is a length-n vector or an (n, m) matrix; the result is X^T C f /
+    (n-1) of shape (p,) or (p, m). Centering f instead of x is the same in
+    exact arithmetic and copies n*m values instead of the n*p data.
+    """
     x = np.asarray(x, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-dimensional, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations for a sample covariance")
-    xc = center_columns(x)
-    fc = f - f.mean()
-    return xc.T @ fc / (n - 1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite entries")
+    return x.T @ (f - f.mean(axis=0)) / (n - 1)
 
 
 def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePosterior:
     """Project the logit posterior onto the features of x.
 
-    Both the mean and the covariance factor go through the same centered
+    Both the mean and the shared projection go through the same centered
     cross-product, so any constant shift of the logits (the trained bias in
     particular) drops out exactly.
     """
@@ -88,16 +99,16 @@ def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePoste
     n, p = x.shape
     if n != lp.n:
         raise ValueError(f"x has {n} rows but the logit posterior covers {lp.n}")
-    if n < 2:
-        raise ValueError("need at least 2 observations for a sample covariance")
     names = _default_names(p) if feature_names is None else tuple(feature_names)
     if len(names) != p:
         raise ValueError("feature_names length does not match x")
-
-    xc = center_columns(x)
-    mu = (xc.T @ lp.mean).T / (n - 1)  # (c, p)
-    factors = np.stack([xc.T @ lp.factors[c] / (n - 1) for c in range(lp.n_classes)])
-    return EffectSizePosterior(mu=mu, factors=factors, n_used=n, feature_names=names)
+    return EffectSizePosterior(
+        mu=covariance_effect_sizes(x, lp.mean).T,
+        projection=covariance_effect_sizes(x, lp.hidden),
+        scales=np.sqrt(lp.variances).T,
+        n_used=n,
+        feature_names=names,
+    )
 
 
 def ols_effect_size(x, y) -> np.ndarray:
@@ -121,29 +132,12 @@ def ols_effect_size(x, y) -> np.ndarray:
     return beta[1:]
 
 
-def effect_signs(esa: EffectSizePosterior) -> np.ndarray:
-    """Per-feature direction of effect: sign of the posterior mean, (c, p)."""
-    return np.sign(esa.mu).astype(int)
-
-
-def draw_effect_samples(
-    esa: EffectSizePosterior, n_samples: int, seed: int = 0, class_index: int = 0
-) -> np.ndarray:
-    """Draw n_samples from N(mu, G G^T) for one output class."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = esa.factors[class_index]
-    z = rng.standard_normal(size=(n_samples, g.shape[1]))
-    return esa.mu[class_index] + z @ g.T
-
-
 def effect_sizes_to_csv(esa: EffectSizePosterior, path) -> None:
     """Write (feature, class, mu, omega_diag) rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "class", "mu", "omega_diag"])
         for c in range(esa.n_classes):
-            omega_diag = np.sum(esa.factors[c] ** 2, axis=1)
+            omega_diag = np.sum(esa.factor(c) ** 2, axis=1)
             for j, name in enumerate(esa.feature_names):
                 writer.writerow([name, c, repr(float(esa.mu[c, j])), repr(float(omega_diag[j]))])

@@ -240,7 +240,7 @@ def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> Precision
             f"the effect-size posterior has {esa.n_classes} class(es)"
         )
     mu = np.asarray(esa.mu[class_index], dtype=np.float64)
-    g = np.asarray(esa.factors[class_index], dtype=np.float64)
+    g = esa.factor(class_index)
     p, k = g.shape
     eigvals, basis = _eigen_form(gram(g.T) if k < p else gram(g))
     if k < p:

@@ -307,7 +307,8 @@ def test_criterion_10_pvalue_ordering():
         y = x @ (0.4 * rng.standard_normal(p)) + rng.standard_normal(n)
         lp = bnn.LogitPosterior(
             mean=y[:, None],
-            factors=np.zeros((1, n, 1)),
+            hidden=np.zeros((n, 1)),
+            variances=np.zeros((1, 1)),
         )
         effect = esa.covariance_esa(x, lp)
         _, pvals = evaluate.ttest_stats(x, y)

@@ -335,14 +335,14 @@ class TestLogitPosterior:
         net.b[:] = 0.25
         lp = logit_posterior(net, np.eye(3))
         np.testing.assert_allclose(lp.mean, net.m + 0.25)
-        cov = lp.factors[0] @ lp.factors[0].T
-        np.testing.assert_allclose(cov, np.diag(net.v[:, 0]), atol=1e-15)
+        g = lp.hidden * np.sqrt(lp.variances[:, 0])
+        np.testing.assert_allclose(g @ g.T, np.diag(net.v[:, 0]), atol=1e-15)
 
     def test_zero_variance_degenerate(self):
         net = small_net()
         net.rho[:] = -800.0  # exp underflows to exactly 0
         lp = logit_posterior(net, np.random.default_rng(0).standard_normal((4, 3)))
-        np.testing.assert_array_equal(lp.factors, 0.0)
+        np.testing.assert_array_equal(lp.variances, 0.0)
 
     def test_factor_reproduces_covariance(self):
         net = small_net(hidden=(3,), seed=4)
@@ -350,7 +350,8 @@ class TestLogitPosterior:
         lp = logit_posterior(net, x)
         h = penultimate_activations(net, x)
         direct = h @ np.diag(net.v[:, 0]) @ h.T
-        np.testing.assert_allclose(lp.factors[0] @ lp.factors[0].T, direct, atol=1e-12)
+        g = lp.hidden * np.sqrt(lp.variances[:, 0])
+        np.testing.assert_allclose(g @ g.T, direct, atol=1e-12)
 
     def test_mean_linear_in_m(self):
         net = small_net(seed=8)
@@ -366,7 +367,10 @@ class TestLogitPosterior:
         base = logit_posterior(net, x)
         net.rho += math.log(4.0)  # scales sqrt(v) by 2
         scaled = logit_posterior(net, x)
-        np.testing.assert_allclose(scaled.factors, 2.0 * base.factors, rtol=1e-12)
+        np.testing.assert_array_equal(scaled.hidden, base.hidden)
+        np.testing.assert_allclose(
+            np.sqrt(scaled.variances), 2.0 * np.sqrt(base.variances), rtol=1e-12
+        )
 
 
 class TestPredictProba:

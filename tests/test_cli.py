@@ -68,6 +68,42 @@ class TestRuntimeDependencies:
         assert (tmp_path / "dataset.csv").is_file()
 
 
+class TestBlasThreadCount:
+    def test_model_bytes_and_scores_hold_across_thread_counts(self, tmp_path):
+        # byte identity holds at a fixed BLAS thread count; across thread
+        # counts the summation order of the large products may change, so
+        # only model.json is byte-compared and the scores are compared to a
+        # tolerance
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def cli(*argv, threads=None):
+            run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "ratekit.cli", *argv],
+                env=run_env, capture_output=True, check=True,
+            )
+
+        data = tmp_path / "sim" / "dataset.csv"
+        cli("simulate", "--n", "400", "--p", "60", "--seed", "2", "--out", str(tmp_path / "sim"))
+        models, reports = [], []
+        for threads in ("1", "2"):
+            model, imp = tmp_path / f"model{threads}", tmp_path / f"imp{threads}"
+            cli("train", "--data", str(data), "--hidden", "64,64", "--epochs", "2",
+                "--seed", "2", "--out", str(model), threads=threads)
+            cli("importance", "--data", str(data), "--model", str(model / "model.json"),
+                "--out", str(imp), threads=threads)
+            models.append((model / "model.json").read_bytes())
+            reports.append(json.loads((imp / "report.json").read_text())["items"])
+        assert models[0] == models[1]
+        for key in ("kld", "rate", "mi"):
+            one, two = (np.array([item[key] for item in items]) for items in reports)
+            np.testing.assert_allclose(one, two, rtol=1e-10, atol=0)
+            if key == "rate":
+                np.testing.assert_array_equal(
+                    np.argsort(-one, kind="stable"), np.argsort(-two, kind="stable")
+                )
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):

@@ -11,24 +11,32 @@ from ratekit.esa import (
     RankDeficientWarning,
     covariance_effect_sizes,
     covariance_esa,
-    draw_effect_samples,
-    effect_signs,
     effect_sizes_to_csv,
     ols_effect_size,
 )
+from ratekit.rate import build_precision, rate_scores
 from ratekit.simgen import collinear_regression
 
 
-def deterministic_lp(f, factors=None):
-    """LogitPosterior with given mean and (optionally) zero covariance."""
+def deterministic_lp(f, hidden=None):
+    """Single-class LogitPosterior with mean f and covariance H H^T for the
+    given H (unit variances), zero when H is omitted."""
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
-    if factors is None:
-        factors = np.zeros((1, n, 1))
+    if hidden is None:
+        hidden = np.zeros((n, 1))
+    hidden = np.asarray(hidden, dtype=np.float64)
     return LogitPosterior(
         mean=f.reshape(n, 1),
-        factors=np.asarray(factors, dtype=np.float64),
+        hidden=hidden,
+        variances=np.ones((hidden.shape[1], 1)),
     )
+
+
+def centered(x):
+    """C x with the literal centering matrix C = I - 11^T/n."""
+    n = x.shape[0]
+    return (np.eye(n) - np.full((n, n), 1.0 / n)) @ x
 
 
 class TestCovarianceEsa:
@@ -42,8 +50,8 @@ class TestCovarianceEsa:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 4))
         f = rng.standard_normal(6)
-        factors = rng.standard_normal((1, 6, 3))
-        esa = covariance_esa(x, deterministic_lp(f, factors))
+        hidden = rng.standard_normal((6, 3))
+        esa = covariance_esa(x, deterministic_lp(f, hidden))
         for j in range(4):
             xj = x[:, j]
             expected = np.sum((xj - xj.mean()) * (f - f.mean())) / 5
@@ -62,12 +70,12 @@ class TestCovarianceEsa:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 3))
         f = rng.standard_normal(12)
-        factors = rng.standard_normal((1, 12, 2))
-        base = covariance_esa(x, deterministic_lp(f, factors))
+        hidden = rng.standard_normal((12, 2))
+        base = covariance_esa(x, deterministic_lp(f, hidden))
         a = 3.5
-        scaled = covariance_esa(x, deterministic_lp(a * f, a * factors))
+        scaled = covariance_esa(x, deterministic_lp(a * f, a * hidden))
         np.testing.assert_allclose(scaled.mu, a * base.mu, rtol=1e-13)
-        np.testing.assert_allclose(scaled.factors, a * base.factors, rtol=1e-13)
+        np.testing.assert_allclose(scaled.factor(0), a * base.factor(0), rtol=1e-13)
 
     def test_collinear_effects_cancel(self):
         # f = 2 x1 - 2 x2 with x1 ~ x2 leaves almost no net covariance
@@ -85,22 +93,75 @@ class TestCovarianceEsa:
         with pytest.raises(ValueError):
             covariance_esa(np.ones((4, 2)), deterministic_lp(np.ones(5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_is_refused(self, bad):
+        x = np.random.default_rng(15).standard_normal((6, 3))
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            covariance_esa(x, deterministic_lp(np.arange(6.0)))
+
     def test_multiclass_one_block_per_output_node(self):
         rng = np.random.default_rng(14)
         n, p, k, c = 9, 4, 3, 3
         x = rng.standard_normal((n, p))
         mean = rng.standard_normal((n, c))
-        factors = rng.standard_normal((c, n, k))
-        lp = LogitPosterior(mean=mean, factors=factors)
+        hidden = rng.standard_normal((n, k))
+        variances = rng.uniform(0.1, 2.0, size=(k, c))
+        lp = LogitPosterior(mean=mean, hidden=hidden, variances=variances)
         esa = covariance_esa(x, lp)
         assert esa.mu.shape == (c, p)
-        assert esa.factors.shape == (c, p, k)
+        assert esa.projection.shape == (p, k)
+        assert esa.scales.shape == (c, k)
         for cls in range(c):
             for j in range(p):
                 xj = x[:, j]
                 f = mean[:, cls]
                 expected = np.sum((xj - xj.mean()) * (f - f.mean())) / (n - 1)
                 np.testing.assert_allclose(esa.mu[cls, j], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("p, k", [(7, 4), (4, 7)])
+    def test_three_class_oracle(self, p, k):
+        # every class's factor and mean against the literal per-class products
+        # X_c^T (H diag sqrt(v_c)) / (n-1) and X_c^T f_c / (n-1), X_c = C X
+        rng = np.random.default_rng(16)
+        n, c = 11, 3
+        x = rng.standard_normal((n, p))
+        hidden = rng.standard_normal((n, k))
+        variances = rng.uniform(0.1, 2.0, size=(k, c))
+        mean = rng.standard_normal((n, c))
+        esa = covariance_esa(x, LogitPosterior(mean=mean, hidden=hidden, variances=variances))
+        xc = centered(x)
+        for cls in range(c):
+            g = xc.T @ (hidden @ np.diag(np.sqrt(variances[:, cls]))) / (n - 1)
+            mu = xc.T @ mean[:, cls] / (n - 1)
+            np.testing.assert_allclose(esa.factor(cls), g, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(esa.mu[cls], mu, rtol=1e-12, atol=0)
+            literal = EffectSizePosterior(
+                mu=mu[None, :],
+                projection=g,
+                scales=np.ones((1, k)),
+                n_used=n,
+                feature_names=esa.feature_names,
+            )
+            pm, ref = build_precision(esa, cls), build_precision(literal)
+            assert pm.rank == ref.rank == min(p, k)
+            scale = np.abs(ref.omega).max()
+            np.testing.assert_allclose(pm.omega, ref.omega, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(rate_scores(pm).klds(), rate_scores(ref).klds(), rtol=1e-10)
+
+    def test_mu_sign_invariant_under_positive_scaling(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 4))
+        f = rng.standard_normal(30)
+        signs = np.sign(covariance_esa(x, deterministic_lp(f)).mu)
+        scaled = np.sign(covariance_esa(x, deterministic_lp(42.0 * f)).mu)
+        np.testing.assert_array_equal(signs, scaled)
+
+    def test_feature_equal_to_logits_has_positive_mu(self):
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal(50)
+        x = np.column_stack([f, rng.standard_normal(50)])
+        assert np.sign(covariance_esa(x, deterministic_lp(f)).mu[0, 0]) == 1
 
     def test_correlation_ordering_on_standardized_features(self):
         # with unit-variance columns, |mu_j| orders exactly like the
@@ -144,75 +205,19 @@ class TestOlsEffectSize:
             ols_effect_size(x, np.arange(10.0))
 
 
-class TestEffectSigns:
-    def test_hand_case(self):
-        esa = EffectSizePosterior(
-            mu=np.array([[1.5, -2.0, 0.0]]),
-            factors=np.zeros((1, 3, 1)),
-            n_used=10,
-            feature_names=("a", "b", "c"),
-        )
-        np.testing.assert_array_equal(effect_signs(esa), [[1, -1, 0]])
-
-    def test_invariant_under_positive_scaling(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((30, 4))
-        f = rng.standard_normal(30)
-        signs = effect_signs(covariance_esa(x, deterministic_lp(f)))
-        scaled = effect_signs(covariance_esa(x, deterministic_lp(42.0 * f)))
-        np.testing.assert_array_equal(signs, scaled)
-
-    def test_feature_equal_to_logits_is_positive(self):
-        rng = np.random.default_rng(8)
-        f = rng.standard_normal(50)
-        x = np.column_stack([f, rng.standard_normal(50)])
-        signs = effect_signs(covariance_esa(x, deterministic_lp(f)))
-        assert signs[0, 0] == 1
-
-
-class TestDrawEffectSamples:
-    def test_zero_factor_returns_mu(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((20, 3))
-        esa = covariance_esa(x, deterministic_lp(rng.standard_normal(20)))
-        samples = draw_effect_samples(esa, 7, seed=0)
-        np.testing.assert_array_equal(samples, np.tile(esa.mu[0], (7, 1)))
-
-    def test_reproducible(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((20, 3))
-        factors = rng.standard_normal((1, 20, 2))
-        esa = covariance_esa(x, deterministic_lp(rng.standard_normal(20), factors))
-        a = draw_effect_samples(esa, 5, seed=123)
-        b = draw_effect_samples(esa, 5, seed=123)
-        np.testing.assert_array_equal(a, b)
-
-    def test_moments_converge(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((25, 3))
-        factors = rng.standard_normal((1, 25, 4))
-        esa = covariance_esa(x, deterministic_lp(rng.standard_normal(25), factors))
-        samples = draw_effect_samples(esa, 50_000, seed=3)
-        target = esa.factors[0] @ esa.factors[0].T
-        sample_cov = np.cov(samples.T, ddof=1)
-        err = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
-        assert err < 0.05
-        np.testing.assert_allclose(samples.mean(axis=0), esa.mu[0], atol=0.01)
-
-
 class TestCsvExport:
     def test_columns_and_rows(self, tmp_path):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((15, 3))
-        factors = rng.standard_normal((1, 15, 2))
-        esa = covariance_esa(x, deterministic_lp(rng.standard_normal(15), factors))
+        hidden = rng.standard_normal((15, 2))
+        esa = covariance_esa(x, deterministic_lp(rng.standard_normal(15), hidden))
         path = tmp_path / "effects.csv"
         effect_sizes_to_csv(esa, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["feature", "class", "mu", "omega_diag"]
         assert len(rows) == 1 + 3
-        g = esa.factors[0]
+        g = esa.factor(0)
         omega_diag = np.diag(g @ g.T)
         for j, row in enumerate(rows[1:]):
             assert row[0] == f"f{j + 1}"

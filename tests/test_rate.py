@@ -80,7 +80,8 @@ def factor_esa(seed, p=60, k=20, g=None):
         g = rng.standard_normal((p, k))
     return EffectSizePosterior(
         mu=rng.standard_normal((1, g.shape[0])),
-        factors=g[None, :, :],
+        projection=g,
+        scales=np.ones((1, g.shape[1])),
         n_used=100,
         feature_names=tuple(f"f{j}" for j in range(g.shape[0])),
     )
@@ -104,7 +105,7 @@ def limit_reference(mu, g, blocks, rank=None):
 
 def jittered_model(esa, tau):
     """The literal dense model of Omega + tau I, Omega = G G^T."""
-    g = esa.factors[0]
+    g = esa.factor(0)
     return precision_from_covariance(esa.mu[0], g @ g.T + tau * np.eye(g.shape[0]))
 
 
@@ -115,7 +116,8 @@ class TestBuildPrecision:
     def test_identity_factor(self):
         esa = EffectSizePosterior(
             mu=np.zeros((1, 4)),
-            factors=np.eye(4)[None, :, :],
+            projection=np.eye(4),
+            scales=np.ones((1, 4)),
             n_used=10,
             feature_names=tuple("abcd"),
         )
@@ -129,7 +131,11 @@ class TestBuildPrecision:
         g = np.array([[1.0], [2.0], [3.0]])
         mu = np.array([1.0, -1.0, 0.5])
         esa = EffectSizePosterior(
-            mu=mu[None, :], factors=g[None, :, :], n_used=10, feature_names=("a", "b", "c")
+            mu=mu[None, :],
+            projection=g,
+            scales=np.ones((1, 1)),
+            n_used=10,
+            feature_names=("a", "b", "c"),
         )
         pm = build_precision(esa)
         assert pm.rank == 1
@@ -276,7 +282,7 @@ class TestRankDeficient:
         # identities hold, also for groups wider than G's rank
         esa = factor_esa(26)
         p = esa.n_features
-        g = esa.factors[0]
+        g = esa.factor(0)
         pm = jittered_model(esa, 1e-3 * np.sum(g**2) / p)
         assert pm.rank == p
         for j in range(p):
@@ -337,7 +343,7 @@ class TestRankDeficient:
         # approach the limit's
         esa = factor_esa(seed)
         limit = rate_scores(build_precision(esa)).rates()
-        g = esa.factors[0]
+        g = esa.factor(0)
         for tau in (1e-4, 1e-6):
             rates = rate_scores(jittered_model(esa, tau * np.sum(g**2) / g.shape[0])).rates()
             np.testing.assert_array_equal(np.argsort(rates), np.argsort(limit))
@@ -347,7 +353,7 @@ class TestRankDeficient:
         # tau kld_J of the literal Omega + tau I model approaches the limit with a
         # gap of O(tau log(1/tau)): each 100x smaller tau cuts it by well over 30x
         esa = factor_esa(30)
-        mu, g = esa.mu[0], esa.factors[0]
+        mu, g = esa.mu[0], esa.factor(0)
         p = g.shape[0]
         pm = build_precision(esa)
         block_sets = {
