@@ -6,7 +6,7 @@ covariances, and rank features (or named groups of features) by closed-form
 relative-centrality and mutual-information scores.
 """
 
-from ratekit.core import center_columns, gram
+from ratekit.core import gram
 from ratekit.bnn import (
     LogitPosterior,
     Network,

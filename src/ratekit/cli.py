@@ -5,6 +5,10 @@ directory, and echoes the merged effective configuration there, so reruns
 with the same arguments are byte-identical. Exit codes: 2 usage, 3 data or
 config problems, 4 numerical failures; error messages name the stage that
 failed.
+
+Each subcommand's settings and their defaults are declared once, in
+``SETTINGS``; the flags, their types and the accepted config-file keys all
+come from that table, and ``ratekit <subcommand> --help`` lists them.
 """
 
 from __future__ import annotations
@@ -127,14 +131,42 @@ def _xml_escape(text: str) -> str:
 # Config plumbing
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
+#: Each subcommand's settings and their defaults, the one place they are
+#: declared: ``build_parser`` turns every name into a ``--name`` flag (``-``
+#: for ``_``) typed by its default (``None`` takes text, ``False`` is a bare
+#: switch), and the same names are the config-file keys ``_merge`` accepts.
+#: Every subcommand also takes ``--config``, ``--out`` and ``--seed``; a
+#: subcommand without a ``seed`` setting ignores ``--seed``.
+SETTINGS: dict[str, dict] = {
+    "simulate": {
+        "n": 1000, "p": 100, "frac_causal": 0.1, "frac_redundant": 0.0,
+        "clusters_per_class": 2, "class_sep": 2.0, "flip_y": 0.01, "test_fraction": 0.0,
+        "seed": 0,
+    },
+    "train": {
+        "data": None, "hidden": "128,128", "link": "sigmoid", "classes": 1,
+        "prior_scale": 1.0, "epochs": 20, "learning_rate": 1e-3, "patience": 2,
+        "batch_size": 32, "mc_samples": 1, "val_fraction": 0.2, "seed": 0,
+    },
+    "importance": {"data": None, "model": None, "class_index": 0},
+    "group-importance": {"data": None, "model": None, "groups": None, "class_index": 0},
+    "evaluate": {
+        "report": None, "mask": None, "model": None, "data": None, "degradation": False,
+        "ranking": "rate", "fractions": "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5",
+        "repeats": 10, "seed": 0,
+    },
+    "demo-collinearity": {"rho": 0.999, "n": 5000, "reps": 100, "seed": 0},
+}
+
+_CHOICES = {"link": bnn.LINKS, "ranking": ("rate", "random")}
+
+_FLAG_HELP = {
+    ("train", "hidden"): "comma-separated hidden widths",
+    ("importance", "data"): "evaluation dataset CSV",
+    ("group-importance", "groups"): "CSV of group_name,feature_name rows",
+    ("evaluate", "report"): "importance report JSON",
+    ("evaluate", "mask"): "dataset mask sidecar JSON",
+}
 
 
 def _merge(defaults: dict, config: dict, args) -> dict:
@@ -147,27 +179,32 @@ def _merge(defaults: dict, config: dict, args) -> dict:
     for key in defaults:
         if key in config:
             merged[key] = config[key]
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
     return merged
 
 
-def _prepare_out_dir(args) -> Path:
-    if not getattr(args, "out", None):
+def _configure(args, *required: str) -> tuple[Path, dict]:
+    """Create ``--out``, merge the subcommand's settings, check that the
+    ``required`` ones are set and echo the result to effective_config.json."""
+    if not args.out:
         raise ValueError("an output directory is required (--out)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out: Path, command: str, effective: dict) -> None:
-    doc = {"command": command, "config": effective}
+    config = {}
+    if args.config:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+    cfg = _merge(SETTINGS[args.command], config, args)
+    for name in required:
+        if not cfg[name]:
+            raise ValueError(f"--{name} is required")
+    doc = {"command": args.command, "config": cfg}
     (out / "effective_config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def _load_dataset(path) -> simgen.Dataset:
-    return simgen.load_dataset_csv(path)
+    return out, cfg
 
 
 def _load_network(path) -> bnn.Network:
@@ -195,23 +232,7 @@ def _parse_fractions(text) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     with _stage("config"):
-        out = _prepare_out_dir(args)
-        cfg = _merge(
-            {
-                "n": 1000,
-                "p": 100,
-                "frac_causal": 0.1,
-                "frac_redundant": 0.0,
-                "clusters_per_class": 2,
-                "class_sep": 2.0,
-                "flip_y": 0.01,
-                "test_fraction": 0.0,
-                "seed": 0,
-            },
-            _load_config(args),
-            args,
-        )
-        _echo_config(out, "simulate", cfg)
+        out, cfg = _configure(args)
     with _stage("simulate"):
         spec = simgen.SynthSpec(
             n=int(cfg["n"]),
@@ -253,30 +274,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     with _stage("config"):
-        out = _prepare_out_dir(args)
-        cfg = _merge(
-            {
-                "data": None,
-                "hidden": "128,128",
-                "link": "sigmoid",
-                "classes": 1,
-                "prior_scale": 1.0,
-                "epochs": 20,
-                "learning_rate": 1e-3,
-                "patience": 2,
-                "batch_size": 32,
-                "mc_samples": 1,
-                "val_fraction": 0.2,
-                "seed": 0,
-            },
-            _load_config(args),
-            args,
-        )
-        if not cfg["data"]:
-            raise ValueError("a dataset CSV is required (--data)")
-        _echo_config(out, "train", cfg)
+        out, cfg = _configure(args, "data")
     with _stage("load-data"):
-        ds = _load_dataset(cfg["data"])
+        ds = simgen.load_dataset_csv(cfg["data"])
     with _stage("train"):
         net_cfg = bnn.NetworkConfig(
             input_dim=ds.p,
@@ -302,24 +302,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _importance_common(args, with_groups: bool) -> int:
-    command = "group-importance" if with_groups else "importance"
+def _cmd_importance(args) -> int:
+    """``importance`` and ``group-importance``: one scoring path, told apart
+    by the subcommand name."""
+    with_groups = args.command == "group-importance"
     with _stage("config"):
-        out = _prepare_out_dir(args)
-        defaults = {
-            "data": None,
-            "model": None,
-            "class_index": 0,
-        }
-        if with_groups:
-            defaults["groups"] = None
-        cfg = _merge(defaults, _load_config(args), args)
-        for required in ("data", "model") + (("groups",) if with_groups else ()):
-            if not cfg[required]:
-                raise ValueError(f"--{required} is required")
-        _echo_config(out, command, cfg)
+        required = ("data", "model", "groups") if with_groups else ("data", "model")
+        out, cfg = _configure(args, *required)
     with _stage("load-data"):
-        ds = _load_dataset(cfg["data"])
+        ds = simgen.load_dataset_csv(cfg["data"])
         net = _load_network(cfg["model"])
     with _stage("effect-sizes"):
         lp = bnn.logit_posterior(net, ds.X)
@@ -350,14 +341,6 @@ def _importance_common(args, with_groups: bool) -> int:
     return 0
 
 
-def _cmd_importance(args) -> int:
-    return _importance_common(args, with_groups=False)
-
-
-def _cmd_group_importance(args) -> int:
-    return _importance_common(args, with_groups=True)
-
-
 def _read_group_csv(path, feature_names) -> rate.GroupMap:
     """Rows of group_name,feature_name; a literal header row is skipped."""
     groups: dict[str, list[str]] = {}
@@ -378,25 +361,7 @@ def _read_group_csv(path, feature_names) -> rate.GroupMap:
 
 def _cmd_evaluate(args) -> int:
     with _stage("config"):
-        out = _prepare_out_dir(args)
-        cfg = _merge(
-            {
-                "report": None,
-                "mask": None,
-                "model": None,
-                "data": None,
-                "degradation": False,
-                "ranking": "rate",
-                "fractions": "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5",
-                "repeats": 10,
-                "seed": 0,
-            },
-            _load_config(args),
-            args,
-        )
-        _echo_config(out, "evaluate", cfg)
-        if not cfg["report"]:
-            raise ValueError("--report is required")
+        out, cfg = _configure(args, "report")
     with _stage("load-report"):
         report_doc = json.loads(Path(cfg["report"]).read_text())
         names = [item["name"] for item in report_doc["items"]]
@@ -426,7 +391,7 @@ def _cmd_evaluate(args) -> int:
             if not cfg["model"] or not cfg["data"]:
                 raise ValueError("degradation needs --model and --data")
             net = _load_network(cfg["model"])
-            ds = _load_dataset(cfg["data"])
+            ds = simgen.load_dataset_csv(cfg["data"])
             if list(ds.feature_names) != names:
                 raise ValueError("report features do not match the dataset")
             if cfg["ranking"] == "rate":
@@ -459,13 +424,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
-        out = _prepare_out_dir(args)
-        cfg = _merge(
-            {"rho": 0.999, "n": 5000, "reps": 100, "seed": 0},
-            _load_config(args),
-            args,
-        )
-        _echo_config(out, "demo-collinearity", cfg)
+        out, cfg = _configure(args)
     with _stage("replicates"):
         rho, n, reps = float(cfg["rho"]), int(cfg["n"]), int(cfg["reps"])
         if reps < 2:
@@ -509,10 +468,17 @@ def _cmd_demo_collinearity(args) -> int:
 # Parser
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "generate a synthetic classification dataset"),
+    "train": (_cmd_train, "train a network on a dataset CSV"),
+    "importance": (_cmd_importance, "score per-feature importance"),
+    "group-importance": (_cmd_importance, "score named feature groups"),
+    "evaluate": (_cmd_evaluate, "ROC against a causal mask and/or shuffle degradation"),
+    "demo-collinearity": (
+        _cmd_demo_collinearity,
+        "compare covariance and least-squares effect sizes on collinear data",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,71 +487,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Feature importance for Bayesian neural networks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("simulate", help="generate a synthetic classification dataset")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--frac-causal", dest="frac_causal", type=float, default=None)
-    p.add_argument("--frac-redundant", dest="frac_redundant", type=float, default=None)
-    p.add_argument("--clusters-per-class", dest="clusters_per_class", type=int, default=None)
-    p.add_argument("--class-sep", dest="class_sep", type=float, default=None)
-    p.add_argument("--flip-y", dest="flip_y", type=float, default=None)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("train", help="train a network on a dataset CSV")
-    _add_common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--hidden", default=None, help="comma-separated hidden widths")
-    p.add_argument("--link", default=None, choices=("sigmoid", "identity", "softmax"))
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--prior-scale", dest="prior_scale", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
-    p.set_defaults(func=_cmd_train)
-
-    p = subs.add_parser("importance", help="score per-feature importance")
-    _add_common(p)
-    p.add_argument("--data", default=None, help="evaluation dataset CSV")
-    p.add_argument("--model", default=None)
-    p.add_argument("--class-index", dest="class_index", type=int, default=None)
-    p.set_defaults(func=_cmd_importance)
-
-    p = subs.add_parser("group-importance", help="score named feature groups")
-    _add_common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--groups", default=None, help="CSV of group_name,feature_name rows")
-    p.add_argument("--class-index", dest="class_index", type=int, default=None)
-    p.set_defaults(func=_cmd_group_importance)
-
-    p = subs.add_parser("evaluate", help="ROC against a causal mask and/or shuffle degradation")
-    _add_common(p)
-    p.add_argument("--report", default=None, help="importance report JSON")
-    p.add_argument("--mask", default=None, help="dataset mask sidecar JSON")
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--degradation", action="store_const", const=True, default=None)
-    p.add_argument("--ranking", default=None, choices=("rate", "random"))
-    p.add_argument("--fractions", default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = subs.add_parser(
-        "demo-collinearity",
-        help="compare covariance and least-squares effect sizes on collinear data",
-    )
-    _add_common(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.set_defaults(func=_cmd_demo_collinearity)
-
+    for command, (handler, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.set_defaults(func=handler)
+        sub.add_argument("--config", help="JSON config file; flags override its fields")
+        sub.add_argument("--out", help="output directory")
+        # every subcommand takes --seed; a flag left out parses to None, which
+        # leaves the config-file or default value in place
+        for name, default in {"seed": 0, **SETTINGS[command]}.items():
+            kwargs = {"help": _FLAG_HELP.get((command, name))}
+            if default is False:
+                kwargs.update(action="store_const", const=True)
+            elif name in _CHOICES:
+                kwargs["choices"] = _CHOICES[name]
+            elif default is not None:
+                kwargs["type"] = type(default)
+            sub.add_argument("--" + name.replace("_", "-"), **kwargs)
     return parser
 
 

@@ -1,9 +1,9 @@
-"""Dense symmetric helpers shared by the posterior-projection code.
+"""Dense symmetric helpers shared by the precision code.
 
-Everything here operates on plain float64 ndarrays: column centering, the
-exactly symmetric Gram matrix G G^T, the checked symmetric part of an input
-matrix, and the one relative bound below which an eigenvalue or a squared
-Cholesky pivot counts as zero.
+Everything here operates on plain float64 ndarrays: the exactly symmetric
+Gram matrix G G^T, the checked symmetric part of an input matrix, and the one
+relative bound below which an eigenvalue or a squared Cholesky pivot counts
+as zero.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "center_columns",
     "checked_symmetric",
     "gram",
 ]
@@ -38,12 +37,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def center_columns(m) -> np.ndarray:
-    """Subtract the column means, i.e. apply C = I - 11^T/n from the left."""
-    m = _as_matrix(m)
-    return m - m.mean(axis=0, keepdims=True)
 
 
 def checked_symmetric(s, name: str = "S") -> np.ndarray:

@@ -214,6 +214,8 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
 
 
 def load_dataset_csv(csv_path) -> Dataset:
+    """Read a dataset CSV and its sidecar; a NaN or infinite feature or label
+    raises ``ValueError`` naming the data row and the column."""
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -244,6 +246,10 @@ def load_dataset_csv(csv_path) -> Dataset:
     y = np.array([int(v) for v in y_raw]) if integer_labels else np.array(
         [float(v) for v in y_raw]
     )
+    bad = np.argwhere(~np.isfinite(np.column_stack([x, y.astype(np.float64)])))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{csv_path}: data row {row + 1}, column {header[col]!r} is not finite")
     return Dataset(
         X=x,
         y=y,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratekit.cli import dispatch, render_curve_svg
+from ratekit.cli import SETTINGS, _configure, build_parser, dispatch, render_curve_svg
 
 
 def run(*argv):
@@ -169,6 +169,57 @@ class TestUsageErrors:
             "train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)
         )
         assert code == 3
+
+
+def _other_value(name, default):
+    """A value of the setting's own kind that differs from its default."""
+    if default is False:
+        return True
+    if name == "link":
+        return "softmax"
+    if name == "ranking":
+        return "random"
+    if default is None:
+        return f"{name}.txt"
+    if isinstance(default, str):
+        return "1,2"
+    return default + 1
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv, flag", [
+        (("train",), "--data"),
+        (("importance", "--data", "d.csv"), "--model"),
+        (("group-importance", "--data", "d.csv", "--model", "m.json"), "--groups"),
+        (("evaluate", "--mask", "m.json"), "--report"),
+    ])
+    def test_missing_required_setting_is_config_error(self, tmp_path, capsys, argv, flag):
+        assert run(*argv, "--out", str(tmp_path)) == 3
+        assert f"error [config]: {flag} is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, command):
+        values = {name: _other_value(name, d) for name, d in SETTINGS[command].items()}
+        flags = []
+        for name, value in values.items():
+            flag = "--" + name.replace("_", "-")
+            flags += [flag] if value is True else [flag, str(value)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        for argv in (["--config", str(cfg)], flags):
+            args = build_parser().parse_args([command, "--out", str(tmp_path), *argv])
+            _, effective = _configure(args)
+            assert effective == values
+            echo = json.loads((tmp_path / "effective_config.json").read_text())
+            assert echo == {"command": command, "config": values}
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_flag_of_another_subcommand_is_usage_error(self, tmp_path, command):
+        # for example importance --n 5
+        foreign = set().union(*SETTINGS.values()) - set(SETTINGS[command]) - {"seed"}
+        assert foreign
+        for name in sorted(foreign):
+            assert run(command, "--" + name.replace("_", "-"), "5", "--out", str(tmp_path)) == 2
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +478,39 @@ class TestPipeline:
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["config"]["n"] == 40  # flag wins
         assert effective["config"]["p"] == 8  # config file value kept
+
+    def test_importance_ignores_seed(self, pipeline, tmp_path):
+        # importance draws no random numbers: --seed is accepted, not echoed
+        # and leaves the report bytes as they are
+        assert run(
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"), "--seed", "3",
+            "--out", str(tmp_path),
+        ) == 0
+        echo = json.loads((tmp_path / "effective_config.json").read_text())
+        assert "seed" not in echo["config"]
+        assert (tmp_path / "report.json").read_bytes() == (
+            pipeline / "imp" / "report.json"
+        ).read_bytes()
+
+    def test_non_finite_cell_fails_at_load(self, pipeline, tmp_path, capsys):
+        # one nan cell per file, in an early and a late data row: train and
+        # importance both refuse it before any split, training or scoring
+        lines = (pipeline / "sim" / "train.csv").read_text().splitlines(keepends=True)
+        for row in (2, 200):
+            cells = lines[row].split(",")
+            cells[3] = "nan"
+            bad = tmp_path / f"bad{row}.csv"
+            bad.write_text("".join(lines[:row] + [",".join(cells)] + lines[row + 1:]))
+            for command, extra in (
+                ("train", ("--hidden", "8", "--epochs", "1")),
+                ("importance", ("--model", str(pipeline / "model" / "model.json"))),
+            ):
+                capsys.readouterr()
+                assert run(command, "--data", str(bad), *extra,
+                           "--out", str(tmp_path / command)) == 3
+                err = capsys.readouterr().err
+                assert f"error [load-data]: {bad}: data row {row}, column 'f4' is not finite" in err
 
     def test_inputs_not_mutated(self, pipeline, tmp_path):
         data = pipeline / "sim" / "test.csv"

@@ -143,6 +143,30 @@ class TestCsvRoundTrip:
         assert sidecar.name == "data.mask.json"
         assert sidecar.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        ds = synth_classification(SynthSpec(n=40, p=6, frac_causal=0.5, seed=8))
+        path = tmp_path / "data.csv"
+        save_dataset_csv(ds, path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"data\.csv: data row 3, column 'f3' is not finite"):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_float_label_rejected(self, tmp_path, cell):
+        ds = collinear_regression(30, 0.5, seed=9)
+        path = tmp_path / "reg.csv"
+        save_dataset_csv(ds, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[7] = lines[7].rsplit(",", 1)[0] + f",{cell}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"reg\.csv: data row 7, column 'y' is not finite"):
+            load_dataset_csv(path)
+
 
 class TestDatasetValidation:
     def test_row_mismatch_rejected(self):
