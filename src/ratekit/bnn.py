@@ -6,9 +6,9 @@ fully factorized Gaussian over its weights (mean ``m``, variance
 ``v = exp(rho)``), so the latent pre-link outputs ("logits") of any input
 batch follow a closed-form Gaussian whose covariance factor is cheap to carry
 around. Training maximizes the variational lower bound with the local
-reparameterization trick; gradients are hand-written reverse-mode for this
-fixed affine+ReLU+Gaussian family and validated against finite differences
-in the test suite.
+reparameterization trick, estimated from one logit sample per example;
+gradients are hand-written reverse-mode for this fixed affine+ReLU+Gaussian
+family and validated against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     patience: int = 2
     batch_size: int = 32
-    mc_samples: int = 1
     val_fraction: float = 0.2
     seed: int = 0
 
@@ -138,8 +137,6 @@ class TrainConfig:
             raise ValueError("val_fraction must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -253,21 +250,16 @@ def _prepare_labels(link: str, n_classes: int, y) -> np.ndarray:
     return y.astype(np.float64)
 
 
-def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray, want_grad: bool):
+def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
     """Total negative log-likelihood of one logit sample, and d nll / d f."""
     if link == "sigmoid":
         fv = f[:, 0]
         nll = float(np.sum(np.logaddexp(0.0, fv) - y * fv))
-        if not want_grad:
-            return nll, None
-        g = (_sigmoid(fv) - y)[:, None]
-        return nll, g
+        return nll, (_sigmoid(fv) - y)[:, None]
     if link == "softmax":
         fmax = f.max(axis=1, keepdims=True)
         lse = fmax[:, 0] + np.log(np.sum(np.exp(f - fmax), axis=1))
         nll = float(np.sum(lse - f[np.arange(f.shape[0]), y]))
-        if not want_grad:
-            return nll, None
         g = np.exp(f - fmax)
         g /= g.sum(axis=1, keepdims=True)
         g[np.arange(f.shape[0]), y] -= 1.0
@@ -275,8 +267,6 @@ def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray, want_grad: bool):
     # identity: Gaussian likelihood with unit noise variance
     resid = f[:, 0] - y
     nll = float(np.sum(0.5 * resid**2 + 0.5 * math.log(2.0 * math.pi)))
-    if not want_grad:
-        return nll, None
     return nll, resid[:, None]
 
 
@@ -289,12 +279,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elbo(
-    net: Network, x, y, n_total: int, mc_samples: int, seed: int, want_grads: bool, out=None
-):
-    """Negative minibatch ELBO and, optionally, gradients for every parameter.
+def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
+    """Negative minibatch ELBO and its gradients for every parameter.
 
-    The logits are sampled per example from N(h m + b, (h*h) v), the local
+    Each example's logits are one sample from N(h m + b, (h*h) v), the local
     reparameterization of the output-layer weight posterior, with noise
     fixed by ``seed`` so the loss is a deterministic function of (params,
     batch, seed). The gradients are written into ``out``, arrays shaped like
@@ -316,43 +304,25 @@ def _elbo(
     var = (h**2) @ v
     sd = np.sqrt(var)
 
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(size=(mc_samples, *mean.shape))
-
+    z = np.random.default_rng(seed).standard_normal(size=mean.shape)
+    nll, g = _nll_and_grad(cfg.link, mean + sd * z, y)
     kl_scale = x.shape[0] / n_total
-    kl = kl_q_prior(net.m, v, cfg.prior_scale)
+    loss = kl_scale * kl_q_prior(net.m, v, cfg.prior_scale) + nll
 
-    nll_sum = 0.0
-    gbar = np.zeros_like(mean)
-    wbar = np.zeros_like(mean)
-    for s in range(mc_samples):
-        f = mean + sd * z[s]
-        nll, g = _nll_and_grad(cfg.link, f, y, want_grads)
-        nll_sum += nll
-        if want_grads:
-            gbar += g
-            wbar += g * z[s]
-    nll_avg = nll_sum / mc_samples
-    loss = kl_scale * kl + nll_avg
-    if not want_grads:
-        return loss, None
-
-    gbar /= mc_samples
-    wbar /= mc_samples
     # d loss / d var, guarding degenerate rows where var == 0 exactly
-    q = np.divide(wbar, 2.0 * sd, out=np.zeros_like(wbar), where=var > 0)
+    q = np.divide(g * z, 2.0 * sd, out=np.zeros_like(mean), where=var > 0)
 
     if out is None:
         out = [np.empty_like(p) for p in net.parameters()]
     *hidden_grads, dm, drho, db = out
     s2 = cfg.prior_scale**2
-    np.matmul(h.T, gbar, out=dm)
+    np.matmul(h.T, g, out=dm)
     dm += kl_scale * net.m / s2
     np.matmul((h**2).T, q, out=drho)
     drho *= v
     drho += kl_scale * 0.5 * (v / s2 - 1.0)
-    np.sum(gbar, axis=0, out=db)
-    dh = gbar @ net.m.T + 2.0 * h * (q @ v.T)
+    np.sum(g, axis=0, out=db)
+    dh = g @ net.m.T + 2.0 * h * (q @ v.T)
 
     da = dh
     for l in range(len(net.hidden_weights) - 1, -1, -1):
@@ -364,10 +334,10 @@ def _elbo(
     return loss, out
 
 
-def elbo_loss(net: Network, x, y, n_total: int, mc_samples: int = 1, seed: int = 0) -> float:
-    """Negative minibatch ELBO: scaled KL-to-prior plus MC-averaged NLL."""
-    loss, _ = _elbo(net, x, y, n_total, mc_samples, seed, want_grads=False)
-    return loss
+def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
+    """Negative minibatch ELBO: scaled KL-to-prior plus the NLL of one
+    logit sample per example."""
+    return _elbo(net, x, y, n_total, seed)[0]
 
 
 def _dataset_xy(dataset):
@@ -538,9 +508,7 @@ def train(net: Network, dataset, config: TrainConfig):
                     x_train[idx],
                     y_train[idx],
                     n_total=n_train,
-                    mc_samples=config.mc_samples,
                     seed=batch_seed,
-                    want_grads=True,
                     out=grads,
                 )
             except ValueError as exc:

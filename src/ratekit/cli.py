@@ -134,7 +134,8 @@ def _xml_escape(text: str) -> str:
 #: Each subcommand's settings and their defaults, the one place they are
 #: declared: ``build_parser`` turns every name into a ``--name`` flag (``-``
 #: for ``_``) typed by its default (``None`` takes text, ``False`` is a bare
-#: switch), and the same names are the config-file keys ``_merge`` accepts.
+#: switch), and the same names are the config-file keys ``_merge`` accepts,
+#: each value checked against its flag's type (``_config_value``).
 #: Every subcommand also takes ``--config``, ``--out`` and ``--seed``; a
 #: subcommand without a ``seed`` setting ignores ``--seed``.
 SETTINGS: dict[str, dict] = {
@@ -146,7 +147,7 @@ SETTINGS: dict[str, dict] = {
     "train": {
         "data": None, "hidden": "128,128", "link": "sigmoid", "classes": 1,
         "prior_scale": 1.0, "epochs": 20, "learning_rate": 1e-3, "patience": 2,
-        "batch_size": 32, "mc_samples": 1, "val_fraction": 0.2, "seed": 0,
+        "batch_size": 32, "val_fraction": 0.2, "seed": 0,
     },
     "importance": {"data": None, "model": None, "class_index": 0},
     "group-importance": {"data": None, "model": None, "groups": None, "class_index": 0},
@@ -169,16 +170,41 @@ _FLAG_HELP = {
 }
 
 
+def _config_value(name: str, value, default):
+    """A config-file value checked against what the setting's flag accepts;
+    a float setting's JSON integer is stored as a float."""
+    if default is False:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif name in _CHOICES:
+        ok, kind = value in _CHOICES[name], "one of " + ", ".join(map(repr, _CHOICES[name]))
+    elif default is None or isinstance(default, str):
+        ok = isinstance(value, str) or (value is None and default is None)
+        kind = "a string or null" if default is None else "a string"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    else:
+        ok, kind = type(value) in (int, float), "a number in float range"
+        if ok:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the largest float
+                ok = False
+    if not ok:
+        raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _merge(defaults: dict, config: dict, args) -> dict:
     """defaults < config file < explicitly passed flags; a config key the
-    command has no default for is an error, not silently dropped."""
+    command has no default for, or a value its flag would not accept, is an
+    error, not silently dropped or converted."""
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     merged = dict(defaults)
     for key in defaults:
         if key in config:
-            merged[key] = config[key]
+            merged[key] = _config_value(key, config[key], defaults[key])
         flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
@@ -211,19 +237,15 @@ def _load_network(path) -> bnn.Network:
     return bnn.network_from_json(Path(path).read_text())
 
 
-def _parse_hidden(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    parts = [part.strip() for part in str(text).split(",") if part.strip()]
+def _parse_hidden(text: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise ValueError("hidden layer list is empty")
     return tuple(int(part) for part in parts)
 
 
-def _parse_fractions(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+def _parse_fractions(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +257,16 @@ def _cmd_simulate(args) -> int:
         out, cfg = _configure(args)
     with _stage("simulate"):
         spec = simgen.SynthSpec(
-            n=int(cfg["n"]),
-            p=int(cfg["p"]),
-            frac_causal=float(cfg["frac_causal"]),
-            frac_redundant=float(cfg["frac_redundant"]),
-            n_clusters_per_class=int(cfg["clusters_per_class"]),
-            class_sep=float(cfg["class_sep"]),
-            flip_y=float(cfg["flip_y"]),
-            seed=int(cfg["seed"]),
+            n=cfg["n"],
+            p=cfg["p"],
+            frac_causal=cfg["frac_causal"],
+            frac_redundant=cfg["frac_redundant"],
+            n_clusters_per_class=cfg["clusters_per_class"],
+            class_sep=cfg["class_sep"],
+            flip_y=cfg["flip_y"],
+            seed=cfg["seed"],
         )
-        test_fraction = float(cfg["test_fraction"])
+        test_fraction = cfg["test_fraction"]
         n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
         if test_fraction != 0 and not 0 < n_test < spec.n:
             raise ValueError(
@@ -281,20 +303,19 @@ def _cmd_train(args) -> int:
         net_cfg = bnn.NetworkConfig(
             input_dim=ds.p,
             hidden_sizes=_parse_hidden(cfg["hidden"]),
-            link=str(cfg["link"]),
-            n_classes=int(cfg["classes"]),
-            prior_scale=float(cfg["prior_scale"]),
+            link=cfg["link"],
+            n_classes=cfg["classes"],
+            prior_scale=cfg["prior_scale"],
         )
         train_cfg = bnn.TrainConfig(
-            epochs=int(cfg["epochs"]),
-            learning_rate=float(cfg["learning_rate"]),
-            patience=int(cfg["patience"]),
-            batch_size=int(cfg["batch_size"]),
-            mc_samples=int(cfg["mc_samples"]),
-            val_fraction=float(cfg["val_fraction"]),
-            seed=int(cfg["seed"]),
+            epochs=cfg["epochs"],
+            learning_rate=cfg["learning_rate"],
+            patience=cfg["patience"],
+            batch_size=cfg["batch_size"],
+            val_fraction=cfg["val_fraction"],
+            seed=cfg["seed"],
         )
-        net = bnn.build_network(net_cfg, seed=int(cfg["seed"]))
+        net = bnn.build_network(net_cfg, seed=cfg["seed"])
         trained, history = bnn.train(net, ds, train_cfg)
     with _stage("write-output"):
         (out / "model.json").write_text(bnn.network_to_json(trained) + "\n")
@@ -317,7 +338,7 @@ def _cmd_importance(args) -> int:
         effect = esa.covariance_esa(ds.X, lp, feature_names=ds.feature_names)
         esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
     with _stage("precision"):
-        pm = rate.build_precision(effect, class_index=int(cfg["class_index"]))
+        pm = rate.build_precision(effect, class_index=cfg["class_index"])
     if pm.rank < pm.p:
         print(
             f"ratekit: warning: the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
@@ -396,17 +417,15 @@ def _cmd_evaluate(args) -> int:
                 raise ValueError("report features do not match the dataset")
             if cfg["ranking"] == "rate":
                 ranking = np.argsort(-scores, kind="stable")
-            elif cfg["ranking"] == "random":
-                ranking = np.random.default_rng(int(cfg["seed"])).permutation(len(scores))
             else:
-                raise ValueError(f"unknown ranking: {cfg['ranking']!r}")
+                ranking = np.random.default_rng(cfg["seed"]).permutation(len(scores))
             curve = evaluate.shuffle_degradation(
                 net,
                 ds,
                 ranking,
                 fractions=_parse_fractions(cfg["fractions"]),
-                repeats=int(cfg["repeats"]),
-                seed=int(cfg["seed"]),
+                repeats=cfg["repeats"],
+                seed=cfg["seed"],
             )
             evaluate.degradation_curve_to_csv(curve, out / "degradation.csv")
             svg = render_curve_svg(
@@ -426,10 +445,10 @@ def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
         out, cfg = _configure(args)
     with _stage("replicates"):
-        rho, n, reps = float(cfg["rho"]), int(cfg["n"]), int(cfg["reps"])
+        rho, n, reps = cfg["rho"], cfg["n"], cfg["reps"]
         if reps < 2:
             raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {reps}")
-        seeds = np.random.SeedSequence(int(cfg["seed"])).generate_state(reps)
+        seeds = np.random.SeedSequence(cfg["seed"]).generate_state(reps)
         rows = []
         for r in range(reps):
             ds = simgen.collinear_regression(n, rho, seed=int(seeds[r]))
@@ -485,10 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratekit",
         description="Feature importance for Bayesian neural networks",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+        sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
         sub.set_defaults(func=handler)
         sub.add_argument("--config", help="JSON config file; flags override its fields")
         sub.add_argument("--out", help="output directory")

@@ -128,7 +128,7 @@ class TestElboLoss:
         net.b[:] = 0.0
         x = np.random.default_rng(2).standard_normal((6, 3))
         y = np.array([0, 1, 0, 1, 1, 0])
-        loss = elbo_loss(net, x, y, n_total=6, mc_samples=3, seed=5)
+        loss = elbo_loss(net, x, y, n_total=6, seed=5)
         kl_part = (6 / 6) * kl_q_prior(net.m, net.v, net.config.prior_scale)
         np.testing.assert_allclose(loss - kl_part, 6 * math.log(2.0), atol=1e-8)
 
@@ -142,17 +142,15 @@ class TestElboLoss:
         x = rng.standard_normal((5, 3))
         y = np.array([1, 0, 1, 1, 0])
         seed = 99
-        loss = elbo_loss(net, x, y, n_total=5, mc_samples=2, seed=seed)
+        loss = elbo_loss(net, x, y, n_total=5, seed=seed)
 
         h = penultimate_activations(net, x)
         mean = h @ net.m + net.b
         sd = np.sqrt((h**2) @ net.v)
-        z = np.random.default_rng(seed).standard_normal((2, 5, 1))
-        nll = 0.0
-        for s in range(2):
-            f = (mean + sd * z[s])[:, 0]
-            nll += np.sum(np.logaddexp(0.0, f) - y * f)
-        np.testing.assert_allclose(loss, nll / 2, rtol=1e-12)
+        z = np.random.default_rng(seed).standard_normal((5, 1))
+        f = (mean + sd * z)[:, 0]
+        nll = np.sum(np.logaddexp(0.0, f) - y * f)
+        np.testing.assert_allclose(loss, nll, rtol=1e-12)
 
     def test_label_link_mismatch(self):
         net = small_net()
@@ -176,8 +174,8 @@ def _finite_difference_check(link, n_classes, y, seed=12345):
     h = penultimate_activations(net, x)
     assert (h**2).sum(axis=1).min() > 1e-3
 
-    mc, n_total = 2, 8
-    _, grads = _elbo(net, x, y, n_total, mc, seed, want_grads=True)
+    n_total = 8
+    _, grads = _elbo(net, x, y, n_total, seed)
     params = net.parameters()
     eps = 1e-5
     worst = 0.0
@@ -187,9 +185,9 @@ def _finite_difference_check(link, n_classes, y, seed=12345):
             idx = it.multi_index
             orig = p_arr[idx]
             p_arr[idx] = orig + eps
-            up = elbo_loss(net, x, y, n_total, mc, seed)
+            up = elbo_loss(net, x, y, n_total, seed=seed)
             p_arr[idx] = orig - eps
-            down = elbo_loss(net, x, y, n_total, mc, seed)
+            down = elbo_loss(net, x, y, n_total, seed=seed)
             p_arr[idx] = orig
             fd = (up - down) / (2 * eps)
             an = g_arr[idx]
@@ -213,9 +211,9 @@ class TestGradients:
         net = small_net(link="softmax", n_classes=3, hidden=(5, 4), p=3, seed=2)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 2, 1, 0])
-        loss, grads = _elbo(net, x, y, 10, 2, 4, want_grads=True)
+        loss, grads = _elbo(net, x, y, 10, 4)
         out = [np.full_like(p, np.nan) for p in net.parameters()]
-        loss_out, filled = _elbo(net, x, y, 10, 2, 4, want_grads=True, out=out)
+        loss_out, filled = _elbo(net, x, y, 10, 4, out=out)
         assert filled is out and loss_out == loss
         for a, b in zip(grads, out):
             assert np.array_equal(a, b)
@@ -282,6 +280,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=-3)
         TrainConfig(learning_rate=1e18, patience=0)  # large but valid
+
+    def test_one_sample_elbo_has_no_sample_count(self):
+        # the ELBO draws one logit sample per example; no setting chooses more
+        with pytest.raises(TypeError):
+            TrainConfig(mc_samples=2)
+        net = small_net()
+        x, y = np.ones((2, 3)), np.array([0, 1])
+        with pytest.raises(TypeError):
+            elbo_loss(net, x, y, 2, 2)  # seed is keyword-only
 
     def test_fixed_seed_reproducible(self):
         x, y = blob_dataset(n=120, seed=3)

@@ -222,6 +222,55 @@ class TestSettings:
             assert run(command, "--" + name.replace("_", "-"), "5", "--out", str(tmp_path)) == 2
 
 
+    @pytest.mark.parametrize("command, values, key, kind", [
+        ("simulate", {"n": 100.7, "p": 8, "frac_causal": 0.25}, "n", "an integer"),
+        ("simulate", {"n": "100"}, "n", "an integer"),
+        ("train", {"epochs": True}, "epochs", "an integer"),
+        ("train", {"prior_scale": False}, "prior_scale", "a number in float range"),
+        ("train", {"learning_rate": "1e-3"}, "learning_rate", "a number in float range"),
+        ("simulate", {"class_sep": 10**400}, "class_sep", "a number in float range"),
+        ("train", {"hidden": [8, 4]}, "hidden", "a string"),
+        ("train", {"hidden": None}, "hidden", "a string"),
+        ("train", {"data": 5}, "data", "a string or null"),
+        ("train", {"link": "bogus"}, "link", "one of 'sigmoid', 'identity', 'softmax'"),
+        ("evaluate", {"degradation": "false"}, "degradation", "true or false"),
+        ("evaluate", {"degradation": 0}, "degradation", "true or false"),
+        ("evaluate", {"ranking": "bogus"}, "ranking", "one of 'rate', 'random'"),
+        ("evaluate", {"fractions": [0, 0.5]}, "fractions", "a string"),
+    ])
+    def test_config_value_of_the_wrong_type_is_config_error(
+        self, tmp_path, capsys, command, values, key, kind
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert f"error [config]: config key {key!r} must be {kind}, got " in err
+        assert not (tmp_path / "out" / "effective_config.json").exists()
+
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        # an integer for a float setting is stored as a float, false turns a
+        # switch off and null leaves an optional path unset
+        cfg = tmp_path / "cfg.json"
+        for command, values, expected in (
+            ("train", {"prior_scale": 2, "learning_rate": 1}, {"prior_scale": 2.0, "learning_rate": 1.0}),
+            ("evaluate", {"degradation": False, "mask": None}, {"degradation": False, "mask": None}),
+            ("simulate", {"n": 40, "class_sep": 1}, {"n": 40, "class_sep": 1.0}),
+        ):
+            cfg.write_text(json.dumps(values))
+            args = build_parser().parse_args([command, "--config", str(cfg), "--out", str(tmp_path)])
+            _, effective = _configure(args)
+            for name, value in expected.items():
+                assert effective[name] == value and type(effective[name]) is type(value)
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--data", "d.csv", "--epoch", "1"),
+        ("importance", "--dat", "d.csv", "--model", "m.json"),
+    ])
+    def test_flags_are_not_abbreviated(self, tmp_path, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """simulate -> train -> importance, shared across the CLI tests."""
@@ -381,6 +430,17 @@ class TestPipeline:
             assert run(*common, "--config", str(cfg)) == 3
             assert f"unknown config key(s): {key!r}" in capsys.readouterr().err
         assert run(*common, "--jitter", "1e-8") == 2
+        # the ELBO draws one logit sample per example; no setting chooses more
+        train = (
+            "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
+            "--epochs", "1", "--out", str(tmp_path / "train"),
+        )
+        cfg = tmp_path / "mc_samples.json"
+        cfg.write_text(json.dumps({"mc_samples": 1}))
+        capsys.readouterr()
+        assert run(*train, "--config", str(cfg)) == 3
+        assert "unknown config key(s): 'mc_samples'" in capsys.readouterr().err
+        assert run(*train, "--mc-samples", "2") == 2
 
     def test_group_with_unknown_feature_is_data_error(self, pipeline, tmp_path):
         groups = tmp_path / "bad_groups.csv"
