@@ -480,12 +480,14 @@ def train(net: Network, dataset, config: TrainConfig):
     model = _network_with_parameters(net, _views(flat, shapes))
     grad_flat = np.empty_like(flat)
     grads = _views(grad_flat, shapes)
-    # in _adam_step's argument order: parameters, gradient, moments, scratch
-    adam_buffers = (flat, grad_flat, np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat))
-    adam_blocks = [
-        tuple(a[i : i + _ADAM_BLOCK] for a in adam_buffers)
-        for i in range(0, flat.size, _ADAM_BLOCK)
-    ]
+    # in _adam_step's argument order: parameters, gradient, moments; the
+    # blocks run one after another, so they share one block-sized scratch
+    adam_buffers = (flat, grad_flat, np.zeros_like(flat), np.zeros_like(flat))
+    scratch = np.empty(min(_ADAM_BLOCK, flat.size))
+    adam_blocks = []
+    for i in range(0, flat.size, _ADAM_BLOCK):
+        block = tuple(a[i : i + _ADAM_BLOCK] for a in adam_buffers)
+        adam_blocks.append((*block, scratch[: block[0].size]))
     step = 0
 
     n_train = len(train_idx)

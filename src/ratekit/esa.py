@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+#: Rows of the projection that ``effect_sizes_to_csv`` scales at once.
+_CSV_ROWS = 256
+
+
 class RankDeficientWarning(UserWarning):
     """The least-squares design was rank deficient; the minimum-norm solution
     was returned."""
@@ -41,7 +45,9 @@ class EffectSizePosterior:
 
     ``mu[c]`` is the length-p posterior mean for class c. Its covariance is
     Omega = G G^T with the p-by-k factor ``factor(c)`` = A diag(scales[c]),
-    where the ``projection`` A is shared by every class.
+    where the ``projection`` A is shared by every class. ``factor`` copies
+    p x k values; ``rate.build_precision`` forms G only when k >= p and
+    otherwise reads A and ``scales[c]`` directly.
     """
 
     mu: np.ndarray  # (c, p)
@@ -138,6 +144,11 @@ def effect_sizes_to_csv(esa: EffectSizePosterior, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "class", "mu", "omega_diag"])
         for c in range(esa.n_classes):
-            omega_diag = np.sum(esa.factor(c) ** 2, axis=1)
+            # row by row this is np.sum(esa.factor(c) ** 2, axis=1), the same
+            # bits, without that p x k temporary
+            omega_diag = np.concatenate([
+                np.sum((esa.projection[i : i + _CSV_ROWS] * esa.scales[c]) ** 2, axis=1)
+                for i in range(0, esa.n_features, _CSV_ROWS)
+            ])
             for j, name in enumerate(esa.feature_names):
                 writer.writerow([name, c, repr(float(esa.mu[c, j])), repr(float(omega_diag[j]))])

@@ -46,10 +46,16 @@ mutual information has no such limit: each a_i that grows like 1/tau adds
 (G^T G when k < p, G G^T otherwise); its eigenvalues lambda above
 ``RANK_RTOL`` times its trace count toward r. On both routes the model keeps
 Omega in eigen form, Omega = U diag(lambda) U^T with U p x r and orthonormal:
-for k >= p, U holds the kept eigenvectors of G G^T; for k < p, with
-G^T G = V diag(lambda) V^T, U = G V lambda^{-1/2}, O(p k^2). Every block is
-U_J diag(lambda^s) U_J^T: Omega_JJ = S_J at s = 1, Lambda_JJ at s = -1 (when
-r = p) and U_J U_J^T at s = 0. A zero G scores 0 everywhere.
+for k >= p, U holds the kept eigenvectors of G G^T. For k < p, G is never
+formed: with G = A diag(sqrt(v)) for the shared projection A and the class's
+output variances v (see ``ratekit.esa``), the Gram matrix is
+diag(sqrt(v)) A^T A diag(sqrt(v)) = V diag(lambda) V^T and
+U = A (diag(sqrt(v)) V lambda^{-1/2}), O(p k^2), the scaling applied to the
+k x r factor. Every block is U_J diag(lambda^s) U_J^T: Omega_JJ = S_J at
+s = 1, Lambda_JJ at s = -1 (when r = p) and U_J U_J^T at s = 0. Blocks are
+scored in batches whose gathered rows of U hold at most ``GATHER_ELEMENTS``
+values, so scoring all p features copies no p x r array. A zero G scores 0
+everywhere.
 """
 
 from __future__ import annotations
@@ -84,6 +90,9 @@ __all__ = [
 
 #: Round-off allowed on the identities a_i >= 1 (dense) and P_J >= 0 (rank-deficient).
 CONSISTENCY_TOL = 1e-9
+
+#: Most values of U that block scoring gathers at once (512 KiB of float64).
+GATHER_ELEMENTS = 1 << 16
 
 
 class InconsistentPrecisionError(ArithmeticError):
@@ -240,17 +249,28 @@ def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> Precision
             f"the effect-size posterior has {esa.n_classes} class(es)"
         )
     mu = np.asarray(esa.mu[class_index], dtype=np.float64)
-    g = esa.factor(class_index)
-    p, k = g.shape
-    eigvals, basis = _eigen_form(gram(g.T) if k < p else gram(g))
-    if k < p:
-        basis = g @ basis
-        basis /= np.sqrt(eigvals)
-        # the columns drift from orthonormal by about eps * lambda_max / lambda_min;
-        # when that shows, one Cholesky QR pass on them restores it
-        gram_u = basis.T @ basis
-        if np.linalg.norm(gram_u - np.eye(eigvals.shape[0])) > CONSISTENCY_TOL:
-            basis = np.linalg.solve(np.linalg.cholesky(gram_u), basis.T).T
+    a = esa.projection
+    p, k = a.shape
+    if k >= p:
+        eigvals, basis = _eigen_form(gram(esa.factor(class_index)))
+        return PrecisionModel(mu=mu, basis=basis, eigvals=eigvals, feature_names=esa.feature_names)
+    # G = A diag(s) is never formed: G^T G = diag(s) A^T A diag(s), and
+    # U = G V lambda^{-1/2} = A (diag(s) V lambda^{-1/2}) scales k x r values
+    s = esa.scales[class_index]
+    gram_g = gram(a.T)
+    gram_g *= np.outer(s, s)
+    eigvals, vecs = _eigen_form(gram_g)
+    vecs *= s[:, None]
+    vecs /= np.sqrt(eigvals)
+    basis = a @ vecs
+    # the columns drift from orthonormal by about eps * lambda_max / lambda_min;
+    # when that shows, one Cholesky QR pass on them restores it
+    gram_u = basis.T @ basis
+    diagonal = gram_u.reshape(-1)[:: eigvals.shape[0] + 1]
+    diagonal -= 1.0  # U^T U - I in place; adding 1.0 back is exact on [0.5, 2]
+    if np.linalg.norm(gram_u) > CONSISTENCY_TOL:
+        diagonal += 1.0
+        basis = np.linalg.solve(np.linalg.cholesky(gram_u), basis.T).T
     return PrecisionModel(mu=mu, basis=basis, eigvals=eigvals, feature_names=esa.feature_names)
 
 
@@ -312,16 +332,28 @@ def _cholesky(s: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _block_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """KL divergence and mutual information for a batch of index blocks.
+    """KL divergence and mutual information for each of a set of index blocks.
 
     ``blocks`` is a (b, m) integer array whose rows are the index sets J;
     returns the two (b,) arrays described in the module docstring, or the
-    limit KL and None on a rank-deficient model. Only the m x m blocks of
-    Omega and Lambda are formed, from the rows J of U. Exactly, every
-    a_i >= 1; a smaller one means U is not orthonormal.
+    limit KL and None on a rank-deficient model. The blocks are scored in
+    batches whose gathered rows of U hold at most ``GATHER_ELEMENTS`` values
+    (one block at a time when a single block holds more), so scoring all p
+    features needs no p x r copy of U.
     """
+    step = max(1, GATHER_ELEMENTS // max(1, blocks.shape[1] * pm.rank))
+    batches = [blocks[i : i + step] for i in range(0, blocks.shape[0], step)]
     if pm.rank < pm.p:
-        return _limit_kl(pm, blocks), None
+        return np.concatenate([_limit_kl(pm, batch) for batch in batches]), None
+    kld, mi = zip(*(_dense_kl(pm, batch) for batch in batches))
+    return np.concatenate(kld), np.concatenate(mi)
+
+
+def _dense_kl(pm: PrecisionModel, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL divergence and mutual information of each row J of ``blocks`` on a
+    full-rank model. Only the m x m blocks of Omega and Lambda are formed,
+    from the rows J of U. Exactly, every a_i >= 1; a smaller one means U is
+    not orthonormal."""
     omega_jj = _block_gram(pm, blocks, 1)
     lam_jj = _block_gram(pm, blocks, -1)
     # the a_i are the eigenvalues of the symmetric L^T Lambda_JJ L, L L^T = Omega_JJ

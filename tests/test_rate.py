@@ -8,14 +8,17 @@ textbook Gaussian KL divergence, never touching the module's own identities.
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ratekit import rate
 from ratekit.bnn import NetworkConfig, build_network, logit_posterior
 from ratekit.core import NotPositiveDefiniteError
 from ratekit.esa import EffectSizePosterior, covariance_esa
 from ratekit.rate import (
+    GATHER_ELEMENTS,
     GroupMap,
     InconsistentPrecisionError,
     PrecisionModel,
@@ -409,6 +412,99 @@ class TestRankDeficient:
         rates = group_rate(pm, groups).rates()
         assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
         assert abs(rates.sum() - 1.0) <= 1e-12
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``, the bytes it allocated at its peak beyond what it
+    retains, and the bytes it retains."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - retained, retained - base
+
+
+def orthonormal_model(p, r, seed):
+    rng = np.random.default_rng(seed)
+    return PrecisionModel(
+        mu=rng.standard_normal(p),
+        basis=np.linalg.qr(rng.standard_normal((p, r)))[0],
+        eigvals=rng.uniform(0.5, 2.0, r),
+    )
+
+
+class TestScoringMemory:
+    """Scoring holds no p x k or p x r array beyond the ones it returns."""
+
+    def test_build_precision_copies_no_factor(self, monkeypatch):
+        # p = 3000, k = 64: the basis takes 1.5 MB and a second p x k array as
+        # much again, while the Gram work is O(k^2) and the finiteness mask of
+        # A takes one byte per entry
+        rng = np.random.default_rng(40)
+        p, k = 3000, 64
+        a = rng.standard_normal((p, k))
+        scales = rng.uniform(0.1, 3.0, (1, k))
+        esa = EffectSizePosterior(
+            mu=rng.standard_normal((1, p)), projection=a, scales=scales, n_used=100,
+            feature_names=tuple(f"f{j}" for j in range(p)),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(EffectSizePosterior, "factor", None)  # the k < p route never calls it
+            pm, transient, retained = traced_peak(build_precision, esa)
+        assert pm.rank == k
+        assert retained <= pm.basis.nbytes + 64 * k
+        assert transient <= 8 * 8 * k * k + p * k + pm.basis.nbytes // 8, transient
+        # the scales folded into the k x r factor give the model of G = A diag(s)
+        ref = build_precision(EffectSizePosterior(
+            mu=esa.mu, projection=a * scales, scales=np.ones((1, k)), n_used=100,
+            feature_names=esa.feature_names,
+        ))
+        np.testing.assert_allclose(pm.eigvals, ref.eigvals, rtol=1e-12)
+        np.testing.assert_allclose(rate_scores(pm).klds(), rate_scores(ref).klds(), rtol=1e-10)
+
+    @pytest.mark.parametrize("p, r", [(1500, 256), (3000, 256), (600, 600)])
+    def test_rate_scores_gathers_a_bounded_batch(self, p, r):
+        # r < p scores the tau -> 0 limit, r = p the dense identity; at the
+        # same bound for every p, though one gather of all p rows of U takes
+        # 3 to 6 MB
+        pm = orthonormal_model(p, r, seed=41)
+        report, transient, _ = traced_peak(rate_scores, pm)
+        assert (report.items[0].mi is None) == (r < p)
+        assert transient <= 8 * GATHER_ELEMENTS + 256 * 1024, transient
+
+    @pytest.mark.parametrize("r", [64, 200])
+    def test_batches_agree_with_one_pass(self, monkeypatch, r):
+        # p = 200: r = 64 takes the limit route, r = 200 the dense one
+        pm = orthonormal_model(200, r, seed=42)
+        one_pass = rate_scores(pm)
+        with monkeypatch.context() as patch:
+            patch.setattr(rate, "GATHER_ELEMENTS", 3 * r)  # batches of 3, the last of 2
+            batched = rate_scores(pm)
+        np.testing.assert_allclose(batched.klds(), one_pass.klds(), rtol=1e-13)
+        if r == 200:
+            mis = [it.mi for it in one_pass.items]
+            np.testing.assert_allclose([it.mi for it in batched.items], mis, rtol=1e-13)
+
+    def test_group_wider_than_the_gather_budget(self):
+        # r = 64 and a group of m = 1100 > GATHER_ELEMENTS / r members is one
+        # block gathered on its own; it still matches the thin-SVD limit
+        p, k = 2000, 64
+        esa = factor_esa(43, p=p, k=k)
+        g, mu = esa.factor(0), esa.mu[0]
+        pm = build_precision(esa)
+        wide = list(range(1100))
+        assert len(wide) * pm.rank > GATHER_ELEMENTS
+        groups = GroupMap.from_indices({"wide": wide, "pair": [1500, 1700]}, p=p)
+        rates = group_rate(pm, groups).rates()
+        assert np.all(rates > 0) and abs(rates.sum() - 1.0) <= 1e-12
+        ref = limit_reference(mu, g, [wide])[0]
+        assert abs(kld_group(pm, wide) - ref) <= 1e-8 * ref
+        for j in (0, 999, 1999):
+            single = kld_variable_fast(pm, j)
+            assert abs(kld_group(pm, [j]) - single) <= 1e-8 * single
 
 
 class TestInvariances:
