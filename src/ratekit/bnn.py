@@ -9,6 +9,11 @@ around. Training maximizes the variational lower bound with the local
 reparameterization trick, estimated from one logit sample per example;
 gradients are hand-written reverse-mode for this fixed affine+ReLU+Gaussian
 family and validated against finite differences in the test suite.
+
+The three links are canonical, so one inverse link maps logits to the
+likelihood's mean, the NLL's logit gradient is mean - target for labels
+encoded as (n, c) targets, and that mean also serves ``predict_proba`` and
+the metric ``train`` stops early on.
 """
 
 from __future__ import annotations
@@ -250,33 +255,47 @@ def _prepare_labels(link: str, n_classes: int, y) -> np.ndarray:
     return y.astype(np.float64)
 
 
+def _target(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Prepared labels as the (n, c) mean a perfect prediction would have:
+    the 0/1 label or the response as one column, one-hot rows for softmax."""
+    if n_classes == 1:
+        return y[:, None]
+    target = np.zeros((y.shape[0], n_classes))
+    target[np.arange(y.shape[0]), y] = 1.0
+    return target
+
+
+def _inverse_link(link: str, f: np.ndarray) -> np.ndarray:
+    """The likelihood's mean at logits ``f`` (n, c): ``f`` itself for the
+    identity link, the logistic sigmoid, or the row softmax."""
+    if link == "identity":
+        return f
+    if link == "sigmoid":
+        # split by sign so exp never overflows
+        mean = np.empty_like(f)
+        pos = f >= 0
+        mean[pos] = 1.0 / (1.0 + np.exp(-f[pos]))
+        ex = np.exp(f[~pos])
+        mean[~pos] = ex / (1.0 + ex)
+        return mean
+    mean = np.exp(f - f.max(axis=1, keepdims=True))
+    mean /= mean.sum(axis=1, keepdims=True)
+    return mean
+
+
 def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
-    """Total negative log-likelihood of one logit sample, and d nll / d f."""
+    """Total negative log-likelihood of one logit sample, and d nll / d f,
+    which is mean - target for each of the three canonical links."""
+    g = _inverse_link(link, f) - _target(y, f.shape[1])
     if link == "sigmoid":
         fv = f[:, 0]
-        nll = float(np.sum(np.logaddexp(0.0, fv) - y * fv))
-        return nll, (_sigmoid(fv) - y)[:, None]
+        return float(np.sum(np.logaddexp(0.0, fv) - y * fv)), g
     if link == "softmax":
         fmax = f.max(axis=1, keepdims=True)
         lse = fmax[:, 0] + np.log(np.sum(np.exp(f - fmax), axis=1))
-        nll = float(np.sum(lse - f[np.arange(f.shape[0]), y]))
-        g = np.exp(f - fmax)
-        g /= g.sum(axis=1, keepdims=True)
-        g[np.arange(f.shape[0]), y] -= 1.0
-        return nll, g
+        return float(np.sum(lse - f[np.arange(f.shape[0]), y])), g
     # identity: Gaussian likelihood with unit noise variance
-    resid = f[:, 0] - y
-    nll = float(np.sum(0.5 * resid**2 + 0.5 * math.log(2.0 * math.pi)))
-    return nll, resid[:, None]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return float(np.sum(0.5 * g[:, 0] ** 2 + 0.5 * math.log(2.0 * math.pi))), g
 
 
 def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
@@ -347,29 +366,24 @@ def _dataset_xy(dataset):
     return np.asarray(x, dtype=np.float64), np.asarray(y)
 
 
+def _posterior_mean(net: Network, h: np.ndarray) -> np.ndarray:
+    """The likelihood's mean at the posterior-mean logits of penultimate
+    activations ``h``."""
+    return _inverse_link(net.config.link, h @ net.m + net.b)
+
+
 def _mean_squared_error(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """Squared error of the posterior-mean prediction (Brier score for
-    classification links)."""
-    link = net.config.link
-    if link == "identity":
-        mean = penultimate_activations(net, x) @ net.m + net.b
-        return float(np.mean((mean[:, 0] - y) ** 2))
-    probs = predict_proba(net, x)
-    if link == "sigmoid":
-        return float(np.mean((probs[:, 0] - y) ** 2))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(len(y)), y.astype(int)] = 1.0
-    return float(np.mean((probs - onehot) ** 2))
+    """Squared error of the posterior-mean prediction against the prepared
+    labels (the Brier score for classification links)."""
+    mean = _posterior_mean(net, penultimate_activations(net, x))
+    return float(np.mean((mean - _target(y, net.config.n_classes)) ** 2))
 
 
 def _accuracy(net: Network, x: np.ndarray, y: np.ndarray, out=None) -> float:
     """Accuracy of the posterior-mean prediction; ``out`` is passed on to
     ``_predict_hidden`` so repeated calls can reuse its buffers."""
-    probs = _probabilities(net, _predict_hidden(net, _check_inputs(net, x), out))
-    if net.config.link == "sigmoid":
-        pred = (probs[:, 0] > 0.5).astype(int)
-    else:
-        pred = probs.argmax(axis=1)
+    mean = _posterior_mean(net, _predict_hidden(net, _check_inputs(net, x), out))
+    pred = mean[:, 0] > 0.5 if net.config.n_classes == 1 else mean.argmax(axis=1)
     return float(np.mean(pred == y.astype(int)))
 
 
@@ -431,10 +445,12 @@ def _adam_step(p, g, ma, va, scratch, step: int, lr: float) -> None:
 def train(net: Network, dataset, config: TrainConfig):
     """Adam-train the network with early stopping.
 
-    The early-stopping metric is validation accuracy for classification
-    links; with ``val_fraction == 0`` (or an identity link) it falls back to
-    mean squared error, computed on the validation split if one exists and
-    on the training data otherwise. Returns ``(trained_network, history)``;
+    Early stopping watches ``history["metric_name"]``: ``val_accuracy`` for
+    a classification link with a validation split, else the posterior-mean
+    squared error (Brier score for classification) on the validation split
+    (``val_mse``) or, at ``val_fraction == 0``, on the training data
+    (``train_mse``). The last epoch's weights are returned, whichever epoch
+    ``history["best_epoch"]`` names. Returns ``(trained_network, history)``;
     the input network is not modified.
 
     Raises ``TrainingDivergedError`` if the loss becomes non-finite.
@@ -455,18 +471,12 @@ def train(net: Network, dataset, config: TrainConfig):
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    use_accuracy = net.config.link != "identity" and n_val > 0
-    metric_name = "val_accuracy" if use_accuracy else ("val_mse" if n_val > 0 else "train_mse")
-
-    def current_metric(model: Network) -> float:
-        if use_accuracy:
-            return _accuracy(model, x_val, y_val)
-        if n_val > 0:
-            return _mean_squared_error(model, x_val, y_val)
-        return _mean_squared_error(model, x_train, y_train)
-
-    def improved(candidate: float, best: float) -> bool:
-        return candidate > best if use_accuracy else candidate < best
+    x_eval, y_eval = (x_val, y_val) if n_val else (x_train, y_train)
+    if n_val and net.config.link != "identity":
+        metric_name, metric_fn, sign = "val_accuracy", _accuracy, 1.0
+    else:
+        metric_name = "val_mse" if n_val else "train_mse"
+        metric_fn, sign = _mean_squared_error, -1.0
 
     # Parameters, gradients and Adam state each live in one flat buffer, and
     # the model and _elbo's gradients are views into them, so a step
@@ -493,10 +503,7 @@ def train(net: Network, dataset, config: TrainConfig):
     n_train = len(train_idx)
     batch_size = min(config.batch_size, n_train)
     history = {"train_loss": [], "val_metric": [], "metric_name": metric_name}
-    best_metric = -np.inf if use_accuracy else np.inf
-    best_epoch = -1
-    stale = 0
-    stopped_epoch = config.epochs - 1
+    best, best_epoch, stale = -np.inf, -1, 0  # best: the largest sign * metric yet
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n_train)
@@ -524,22 +531,18 @@ def train(net: Network, dataset, config: TrainConfig):
             for block in adam_blocks:
                 _adam_step(*block, step, config.learning_rate)
 
-        metric = current_metric(model)
+        metric = metric_fn(model, x_eval, y_eval)
         history["train_loss"].append(float(np.mean(epoch_losses)))
         history["val_metric"].append(metric)
-        if improved(metric, best_metric):
-            best_metric = metric
-            best_epoch = epoch
-            stale = 0
+        if sign * metric > best:
+            best, best_epoch, stale = sign * metric, epoch, 0
         else:
             stale += 1
             if stale > config.patience:
-                stopped_epoch = epoch
                 break
-        stopped_epoch = epoch
 
     history["best_epoch"] = best_epoch
-    history["stopped_epoch"] = stopped_epoch
+    history["stopped_epoch"] = epoch  # the last epoch run
     return model, history
 
 
@@ -558,18 +561,7 @@ def predict_proba(net: Network, x) -> np.ndarray:
     """
     if net.config.link == "identity":
         raise ValueError("predict_proba is unsupported for the identity link")
-    return _probabilities(net, penultimate_activations(net, x))
-
-
-def _probabilities(net: Network, h: np.ndarray) -> np.ndarray:
-    """Class probabilities from penultimate activations ``h`` (a
-    classification link)."""
-    mean = h @ net.m + net.b
-    if net.config.link == "sigmoid":
-        return _sigmoid(mean)
-    probs = np.exp(mean - mean.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _posterior_mean(net, penultimate_activations(net, x))
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -34,8 +34,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
@@ -43,6 +41,8 @@ def checked_symmetric(s, name: str = "S") -> np.ndarray:
     """The symmetric part of a finite square matrix; an asymmetry beyond
     ``ASYMMETRY_TOL`` relative to its largest entry raises ``ValueError``."""
     s = _as_matrix(s, name)
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"{name} contains non-finite entries")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"{name} must be square, got shape {s.shape}")
     scale = np.abs(s).max()
@@ -56,7 +56,12 @@ def checked_symmetric(s, name: str = "S") -> np.ndarray:
 
 
 def gram(g) -> np.ndarray:
-    """Form G G^T, symmetrized so the result is exactly symmetric."""
+    """G G^T, exactly symmetric as numpy forms ``g @ g.T`` (a symmetric
+    rank-k update). A row that is not finite, or whose squared norm on the
+    diagonal overflows, raises ``ValueError``."""
     g = _as_matrix(g, "G")
-    prod = g @ g.T
-    return 0.5 * (prod + prod.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        prod = g @ g.T
+    if not np.all(np.isfinite(np.diagonal(prod))):
+        raise ValueError("G has a non-finite row or one whose squared norm overflows")
+    return prod

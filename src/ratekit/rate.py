@@ -221,6 +221,8 @@ def _eigen_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``RANK_RTOL`` times its trace, and their eigenvectors."""
     eigvals, eigvecs = np.linalg.eigh(s)
     kept = eigvals > RANK_RTOL * np.trace(s)
+    if kept.all():  # spare a copy of the eigenvectors
+        return eigvals, eigvecs
     return eigvals[kept], eigvecs[:, kept]
 
 
@@ -257,9 +259,7 @@ def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> Precision
     # G = A diag(s) is never formed: G^T G = diag(s) A^T A diag(s), and
     # U = G V lambda^{-1/2} = A (diag(s) V lambda^{-1/2}) scales k x r values
     s = esa.scales[class_index]
-    gram_g = gram(a.T)
-    gram_g *= np.outer(s, s)
-    eigvals, vecs = _eigen_form(gram_g)
+    eigvals, vecs = _eigen_form(gram(a.T) * np.outer(s, s))  # k x k, freed before U
     vecs *= s[:, None]
     vecs /= np.sqrt(eigvals)
     basis = a @ vecs
@@ -457,16 +457,20 @@ def rate_scores(pm: PrecisionModel, path: str = "fast") -> ImportanceReport:
     """Per-variable normalized centrality, plus sign and mutual information.
 
     ``path`` selects the naive or fast route; the two agree to round-off and
-    the tests hold them to 1e-8 relative. A rank-deficient model has only the
-    fast route and reports ``mi`` as None. If every divergence is zero the
-    report is flagged degenerate and scores are uniform.
+    the tests hold them to 1e-8 relative. The naive route takes ``mi`` =
+    0.5 log(omega_jj lambda_jj) from the dense Omega and Lambda it builds.
+    A rank-deficient model has only the fast route and reports ``mi`` as
+    None. If every divergence is zero the report is flagged degenerate and
+    scores are uniform.
     """
     if path not in ("naive", "fast"):
         raise ValueError(f"unknown path: {path!r}")
-    klds, mis = _block_kl(pm, np.arange(pm.p)[:, None])
     if path == "naive":
         lam, omega = pm.lam, pm.omega
         klds = [_kld_naive(pm.mu, omega, lam, j) for j in range(pm.p)]
+        mis = 0.5 * np.log(np.diagonal(omega) * np.diagonal(lam))
+    else:
+        klds, mis = _block_kl(pm, np.arange(pm.p)[:, None])
     signs = np.sign(pm.mu).astype(int)
     return _normalize(pm.feature_names, klds, signs, mis)
 

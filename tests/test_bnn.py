@@ -19,6 +19,7 @@ from ratekit.bnn import (
     TrainingDivergedError,
     _adam_step,
     _elbo,
+    _nll_and_grad,
     build_network,
     elbo_loss,
     kl_q_prior,
@@ -219,6 +220,42 @@ class TestGradients:
             assert np.array_equal(a, b)
 
 
+def _plain_mean(link, f):
+    """The inverse link written out plainly, without overflow guards."""
+    if link == "identity":
+        return f
+    if link == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-f))
+    return np.exp(f) / np.exp(f).sum(axis=1, keepdims=True)
+
+
+def _plain_target(link, y, n_classes):
+    return np.eye(n_classes)[y] if link == "softmax" else np.asarray(y, float)[:, None]
+
+
+class TestLikelihood:
+    @pytest.mark.parametrize(
+        "link, n_classes, y",
+        [
+            ("sigmoid", 1, np.array([0, 1, 1, 0, 1, 0, 0, 1])),
+            ("softmax", 3, np.array([0, 1, 2, 0, 1, 2, 2, 1])),
+            ("identity", 1, np.linspace(-2.0, 2.0, 8)),
+        ],
+    )
+    def test_gradient_is_mean_minus_target(self, link, n_classes, y):
+        f = np.random.default_rng(31).standard_normal((8, n_classes))
+        nll, g = _nll_and_grad(link, f, y.astype(float) if n_classes == 1 else y)
+        mean, target = _plain_mean(link, f), _plain_target(link, y, n_classes)
+        np.testing.assert_allclose(g, mean - target, rtol=1e-14, atol=0)
+        if link == "sigmoid":
+            plain_nll = np.sum(np.log1p(np.exp(f[:, 0])) - y * f[:, 0])
+        elif link == "softmax":
+            plain_nll = np.sum(np.log(np.exp(f).sum(axis=1)) - f[np.arange(8), y])
+        else:
+            plain_nll = np.sum(0.5 * (f[:, 0] - y) ** 2) + 4.0 * math.log(2.0 * math.pi)
+        assert nll == pytest.approx(plain_nll, rel=1e-12)
+
+
 class TestAdamStep:
     def test_matches_per_array_update_bit_for_bit(self):
         rng = np.random.default_rng(0)
@@ -319,6 +356,49 @@ class TestTrain:
         net = build_network(cfg, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(net, (x, y), TrainConfig(epochs=20, learning_rate=1e18, seed=0))
+
+    @pytest.mark.parametrize("val_fraction", [0.2, 0.0])
+    @pytest.mark.parametrize("link", ["sigmoid", "softmax", "identity"])
+    def test_metric_follows_link_and_split(self, link, val_fraction):
+        # each epoch's metric is recomputed plainly from the network trained
+        # for that many epochs, on the split train evaluates
+        rng = np.random.default_rng(8)
+        n, epochs = 60, 3
+        x = rng.standard_normal((n, 3))
+        scores = x @ rng.standard_normal((3, 3))
+        n_classes = 3 if link == "softmax" else 1
+        y = {
+            "sigmoid": (scores[:, 0] > 0).astype(int),
+            "softmax": scores.argmax(axis=1),
+            "identity": scores[:, 0] + 0.1 * rng.standard_normal(n),
+        }[link]
+        cfg = NetworkConfig(input_dim=3, hidden_sizes=(6,), link=link, n_classes=n_classes)
+        net = build_network(cfg, seed=3)
+
+        runs = []
+        for e in range(1, epochs + 1):
+            tcfg = TrainConfig(epochs=e, patience=epochs, val_fraction=val_fraction, seed=5)
+            runs.append(train(net, (x, y), tcfg))
+        history = runs[-1][1]
+        n_val = int(round(val_fraction * n))
+        order = np.random.default_rng(5).permutation(n)
+        rows = order[:n_val] if n_val else order
+        if n_val and link != "identity":
+            name, best = "val_accuracy", np.argmax
+        else:
+            name, best = ("val_mse" if n_val else "train_mse"), np.argmin
+        assert history["metric_name"] == name
+        assert history["best_epoch"] == int(best(history["val_metric"]))
+        assert len(history["val_metric"]) == epochs
+        for (model, _), value in zip(runs, history["val_metric"]):
+            f = penultimate_activations(model, x[rows]) @ model.m + model.b
+            mean = _plain_mean(link, f)
+            if name == "val_accuracy":
+                pred = mean[:, 0] > 0.5 if link == "sigmoid" else mean.argmax(axis=1)
+                assert value == np.mean(pred == y[rows])
+            else:
+                target = _plain_target(link, y[rows], n_classes)
+                assert value == pytest.approx(np.mean((mean - target) ** 2), rel=1e-12)
 
     def test_regression_fallback_metric(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra kernel."""
 
 import numpy as np
+import pytest
 
 from ratekit.core import gram
 
@@ -21,7 +22,26 @@ class TestGram:
         assert eigs.min() >= -1e-10 * np.trace(a)
 
     def test_exact_symmetry(self):
+        # tall, transposed (Fortran-ordered) and wide inputs alike
         rng = np.random.default_rng(9)
-        g = rng.standard_normal((12, 5))
-        a = gram(g)
-        assert np.array_equal(a, a.T)
+        for g in (
+            rng.standard_normal((12, 5)),
+            rng.standard_normal((300, 40)).T,
+            rng.standard_normal((40, 300)),
+        ):
+            a = gram(g)
+            assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_row(self, bad):
+        g = np.ones((4, 3))
+        g[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite row"):
+            gram(g)
+
+    def test_refuses_an_overflowing_row(self):
+        # every entry is finite, but the row's squared norm is not
+        g = np.ones((3, 2))
+        g[1] = 1e200
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            gram(g)

@@ -568,6 +568,22 @@ class TestRateScores:
         naive = rate_scores(pm, path="naive")
         np.testing.assert_allclose(fast.rates(), naive.rates(), rtol=1e-8)
 
+    def test_naive_path_runs_without_the_fast_one(self, monkeypatch):
+        # the reference reads mi = 0.5 log(omega_jj lambda_jj) off the dense
+        # Omega and Lambda, so it never calls the block code it checks
+        pm = random_model(10, seed=23)
+        fast = rate_scores(pm)
+
+        def refuse(*args):
+            raise AssertionError("the naive path ran the block identity")
+
+        monkeypatch.setattr(rate, "_block_kl", refuse)
+        naive = rate_scores(pm, path="naive")
+        mis = np.array([it.mi for it in fast.items])
+        assert np.all(mis > 1e-3)
+        np.testing.assert_allclose([it.mi for it in naive.items], mis, rtol=1e-12)
+        np.testing.assert_allclose(naive.klds(), fast.klds(), rtol=1e-8)
+
     def test_degenerate_uniform(self):
         pm = precision_from_covariance([0.0, 0.0, 0.0], np.eye(3))
         report = rate_scores(pm)
