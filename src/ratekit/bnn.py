@@ -221,6 +221,105 @@ def _predict_hidden(net: Network, x: np.ndarray, out=None) -> np.ndarray:
     return a
 
 
+#: Unit roundoff of IEEE float32 (round to nearest).
+_U32 = 2.0**-24
+
+
+class _Float32Classifier:
+    """Posterior-mean class predictions for n input rows, from a float32
+    forward pass checked by a per-row error bound; the caller may rewrite
+    the float32 input (``inputs``) in place between calls.
+
+    The hidden stack and the output mean run in float32, each layer's bias
+    folded into its product as one more weight row against a column of ones.
+    With the output layer as layer L+1 (weights m, bias b), w̄_{L+1} = I and
+    w̄_{l-1} = |W_l| w̄_l, the componentwise bound
+    |fl(AB) - AB| <= γ_n |A||B|, γ_n = n u / (1 - n u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §3.5), carried through the
+    1-Lipschitz ReLU gives, per row and class,
+
+        |f̂ - f| <= E = 2 Σ_l γ_{k_{l-1}+3} (|â_{l-1}| w̄_{l-1} + |c_l| w̄_l)
+                       + 1e-12 (1 + |b|),
+
+    with â_0 the float32 input and â_l the float32 activations. The +3 covers
+    rounding the input, W_l and c_l to float32 and the bias term; the factor
+    2 covers the bound's own float32 arithmetic and the float64 route's
+    rounding; the floor keeps a decided row off sigmoid(f) = 0.5 ties and
+    covers the float64 bias add. A row is decided when the bound fixes its
+    class: |f̂| > E for the sigmoid, f̂_top - f̂_j > E_top + E_j for every
+    j != top for softmax; a non-finite f̂ (float32 overflow, or an input
+    beyond float32's range) never decides one. A decided row gets the
+    float64 route's class. The others are recomputed by ``_predict_classes``
+    on their own, so their logits can differ from a whole-batch float64 pass
+    in the last bits (BLAS blocks the rows differently).
+    """
+
+    def __init__(self, net: Network, x: np.ndarray):
+        self.net = net
+        n, p = x.shape
+        layers = [np.vstack([w, c]) for w, c in zip(net.hidden_weights, net.hidden_biases)]
+        layers.append(np.vstack([net.m, net.b]))
+        self._weights = [w.astype(np.float32) for w in layers]
+        # layer l's input with a trailing column of ones, which the ReLU keeps
+        self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in layers]
+        self._logits = np.empty((n, net.config.n_classes), np.float32)
+        self._mask = np.empty((n, max(w.shape[0] for w in layers)), bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide no row
+            self._inputs[0][:, :p] = x
+            # layer l's term of E is |â_{l-1}, 1| (2 γ_{k_{l-1}+3} |W_l; c_l| w̄_l)
+            wbar = np.eye(net.config.n_classes)
+            scaled = []
+            for w in reversed(layers):
+                fan_in = w.shape[0] - 1
+                gamma = (fan_in + 3) * _U32 / (1.0 - (fan_in + 3) * _U32)
+                prod = np.abs(w) @ wbar
+                scaled.append((2.0 * gamma * prod).astype(np.float32))
+                wbar = prod[:-1]
+            self._floor = (1e-12 * (1.0 + np.abs(net.b))).astype(np.float32)
+        self._scaled = scaled[::-1]
+        #: The (n, p) float32 input rows, a view into the first layer's input.
+        self.inputs = self._inputs[0][:, :p]
+
+    def logits_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float32 posterior-mean logits f̂ of ``inputs`` and their bounds
+        E, both (n, c); f̂ is a buffer that the next call overwrites."""
+        outputs = [a[:, :-1] for a in self._inputs[1:]] + [self._logits]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self._floor + np.abs(self._inputs[0]) @ self._scaled[0]
+            for l, (w, z) in enumerate(zip(self._weights, outputs)):
+                np.matmul(self._inputs[l], w, out=z)
+                if l + 1 < len(self._weights):
+                    # ReLU as z * (z > 0), not max(z, 0): a pre-activation that
+                    # overflowed to -inf becomes nan, which reaches f̂, where
+                    # max would leave a finite activation E does not cover
+                    a, mask = self._inputs[l + 1], self._mask[:, : z.shape[1] + 1]
+                    np.greater(a, 0, out=mask)
+                    np.multiply(a, mask, out=a)
+                    bound += a @ self._scaled[l + 1]
+        return self._logits, bound
+
+    def predict_classes(self, float64_rows) -> np.ndarray:
+        """The class of each row of ``inputs``, as the float64 route gives
+        it; ``float64_rows(idx)`` returns the float64 input rows ``idx``,
+        from which the rows the bound leaves undecided are recomputed."""
+        f, bound = self.logits_and_bounds()
+        if f.shape[1] == 1:
+            pred = (f[:, 0] > 0).astype(np.intp)
+            decided = np.abs(f[:, 0]) > bound[:, 0]
+        else:
+            pred = f.argmax(axis=1)
+            rows = np.arange(f.shape[0])
+            with np.errstate(invalid="ignore"):
+                upper = f + bound
+                upper[rows, pred] = -np.inf
+                decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
+        decided &= np.isfinite(f).all(axis=1)
+        undecided = np.flatnonzero(~decided)
+        if undecided.size:
+            pred[undecided] = _predict_classes(self.net, float64_rows(undecided))
+        return pred
+
+
 def penultimate_activations(net: Network, x) -> np.ndarray:
     """The n-by-k activation matrix feeding the variational output layer."""
     return _predict_hidden(net, _check_inputs(net, x))
@@ -379,12 +478,18 @@ def _mean_squared_error(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((mean - _target(y, net.config.n_classes)) ** 2))
 
 
-def _accuracy(net: Network, x: np.ndarray, y: np.ndarray, out=None) -> float:
-    """Accuracy of the posterior-mean prediction; ``out`` is passed on to
-    ``_predict_hidden`` so repeated calls can reuse its buffers."""
-    mean = _posterior_mean(net, _predict_hidden(net, _check_inputs(net, x), out))
-    pred = mean[:, 0] > 0.5 if net.config.n_classes == 1 else mean.argmax(axis=1)
-    return float(np.mean(pred == y.astype(int)))
+def _predict_classes(net: Network, x: np.ndarray) -> np.ndarray:
+    """The posterior-mean prediction as class labels: 1 where the sigmoid
+    mean exceeds 0.5, else 0; the argmax class for softmax."""
+    mean = _posterior_mean(net, penultimate_activations(net, x))
+    if net.config.n_classes == 1:
+        return (mean[:, 0] > 0.5).astype(np.intp)
+    return mean.argmax(axis=1)
+
+
+def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy of the posterior-mean prediction."""
+    return float(np.mean(_predict_classes(net, x) == y.astype(int)))
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

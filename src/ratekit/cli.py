@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -411,6 +412,11 @@ def _cmd_evaluate(args) -> int:
         with _stage("degradation"):
             if not cfg["model"] or not cfg["data"]:
                 raise ValueError("degradation needs --model and --data")
+            fractions = _parse_fractions(cfg["fractions"])
+            if len(fractions) < 2:
+                raise ValueError(
+                    f"--fractions needs at least 2 values to draw a curve, got {cfg['fractions']!r}"
+                )
             net = _load_network(cfg["model"])
             ds = simgen.load_dataset_csv(cfg["data"])
             if list(ds.feature_names) != names:
@@ -423,7 +429,7 @@ def _cmd_evaluate(args) -> int:
                 net,
                 ds,
                 ranking,
-                fractions=_parse_fractions(cfg["fractions"]),
+                fractions=fractions,
                 repeats=cfg["repeats"],
                 seed=cfg["seed"],
             )
@@ -526,11 +532,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--name value`` as ``--name=value`` where the value starts with '-'
+    and a digit or '.': argparse takes a value such as ``-0.1,0.5``, which is
+    not a plain negative number, for an unknown option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and re.fullmatch(r"--\w[\w-]*", joined[-1]) and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit code instead of exiting."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -1,6 +1,17 @@
 """Scoring harness: ROC/AUC for importance rankings, shuffle-degradation
 curves, and the marginal correlation / t-test baselines.
 
+A shuffle-degradation pass needs each test row's predicted class, not its
+logits' last bits. So every pass runs the network in float32 and bounds, per
+row, how far the float32 logits can be from the exact ones
+(``bnn._Float32Classifier``, from the componentwise error bound of a matrix
+product). A row whose class that bound fixes provably gets the class the
+float64 route gives it; the rest, typically under 1% of the rows, are rebuilt
+from the float64 input and run through the float64 route. The curves are
+thus those of all-float64 passes, except where an undecided row's float64
+logit, recomputed alone, rounds differently in its last bits and sits that
+close to the decision boundary.
+
 The Student-t tail probability is evaluated in-repo through the regularized
 incomplete beta function (continued fraction), checked against a quadrature
 oracle in the tests.
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.bnn import Network, _accuracy, _hidden_buffers
+from ratekit.bnn import Network, _check_inputs, _Float32Classifier
 
 __all__ = [
     "RocCurve",
@@ -60,6 +71,9 @@ def roc_auc(scores, mask) -> RocCurve:
     mask = np.asarray(mask, dtype=bool)
     if scores.shape != mask.shape or scores.ndim != 1:
         raise ValueError("scores and mask must be 1-d arrays of equal length")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"scores must be finite; scores[{bad[0]}] is {float(scores[bad[0]])!r}")
     n_pos = int(mask.sum())
     n_neg = int((~mask).sum())
     if n_pos == 0 or n_neg == 0:
@@ -92,34 +106,54 @@ def shuffle_degradation(
     For each fraction, the rows of each of the top ceil(fraction * p) ranked
     columns are permuted independently (de-correlating those features from
     the labels), the test accuracy is recomputed, and the whole procedure is
-    repeated ``repeats`` times with independent permutations. Fractions must
-    lie in [0, 1].
+    repeated ``repeats`` times with independent permutations. ``fractions``
+    must be non-empty and lie in [0, 1]. Each pass runs in float32 and
+    recomputes in float64 only the rows its error bound cannot decide (see
+    the module docstring).
     """
     if net.config.link == "identity":
         raise ValueError("shuffle degradation requires a classification network")
-    x = np.asarray(test.X, dtype=np.float64)
-    y = np.asarray(test.y)
-    if x.shape[0] == 0:
+    x = _check_inputs(net, test.X)
+    y = np.asarray(test.y).astype(int)
+    n, p = x.shape
+    if n == 0:
         raise ValueError("test set is empty")
-    p = x.shape[1]
     ranking = np.asarray(ranking, dtype=int)
     if sorted(ranking.tolist()) != list(range(p)):
         raise ValueError("ranking must be a permutation of the feature indices")
     if fractions is None:
         fractions = np.round(np.arange(0.0, 0.5001, 0.05), 10)
     fractions = np.asarray(fractions, dtype=np.float64)
+    if fractions.ndim != 1 or fractions.size == 0:
+        raise ValueError("fractions must be a non-empty list of values in [0, 1]")
     for frac in fractions.tolist():
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"fraction {frac!r} is not in [0, 1]")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
+    classifier = _Float32Classifier(net, x)
+    x32 = classifier.inputs  # a pass shuffles its top columns in place
+
+    def accuracy(perms: np.ndarray) -> float:
+        """Accuracy with column ranking[j] of x replaced by x[perms[j], ranking[j]]."""
+        top = ranking[: perms.shape[0]]
+
+        def float64_rows(idx):
+            rows = x[idx]
+            rows[:, top] = x[perms[:, idx], top[:, None]].T
+            return rows
+
+        unshuffled = x32[:, top]
+        x32[:, top] = x32[perms, top[:, None]].T
+        pred = classifier.predict_classes(float64_rows)
+        x32[:, top] = unshuffled
+        return float(np.mean(pred == y))
+
     n_cols = [int(math.ceil(frac * p)) for frac in fractions]
-    # every forward pass reuses these buffers; the unshuffled input draws no
-    # permutation, so its accuracy is the same in every repeat
-    hidden = _hidden_buffers(net, x.shape[0])
-    shuffled = np.empty_like(x)
-    baseline = _accuracy(net, x, y, hidden) if 0 in n_cols else None
+    # the unshuffled input draws no permutation, so its accuracy is the same
+    # in every repeat
+    baseline = accuracy(np.empty((0, n), dtype=np.intp)) if 0 in n_cols else None
     acc = np.empty((len(fractions), repeats))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
@@ -127,10 +161,10 @@ def shuffle_degradation(
             if cols == 0:
                 acc[i, r] = baseline
                 continue
-            np.copyto(shuffled, x)
-            for col in ranking[:cols]:
-                shuffled[:, col] = shuffled[rng.permutation(x.shape[0]), col]
-            acc[i, r] = _accuracy(net, shuffled, y, hidden)
+            # row j is the permutation of column ranking[j]: the same arrays,
+            # and the same generator state after, as cols rng.permutation(n)
+            perms = rng.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
+            acc[i, r] = accuracy(perms)
     if repeats > 1:
         std = acc.std(axis=1, ddof=1)
         # identical repeats (e.g. fraction 0) must report exactly zero spread

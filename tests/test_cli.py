@@ -347,10 +347,33 @@ class TestPipeline:
             "evaluate", "--report", str(pipeline / "imp" / "report.json"),
             "--degradation", "--model", str(pipeline / "model" / "model.json"),
             "--data", str(pipeline / "sim" / "test.csv"),
-            # "--fractions -0.1,0.5" would be an argparse usage error (exit 2)
             "--fractions=-0.1,0.5", "--out", str(tmp_path),
         )
         assert code == 3
+
+    def test_spaced_negative_fractions_reach_the_range_check(self, pipeline, tmp_path, capsys):
+        # argparse alone takes "-0.1,0.5", not a plain negative number, for an
+        # unknown option and exits 2
+        code = run(
+            "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--degradation", "--model", str(pipeline / "model" / "model.json"),
+            "--data", str(pipeline / "sim" / "test.csv"),
+            "--fractions", "-0.1,0.5", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "fraction -0.1 is not in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fractions", ["0.5", "", " , "])
+    def test_degradation_needs_two_fractions(self, pipeline, tmp_path, capsys, fractions):
+        code = run(
+            "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--degradation", "--model", str(pipeline / "model" / "model.json"),
+            "--data", str(pipeline / "sim" / "test.csv"),
+            "--fractions", fractions, "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "--fractions needs at least 2 values" in capsys.readouterr().err
+        assert not (tmp_path / "degradation.csv").exists()
 
     def test_rank_deficient_covariance_warns(self, pipeline, tmp_path, capsys):
         # penultimate width 8 < p = 16 features: Omega = G G^T has rank <= 8,

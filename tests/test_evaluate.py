@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ratekit.bnn import NetworkConfig, TrainConfig, build_network, predict_proba, train
+from ratekit import bnn
+from ratekit.bnn import (
+    NetworkConfig,
+    TrainConfig,
+    build_network,
+    penultimate_activations,
+    predict_proba,
+    train,
+)
 from ratekit.esa import covariance_effect_sizes
 from ratekit.evaluate import (
     DegradationCurve,
@@ -68,6 +76,12 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([1.0, 2.0], np.array([True, True]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN used to rank lowest: roc_auc([nan, 1, .5], [T, F, F]).auc was 0
+        with pytest.raises(ValueError, match=rf"scores\[1\] is {bad!r}"):
+            roc_auc([0.5, bad, 1.0, bad], np.array([True, False, False, True]))
+
 
 @pytest.fixture(scope="module")
 def trained_softmax_net():
@@ -95,7 +109,7 @@ def reference_degradation(net, ds, ranking, fractions, repeats, seed):
             else:
                 pred = probs.argmax(axis=1)
             acc[i, r] = np.mean(pred == y)
-    std = acc.std(axis=1, ddof=1)
+    std = acc.std(axis=1, ddof=1) if repeats > 1 else np.zeros(len(fractions))
     std[acc.max(axis=1) == acc.min(axis=1)] = 0.0
     return acc.mean(axis=1), std
 
@@ -120,6 +134,11 @@ class TestShuffleDegradation:
         net, ds = trained_blob_net
         with pytest.raises(ValueError, match=f"fraction {frac!r} "):
             shuffle_degradation(net, ds, [0, 1], fractions=[0.0, frac], repeats=2, seed=0)
+
+    def test_empty_fractions_rejected(self, trained_blob_net):
+        net, ds = trained_blob_net
+        with pytest.raises(ValueError, match="non-empty"):
+            shuffle_degradation(net, ds, [0, 1], fractions=[], repeats=2, seed=0)
 
     def test_zero_fraction_is_baseline(self, trained_blob_net):
         net, ds = trained_blob_net
@@ -153,6 +172,167 @@ class TestShuffleDegradation:
         net, ds = trained_blob_net
         with pytest.raises(ValueError, match="permutation"):
             shuffle_degradation(net, ds, [0, 0], repeats=2, seed=0)
+
+
+def trained_net(link, depth):
+    """A small net with ``depth`` hidden layers, trained a few epochs."""
+    rng = np.random.default_rng(depth)
+    x = rng.standard_normal((160, 5))
+    if link == "sigmoid":
+        y, classes = (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(int), 1
+    else:
+        y, classes = (x[:, 0] > 0).astype(int) + (x[:, 0] + x[:, 1] > 1).astype(int), 3
+    cfg = NetworkConfig(5, (12, 8, 6)[:depth], link=link, n_classes=classes)
+    trained, _ = train(
+        build_network(cfg, seed=depth), (x, y), TrainConfig(epochs=5, learning_rate=1e-2, seed=depth)
+    )
+    return trained, Dataset(X=x, y=y)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Counts the rows the float32 route hands to the float64 route."""
+    counted = [0]
+    float64_route = bnn._predict_classes
+
+    def counting(net, x):
+        counted[0] += x.shape[0]
+        return float64_route(net, x)
+
+    monkeypatch.setattr(bnn, "_predict_classes", counting)
+    return counted
+
+
+def exact_net(link):
+    """Identity hidden layer and unit output weights over 3 inputs: the
+    logits are sums of the inputs' positive parts, exact in float64 for the
+    inputs ``exact_inputs`` draws. Sigmoid: f = s - 1; softmax: f = (1, s)."""
+    if link == "sigmoid":
+        cfg, m, b = NetworkConfig(3, (3,)), np.ones((3, 1)), np.array([-1.0])
+    else:
+        cfg = NetworkConfig(3, (3,), link="softmax", n_classes=2)
+        m, b = np.c_[np.zeros(3), np.ones(3)], np.array([1.0, 0.0])
+    net = build_network(cfg, seed=0)
+    net.hidden_weights[0] = np.eye(3)
+    net.m, net.b = m, b
+    return net
+
+
+def exact_inputs(n, seed):
+    # 1 + 2**-30 rounds to 1 in float32, so a row summing to it has float32
+    # logit(s) tied at 0 where the float64 logit is 2**-30 > 0
+    rng = np.random.default_rng(seed)
+    x = rng.choice([0.0, 0.0, 1.0, 1.0 + 2.0**-30, -1.0, 0.5], size=(n, 3))
+    x[:4] = [[1.0 + 2.0**-30, 0, 0], [0, 1.0, 0], [0, 0, 1.0 + 2.0**-30], [0.5, 0.5, 0]]
+    return Dataset(X=x, y=rng.integers(0, 2, size=n))
+
+
+class TestFloat32Route:
+    """Degradation passes run in float32 and fall back to float64 for the
+    rows their error bound cannot decide; the curves stay those of the
+    float64 reference loop."""
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("link", ["sigmoid", "softmax"])
+    def test_matches_reference_at_every_depth(self, request, link, depth, repeats):
+        net, ds = trained_net(link, depth)
+        fallback_rows = request.getfixturevalue("fallback_rows")  # after training
+        ranking, fractions = [3, 0, 4, 1, 2], [0.0, 0.4, 0.4, 1.0, 0.0]
+        curve = shuffle_degradation(net, ds, ranking, fractions=fractions, repeats=repeats, seed=5)
+        mean, std = reference_degradation(net, ds, ranking, fractions, repeats=repeats, seed=5)
+        assert np.array_equal(curve.mean_accuracy, mean)
+        assert np.array_equal(curve.std_accuracy, std)
+        # 1 baseline pass and 3 shuffled passes per repeat
+        assert fallback_rows[0] < 0.05 * ds.X.shape[0] * (1 + 3 * repeats)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_bound_covers_float32_error(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 10)
+        for trial in range(6):
+            link, classes = ("sigmoid", 1) if trial % 2 else ("softmax", 3)
+            widths = tuple(int(w) for w in rng.integers(1, 40, size=1 + trial % 3))
+            net = build_network(NetworkConfig(7, widths, link=link, n_classes=classes), seed=trial)
+            net.hidden_weights = [scale * w for w in net.hidden_weights]
+            net.hidden_biases = [scale * rng.standard_normal(c.shape) for c in net.hidden_biases]
+            net.m = scale * rng.standard_normal(net.m.shape)
+            net.b = scale * rng.standard_normal(net.b.shape)
+            x = 3.0 * rng.standard_normal((80, 7))
+            exact = penultimate_activations(net, x) @ net.m + net.b
+            f32, bound = bnn._Float32Classifier(net, x).logits_and_bounds()
+            assert np.all(np.isfinite(bound))
+            assert np.all(np.abs(f32 - exact) <= bound)
+
+    @pytest.mark.parametrize("link", ["sigmoid", "softmax"])
+    def test_undecided_rows_take_the_float64_class(self, link, fallback_rows):
+        net, ds = exact_net(link), exact_inputs(60, seed=4)
+        f32, _ = bnn._Float32Classifier(net, ds.X).logits_and_bounds()
+        # without the fallback these rows would get another class
+        assert np.any(f32.argmax(axis=1) != predict_proba(net, ds.X).argmax(axis=1)) if (
+            link == "softmax"
+        ) else np.any((f32[:, 0] > 0) != (predict_proba(net, ds.X)[:, 0] > 0.5))
+        fractions = [0.0, 0.34, 0.67, 1.0]
+        curve = shuffle_degradation(net, ds, [2, 0, 1], fractions=fractions, repeats=3, seed=1)
+        mean, std = reference_degradation(net, ds, [2, 0, 1], fractions, repeats=3, seed=1)
+        assert fallback_rows[0] > 0
+        assert np.array_equal(curve.mean_accuracy, mean)
+        assert np.array_equal(curve.std_accuracy, std)
+
+    @pytest.mark.parametrize("overflow", ["weights", "inputs"])
+    def test_float32_overflow_falls_back(self, trained_blob_net, overflow, fallback_rows):
+        net, ds = trained_blob_net
+        net = bnn.network_from_json(bnn.network_to_json(net))  # a copy
+        if overflow == "weights":
+            # finite in float32, but the logits reach ~1e60
+            net.hidden_weights[0] *= 1e30
+            net.m *= 1e30
+        else:
+            # every value beyond float32's 3.4e38
+            ds = Dataset(X=(ds.X + np.sign(ds.X)) * 1e39, y=ds.y)
+        fractions = [0.0, 0.5, 1.0]
+        curve = shuffle_degradation(net, ds, [1, 0], fractions=fractions, repeats=2, seed=6)
+        mean, std = reference_degradation(net, ds, [1, 0], fractions, repeats=2, seed=6)
+        assert fallback_rows[0] == ds.X.shape[0] * (1 + 2 * 2)  # every row of every pass
+        assert np.array_equal(curve.mean_accuracy, mean)
+        assert np.array_equal(curve.std_accuracy, std)
+
+    @pytest.mark.parametrize("case", ["output_overflow", "hidden_overflow", "tie", "cancellation"])
+    def test_rows_near_a_hazard_take_the_float64_class(self, case):
+        big, eps = 1e8, 2.0**-24
+        if case == "output_overflow":
+            # a float32 sum in this order overflows to +inf; the exact one is -1e38
+            w1, m, b = np.eye(4), np.array([[2e38], [2e38], [-2.5e38], [-2.5e38]]), [0.0]
+            x = np.ones((3, 4))
+        elif case == "hidden_overflow":
+            # the hidden sum overflows to -inf where the exact one is +1e38
+            w1, m, b = np.array([[-2e38], [-2e38], [2.5e38], [2.5e38]]), np.array([[1e-30]]), [-1e3]
+            x = np.ones((3, 4))
+        elif case == "tie":
+            # f = 1e-17 > 0 but sigmoid(f) rounds to 0.5: the float64 class is 0
+            w1, m, b = np.eye(1), np.ones((1, 1)), [0.0]
+            x = np.array([[1e-17], [-1e-17], [1.0]])
+        else:
+            # class 1's logit 8 + 1e8 (x1 - x2) cancels: -3.9 in float32 (x1
+            # rounds down, x2 up), +6.5 exactly, above class 0's 5
+            w1, b = np.eye(3), [0.0, 8.0]
+            m = np.array([[1.0, 0.0], [0.0, big], [0.0, -big]])
+            x = np.array([[5.0, 1 + 7 / 8 * eps, 1 + 9 / 8 * eps], [5.0, 1.0, 1.0]])
+        classes = m.shape[1]
+        cfg = NetworkConfig(
+            w1.shape[0], (w1.shape[1],), link="sigmoid" if classes == 1 else "softmax",
+            n_classes=max(classes, 1),
+        )
+        net = bnn.Network(cfg, [w1], [np.zeros(w1.shape[1])], m, np.zeros_like(m), np.array(b))
+        pred = bnn._Float32Classifier(net, x).predict_classes(lambda idx: x[idx])
+        assert np.array_equal(pred, bnn._predict_classes(net, x))
+
+    @pytest.mark.parametrize("n, cols", [(1, 1), (2, 3), (50, 1), (50, 17)])
+    def test_permuted_rows_are_the_permutation_stream(self, n, cols):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        expected = np.array([a.permutation(n) for _ in range(cols)])
+        got = b.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
+        assert np.array_equal(got, expected)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestMarginalCorrelation:
