@@ -241,8 +241,7 @@ class _Float32Classifier:
         |f̂ - f| <= E = 2 Σ_l γ_{k_{l-1}+3} (|â_{l-1}| w̄_{l-1} + |c_l| w̄_l)
                        + 1e-12 (1 + |b|),
 
-    with â_0 the float32 input and â_l the float32 activations. The +3 covers
-    rounding the input, W_l and c_l to float32 and the bias term; the factor
+    with â_0 the float32 input and â_l the float32 activations. The factor
     2 covers the bound's own float32 arithmetic and the float64 route's
     rounding; the floor keeps a decided row off sigmoid(f) = 0.5 ties and
     covers the float64 bias add. A row is decided when the bound fixes its
@@ -260,13 +259,17 @@ class _Float32Classifier:
         layers = [np.vstack([w, c]) for w, c in zip(net.hidden_weights, net.hidden_biases)]
         layers.append(np.vstack([net.m, net.b]))
         self._weights = [w.astype(np.float32) for w in layers]
-        # layer l's input with a trailing column of ones, which the ReLU keeps
+        # layer l's input with a trailing column of ones, which the ReLU keeps;
+        # each product writes the columns before it
         self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in layers]
-        self._logits = np.empty((n, net.config.n_classes), np.float32)
-        self._mask = np.empty((n, max(w.shape[0] for w in layers)), bool)
+        logits = np.empty((n, net.config.n_classes), np.float32)
+        self._outputs = [a[:, :-1] for a in self._inputs[1:]] + [logits]
+        self._mask = np.empty((n, max(net.config.hidden_sizes) + 1), bool)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide no row
             self._inputs[0][:, :p] = x
-            # layer l's term of E is |â_{l-1}, 1| (2 γ_{k_{l-1}+3} |W_l; c_l| w̄_l)
+            # layer l's term of E is |â_{l-1}, 1| (2 γ_{k_{l-1}+3} |W_l; c_l| w̄_l);
+            # the +3 covers rounding the input and [W_l; c_l] to float32 and
+            # the bias as one more term of the sum
             wbar = np.eye(net.config.n_classes)
             scaled = []
             for w in reversed(layers):
@@ -283,20 +286,20 @@ class _Float32Classifier:
     def logits_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The float32 posterior-mean logits f̂ of ``inputs`` and their bounds
         E, both (n, c); f̂ is a buffer that the next call overwrites."""
-        outputs = [a[:, :-1] for a in self._inputs[1:]] + [self._logits]
         with np.errstate(over="ignore", invalid="ignore"):
             bound = self._floor + np.abs(self._inputs[0]) @ self._scaled[0]
-            for l, (w, z) in enumerate(zip(self._weights, outputs)):
+            for l, (w, z) in enumerate(zip(self._weights, self._outputs)):
                 np.matmul(self._inputs[l], w, out=z)
                 if l + 1 < len(self._weights):
-                    # ReLU as z * (z > 0), not max(z, 0): a pre-activation that
+                    # ReLU as a * (a > 0), not max(a, 0): a pre-activation that
                     # overflowed to -inf becomes nan, which reaches f̂, where
                     # max would leave a finite activation E does not cover
-                    a, mask = self._inputs[l + 1], self._mask[:, : z.shape[1] + 1]
+                    a = self._inputs[l + 1]
+                    mask = self._mask[:, : a.shape[1]]
                     np.greater(a, 0, out=mask)
                     np.multiply(a, mask, out=a)
                     bound += a @ self._scaled[l + 1]
-        return self._logits, bound
+        return self._outputs[-1], bound
 
     def predict_classes(self, float64_rows) -> np.ndarray:
         """The class of each row of ``inputs``, as the float64 route gives
