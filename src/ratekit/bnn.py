@@ -256,12 +256,15 @@ class _Float32Classifier:
     def __init__(self, net: Network, x: np.ndarray):
         self.net = net
         n, p = x.shape
-        layers = [np.vstack([w, c]) for w, c in zip(net.hidden_weights, net.hidden_biases)]
-        layers.append(np.vstack([net.m, net.b]))
-        self._weights = [w.astype(np.float32) for w in layers]
+        layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
+        self._weights = []
+        for w, c in layers:
+            w32 = np.empty((w.shape[0] + 1, w.shape[1]), np.float32)
+            w32[:-1], w32[-1] = w, c
+            self._weights.append(w32)
         # layer l's input with a trailing column of ones, which the ReLU keeps;
         # each product writes the columns before it
-        self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in layers]
+        self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in self._weights]
         logits = np.empty((n, net.config.n_classes), np.float32)
         self._outputs = [a[:, :-1] for a in self._inputs[1:]] + [logits]
         self._mask = np.empty((n, max(net.config.hidden_sizes) + 1), bool)
@@ -272,12 +275,12 @@ class _Float32Classifier:
             # the bias as one more term of the sum
             wbar = np.eye(net.config.n_classes)
             scaled = []
-            for w in reversed(layers):
-                fan_in = w.shape[0] - 1
-                gamma = (fan_in + 3) * _U32 / (1.0 - (fan_in + 3) * _U32)
-                prod = np.abs(w) @ wbar
-                scaled.append((2.0 * gamma * prod).astype(np.float32))
-                wbar = prod[:-1]
+            for w, c in reversed(layers):
+                gamma = (w.shape[0] + 3) * _U32 / (1.0 - (w.shape[0] + 3) * _U32)
+                # |W_l| w̄_l in row blocks, so no copy of |W_l| is made
+                wbar_c = np.abs(c) @ wbar
+                wbar = np.vstack([np.abs(w[i : i + 64]) @ wbar for i in range(0, len(w), 64)])
+                scaled.append((2.0 * gamma * np.vstack([wbar, wbar_c])).astype(np.float32))
             self._floor = (1e-12 * (1.0 + np.abs(net.b))).astype(np.float32)
         self._scaled = scaled[::-1]
         #: The (n, p) float32 input rows, a view into the first layer's input.
