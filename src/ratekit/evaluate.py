@@ -6,7 +6,7 @@ logits' last bits. So every pass runs the network in float32 and bounds, per
 row, how far the float32 logits can be from the exact ones
 (``bnn._Float32Classifier``, from the componentwise error bound of a matrix
 product). A row whose class that bound fixes provably gets the class the
-float64 route gives it; the rest, typically under 1% of the rows, are rebuilt
+float64 route gives it; the rest (about 1% on a trained network) are rebuilt
 from the float64 input and run through the float64 route. The curves are
 thus those of all-float64 passes, except where an undecided row's float64
 logit, recomputed alone, rounds differently in its last bits and sits that
