@@ -254,7 +254,7 @@ class _Float32Classifier:
     """
 
     def __init__(self, net: Network, x: np.ndarray):
-        self.net = net
+        self._net = net
         n, p = x.shape
         layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
         self._weights = []
@@ -322,7 +322,7 @@ class _Float32Classifier:
         decided &= np.isfinite(f).all(axis=1)
         undecided = np.flatnonzero(~decided)
         if undecided.size:
-            pred[undecided] = _predict_classes(self.net, float64_rows(undecided))
+            pred[undecided] = _predict_classes(self._net, float64_rows(undecided))
         return pred
 
 
