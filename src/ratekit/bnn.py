@@ -244,7 +244,9 @@ class _Float32Classifier:
     with â_0 the float32 input and â_l the float32 activations. The factor
     2 covers the bound's own float32 arithmetic and the float64 route's
     rounding; the floor keeps a decided row off sigmoid(f) = 0.5 ties and
-    covers the float64 bias add. A row is decided when the bound fixes its
+    covers the float64 bias add. (γ_n assumes no underflow: a float32
+    result below 1.2e-38 is off by up to 2^-149 absolute, which the floor
+    covers while the entries of w̄ stay below about 1e25.) A row is decided when the bound fixes its
     class: |f̂| > E for the sigmoid, f̂_top - f̂_j > E_top + E_j for every
     j != top for softmax; a non-finite f̂ (float32 overflow, or an input
     beyond float32's range) never decides one. A decided row gets the
