@@ -250,13 +250,13 @@ class _Float32Classifier:
     class: |f̂| > E for the sigmoid, f̂_top - f̂_j > E_top + E_j for every
     j != top for softmax; a non-finite f̂ (float32 overflow, or an input
     beyond float32's range) never decides one. A decided row gets the
-    float64 route's class. The others are recomputed by ``_predict_classes``
-    on their own, so their logits can differ from a whole-batch float64 pass
-    in the last bits (BLAS blocks the rows differently).
+    float64 route's class. The caller recomputes the others with
+    ``_predict_classes``, in whatever batch it gathers them in, so their
+    logits can differ from a whole-batch float64 pass in the last bits
+    (BLAS blocks the rows differently).
     """
 
     def __init__(self, net: Network, x: np.ndarray):
-        self._net = net
         n, p = x.shape
         layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
         self._weights = []
@@ -306,10 +306,10 @@ class _Float32Classifier:
                     bound += a @ self._scaled[l + 1]
         return self._outputs[-1], bound
 
-    def predict_classes(self, float64_rows) -> np.ndarray:
+    def predict_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The class of each row of ``inputs``, as the float64 route gives
-        it; ``float64_rows(idx)`` returns the float64 input rows ``idx``,
-        from which the rows the bound leaves undecided are recomputed."""
+        it, and the indices of the rows the bound leaves undecided, whose
+        entries hold the float32 guess until the caller recomputes them."""
         f, bound = self.logits_and_bounds()
         if f.shape[1] == 1:
             pred = (f[:, 0] > 0).astype(np.intp)
@@ -322,10 +322,7 @@ class _Float32Classifier:
                 upper[rows, pred] = -np.inf
                 decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
         decided &= np.isfinite(f).all(axis=1)
-        undecided = np.flatnonzero(~decided)
-        if undecided.size:
-            pred[undecided] = _predict_classes(self._net, float64_rows(undecided))
-        return pred
+        return pred, np.flatnonzero(~decided)
 
 
 def penultimate_activations(net: Network, x) -> np.ndarray:

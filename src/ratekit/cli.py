@@ -238,15 +238,28 @@ def _load_network(path) -> bnn.Network:
     return bnn.network_from_json(Path(path).read_text())
 
 
+def _parse_list(flag: str, text: str, kind: type, noun: str) -> tuple:
+    """The non-blank comma-separated entries of a list flag as ``kind``; an
+    entry that does not parse names the flag and the entry."""
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(kind(part))
+            except ValueError:
+                raise ValueError(f"--{flag} entry {part.strip()!r} is not {noun}") from None
+    return tuple(values)
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts:
+    widths = _parse_list("hidden", text, int, "an integer")
+    if not widths:
         raise ValueError("hidden layer list is empty")
-    return tuple(int(part) for part in parts)
+    return widths
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return _parse_list("fractions", text, float, "a number")
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ row, how far the float32 logits can be from the exact ones
 (``bnn._Float32Classifier``, from the componentwise error bound of a matrix
 product). A row whose class that bound fixes provably gets the class the
 float64 route gives it; the rest (about 1% on a trained network) are rebuilt
-from the float64 input and run through the float64 route. The curves are
-thus those of all-float64 passes, except where an undecided row's float64
-logit, recomputed alone, rounds differently in its last bits and sits that
-close to the decision boundary.
+from the float64 input and run through the float64 route in batches
+gathered across passes: a batch goes once ``FALLBACK_ROWS`` rows wait, and
+the last after the final pass. The curves are thus those of all-float64
+passes, except where an undecided row's float64 logit, computed in its batch
+rather than with the rest of its pass, rounds differently in its last bits
+and sits that close to the decision boundary.
 
 The Student-t tail probability is evaluated in-repo through the regularized
 incomplete beta function (continued fraction), checked against a quadrature
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.bnn import Network, _check_inputs, _Float32Classifier
+from ratekit import bnn
+from ratekit.bnn import Network, _check_inputs, _Float32Classifier, _prepare_labels
 
 __all__ = [
     "RocCurve",
@@ -39,6 +42,13 @@ __all__ = [
     "roc_curve_to_csv",
     "degradation_curve_to_csv",
 ]
+
+#: Undecided rows of shuffle-degradation passes that wait before the float64
+#: route classifies them together. One batch per curve would do at paper
+#: scale (about 1% of 400 rows in each of 101 passes), but its float64
+#: activations would double the stage's peak memory; a pass's own undecided
+#: rows always go in one batch.
+FALLBACK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -107,14 +117,16 @@ def shuffle_degradation(
     columns are permuted independently (de-correlating those features from
     the labels), the test accuracy is recomputed, and the whole procedure is
     repeated ``repeats`` times with independent permutations. ``fractions``
-    must be non-empty and lie in [0, 1]. Each pass runs in float32 and
-    recomputes in float64 only the rows its error bound cannot decide (see
-    the module docstring).
+    must be non-empty and lie in [0, 1], and the test labels must be ones
+    the network outputs (0/1 for the sigmoid, [0, c) for softmax). Each pass
+    runs in float32; the rows its error bound cannot decide are recomputed
+    in float64, batched across passes (see the module docstring).
     """
     if net.config.link == "identity":
         raise ValueError("shuffle degradation requires a classification network")
     x = _check_inputs(net, test.X)
-    y = np.asarray(test.y).astype(int)
+    # the labels the network can output, as training requires them
+    y = _prepare_labels(net.config.link, net.config.n_classes, test.y).astype(int)
     n, p = x.shape
     if n == 0:
         raise ValueError("test set is empty")
@@ -134,37 +146,57 @@ def shuffle_degradation(
 
     classifier = _Float32Classifier(net, x)
     x32 = classifier.inputs  # a pass shuffles its top columns in place
+    # per pass, at i * repeats + r: the rows classified right, first those the
+    # float32 bound decides, then those recomputed in float64
+    correct = np.zeros(len(fractions) * repeats, np.intp)
+    pending = []  # per pass with undecided rows: (pass, row indices, float64 rows)
 
-    def accuracy(perms: np.ndarray) -> float:
-        """Accuracy with column ranking[j] of x replaced by x[perms[j], ranking[j]]."""
+    def settle():
+        """Classify the pending undecided rows in one float64 batch."""
+        passes, idx, rows = zip(*pending)
+        right = bnn._predict_classes(net, np.vstack(rows)) == y[np.concatenate(idx)]
+        np.add.at(correct, np.repeat(passes, [len(i) for i in idx]), right)
+        pending.clear()
+
+    def run_pass(at: int, perms: np.ndarray) -> None:
+        """Classify x with column ranking[j] replaced by x[perms[j], ranking[j]]."""
         top = ranking[: perms.shape[0]]
-
-        def float64_rows(idx):
-            rows = x[idx]
-            rows[:, top] = x[perms[:, idx], top[:, None]].T
-            return rows
-
         unshuffled = x32[:, top]
         x32[:, top] = x32[perms, top[:, None]].T
-        pred = classifier.predict_classes(float64_rows)
+        pred, undecided = classifier.predict_classes()
         x32[:, top] = unshuffled
-        return float(np.mean(pred == y))
+        hit = pred == y
+        hit[undecided] = False
+        correct[at] = np.count_nonzero(hit)
+        if undecided.size:
+            rows = x[undecided]
+            rows[:, top] = x[perms[:, undecided], top[:, None]].T
+            pending.append((at, undecided, rows))
+            if sum(len(i) for _, i, _ in pending) >= FALLBACK_ROWS:
+                settle()
 
     n_cols = [int(math.ceil(frac * p)) for frac in fractions]
     # the unshuffled input draws no permutation, so its accuracy is the same
-    # in every repeat
-    baseline = accuracy(np.empty((0, n), dtype=np.intp)) if 0 in n_cols else None
-    acc = np.empty((len(fractions), repeats))
+    # in every repeat: one pass serves them all
+    baseline = [
+        i * repeats + r for i, cols in enumerate(n_cols) if cols == 0 for r in range(repeats)
+    ]
+    if baseline:
+        run_pass(baseline[0], np.empty((0, n), dtype=np.intp))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
         for i, cols in enumerate(n_cols):
-            if cols == 0:
-                acc[i, r] = baseline
-                continue
-            # row j is the permutation of column ranking[j]: the same arrays,
-            # and the same generator state after, as cols rng.permutation(n)
-            perms = rng.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
-            acc[i, r] = accuracy(perms)
+            if cols:
+                # row j is the permutation of column ranking[j]: the same
+                # arrays, and the same generator state after, as cols
+                # rng.permutation(n)
+                perms = rng.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
+                run_pass(i * repeats + r, perms)
+    if pending:
+        settle()
+    if baseline:
+        correct[baseline] = correct[baseline[0]]
+    acc = (correct / n).reshape(len(fractions), repeats)
     if repeats > 1:
         std = acc.std(axis=1, ddof=1)
         # identical repeats (e.g. fraction 0) must report exactly zero spread

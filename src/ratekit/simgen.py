@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,16 +190,18 @@ def _sidecar_path(csv_path) -> Path:
 
 
 def save_dataset_csv(ds: Dataset, csv_path) -> Path:
-    """Write features-then-y CSV plus a JSON sidecar with mask and seed."""
+    """Write features-then-y CSV plus a JSON sidecar with mask and seed.
+
+    Cells are ``repr`` of each float64 and the integer or float label, one
+    line per row; only the header, whose names may need quoting, goes
+    through ``csv.writer``."""
     csv_path = Path(csv_path)
     integer_labels = np.issubdtype(ds.y.dtype, np.integer)
+    labels = [str(int(v)) if integer_labels else repr(float(v)) for v in ds.y.tolist()]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*ds.feature_names, "y"])
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.X[i]]
-            row.append(str(int(ds.y[i])) if integer_labels else repr(float(ds.y[i])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow([*ds.feature_names, "y"])
+        for row, label in zip(ds.X, labels):
+            fh.write(",".join(map(repr, row.tolist())) + "," + label + "\n")
     sidecar = _sidecar_path(csv_path)
     meta = {
         "causal_mask": None if ds.causal_mask is None else ds.causal_mask.astype(int).tolist(),
@@ -213,21 +217,73 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     return sidecar
 
 
-def load_dataset_csv(csv_path) -> Dataset:
-    """Read a dataset CSV and its sidecar; a NaN or infinite feature or label
-    raises ``ValueError`` naming the data row and the column."""
-    csv_path = Path(csv_path)
+def _data_rows(csv_path, **loadtxt_args) -> tuple[list[str], np.ndarray]:
+    """The header, parsed by ``csv``, and ``np.loadtxt`` of the data rows
+    after it, with the same quoting; blank lines are skipped."""
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "y":
-            raise ValueError(f"{csv_path}: expected feature columns followed by 'y'")
-        rows = list(reader)
-    if not rows:
+        header = next(reader, [])
+        header_lines = reader.line_num  # a quoted name may hold a line break
+    if not header or header[-1] != "y":
+        raise ValueError(f"{csv_path}: expected feature columns followed by 'y'")
+    with warnings.catch_warnings():
+        # a file without data rows is refused by the caller, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(
+                csv_path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
+                **loadtxt_args,
+            )
+        except ValueError as exc:
+            raise _data_row_error(csv_path, header, exc) from exc
+    return header, rows
+
+
+def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
+    """``np.loadtxt``'s error, naming the data row (from 1, blank lines not
+    counted) and the column; numpy counts a cell's row from 0 and a
+    column-count change's from 1."""
+    text = str(exc)
+    cell = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", text)
+    if cell:
+        row, name = int(cell[2]) + 1, header[int(cell[3]) - 1]
+        return ValueError(f"{csv_path}: data row {row}, column {name!r}: {cell[1]} is not a number")
+    count = re.search(r"number of columns changed from (\d+) to (\d+) at row (\d+)", text)
+    if count:
+        first, cells, row = int(count[1]), int(count[2]), int(count[3])
+        if first != len(header):  # the first data row was already wrong
+            row, cells = 1, first
+        return ValueError(f"{csv_path}: data row {row} has {cells} cells, expected {len(header)}")
+    return ValueError(f"{csv_path}: {text}")
+
+
+def load_dataset_csv(csv_path) -> Dataset:
+    """Read a dataset CSV and its sidecar.
+
+    numpy's C reader parses every cell straight into float64, with no Python
+    object per cell; a second pass reads the labels as strings, which are
+    parsed with ``int`` when the labels are integers (as the sidecar says,
+    or else when none has a '.' or an 'e') and with ``float`` otherwise. A
+    ragged row, a cell that is not a number (empty, or spelt with an
+    underscore such as ``1_0``) or a NaN or infinite cell raises
+    ``ValueError`` naming the data row."""
+    csv_path = Path(csv_path)
+    header, data = _data_rows(csv_path, ndmin=2)
+    n, p = data.shape[0], len(header) - 1
+    if n == 0:
         raise ValueError(f"{csv_path}: no data rows")
-    names = tuple(header[:-1])
-    x = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y_raw = [row[-1] for row in rows]
+    if data.shape[1] != p + 1:
+        raise ValueError(f"{csv_path}: data row 1 has {data.shape[1]} cells, expected {p + 1}")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"{csv_path}: data row {row + 1}, column {header[col]!r} is not finite")
+    # drop the label column in place, so X is C-contiguous without a second
+    # n x p buffer: row i moves from offset i (p + 1) to i p
+    flat = data.reshape(-1)
+    for i in range(1, n):
+        flat[i * p : (i + 1) * p] = flat[i * (p + 1) : i * (p + 1) + p]
+    x = flat[: n * p].reshape(n, p)
+    y_raw = _data_rows(csv_path, ndmin=1, usecols=-1, dtype=str)[1].tolist()
 
     mask = None
     perm = None
@@ -246,15 +302,11 @@ def load_dataset_csv(csv_path) -> Dataset:
     y = np.array([int(v) for v in y_raw]) if integer_labels else np.array(
         [float(v) for v in y_raw]
     )
-    bad = np.argwhere(~np.isfinite(np.column_stack([x, y.astype(np.float64)])))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{csv_path}: data row {row + 1}, column {header[col]!r} is not finite")
     return Dataset(
         X=x,
         y=y,
         causal_mask=mask,
-        feature_names=names,
+        feature_names=tuple(header[:-1]),
         column_permutation=perm,
         seed=seed,
     )

@@ -375,6 +375,42 @@ class TestPipeline:
         assert "--fractions needs at least 2 values" in capsys.readouterr().err
         assert not (tmp_path / "degradation.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("evaluate", "--fractions", "0,abc", "--fractions entry 'abc' is not a number"),
+            ("evaluate", "--fractions", "0.5, 1e", "--fractions entry '1e' is not a number"),
+            ("train", "--hidden", "16,x", "--hidden entry 'x' is not an integer"),
+            ("train", "--hidden", "16, 8.5", "--hidden entry '8.5' is not an integer"),
+        ],
+    )
+    def test_malformed_list_entry_names_the_flag(
+        self, pipeline, tmp_path, capsys, command, flag, value, message
+    ):
+        if command == "evaluate":
+            args = ("--report", str(pipeline / "imp" / "report.json"), "--degradation",
+                    "--model", str(pipeline / "model" / "model.json"),
+                    "--data", str(pipeline / "sim" / "test.csv"))
+        else:
+            args = ("--data", str(pipeline / "sim" / "train.csv"), "--epochs", "1")
+        assert run(command, *args, flag, value, "--out", str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
+
+    def test_degradation_refuses_labels_the_network_cannot_output(self, pipeline, tmp_path, capsys):
+        # the sigmoid model scored on labels {5, 6}
+        header, *rows = (pipeline / "sim" / "test.csv").read_text().splitlines()
+        shifted = [row.rsplit(",", 1)[0] + f",{int(row.rsplit(',', 1)[1]) + 5}" for row in rows]
+        data = tmp_path / "shifted.csv"
+        data.write_text("\n".join([header, *shifted]) + "\n")
+        code = run(
+            "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--degradation", "--model", str(pipeline / "model" / "model.json"),
+            "--data", str(data), "--out", str(tmp_path / "eval"),
+        )
+        assert code == 3
+        assert "error [degradation]: sigmoid link expects binary 0/1 labels" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "degradation.csv").exists()
+
     def test_rank_deficient_covariance_warns(self, pipeline, tmp_path, capsys):
         # penultimate width 8 < p = 16 features: Omega = G G^T has rank <= 8,
         # and group g1 has more members than that

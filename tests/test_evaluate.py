@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ratekit import bnn
+from ratekit import bnn, evaluate
 from ratekit.bnn import (
     NetworkConfig,
     TrainConfig,
@@ -168,6 +168,21 @@ class TestShuffleDegradation:
         )
         assert curve.mean_accuracy[0] > curve.mean_accuracy[-1]
 
+    @pytest.mark.parametrize(
+        "fixture, shift, message",
+        [
+            ("trained_blob_net", 5, "binary 0/1 labels"),
+            ("trained_softmax_net", 1, r"labels must lie in \[0, 3\)"),
+            ("trained_softmax_net", -1, r"labels must lie in \[0, 3\)"),
+        ],
+    )
+    def test_labels_the_network_cannot_output_rejected(self, request, fixture, shift, message):
+        # a sigmoid net scored on labels {5, 6} would read accuracy 0 everywhere
+        net, ds = request.getfixturevalue(fixture)
+        shifted = Dataset(X=ds.X, y=np.asarray(ds.y) + shift)
+        with pytest.raises(ValueError, match=message):
+            shuffle_degradation(net, shifted, list(range(ds.p)), repeats=2, seed=0)
+
     def test_invalid_ranking_rejected(self, trained_blob_net):
         net, ds = trained_blob_net
         with pytest.raises(ValueError, match="permutation"):
@@ -191,12 +206,14 @@ def trained_net(link, depth):
 
 @pytest.fixture
 def fallback_rows(monkeypatch):
-    """Counts the rows the float32 route hands to the float64 route."""
-    counted = [0]
+    """Counts the rows the float32 route hands to the float64 route, and the
+    calls that carry them."""
+    counted = [0, 0]
     float64_route = bnn._predict_classes
 
     def counting(net, x):
         counted[0] += x.shape[0]
+        counted[1] += 1
         return float64_route(net, x)
 
     monkeypatch.setattr(bnn, "_predict_classes", counting)
@@ -245,6 +262,8 @@ class TestFloat32Route:
         assert np.array_equal(curve.std_accuracy, std)
         # 1 baseline pass and 3 shuffled passes per repeat
         assert fallback_rows[0] < 0.05 * ds.X.shape[0] * (1 + 3 * repeats)
+        # every float64 batch but the last holds FALLBACK_ROWS rows or more
+        assert fallback_rows[1] <= fallback_rows[0] // evaluate.FALLBACK_ROWS + 1
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
     def test_bound_covers_float32_error(self, scale):
@@ -274,6 +293,7 @@ class TestFloat32Route:
         curve = shuffle_degradation(net, ds, [2, 0, 1], fractions=fractions, repeats=3, seed=1)
         mean, std = reference_degradation(net, ds, [2, 0, 1], fractions, repeats=3, seed=1)
         assert fallback_rows[0] > 0
+        assert fallback_rows[1] <= fallback_rows[0] // evaluate.FALLBACK_ROWS + 1
         assert np.array_equal(curve.mean_accuracy, mean)
         assert np.array_equal(curve.std_accuracy, std)
 
@@ -292,6 +312,10 @@ class TestFloat32Route:
         curve = shuffle_degradation(net, ds, [1, 0], fractions=fractions, repeats=2, seed=6)
         mean, std = reference_degradation(net, ds, [1, 0], fractions, repeats=2, seed=6)
         assert fallback_rows[0] == ds.X.shape[0] * (1 + 2 * 2)  # every row of every pass
+        # a pass's undecided rows go in one batch, at once when they reach
+        # FALLBACK_ROWS
+        assert ds.X.shape[0] >= evaluate.FALLBACK_ROWS
+        assert fallback_rows[1] == 1 + 2 * 2
         assert np.array_equal(curve.mean_accuracy, mean)
         assert np.array_equal(curve.std_accuracy, std)
 
@@ -320,7 +344,8 @@ class TestFloat32Route:
         link = "sigmoid" if classes == 1 else "softmax"
         cfg = NetworkConfig(w1.shape[0], (w1.shape[1],), link=link, n_classes=classes)
         net = bnn.Network(cfg, [w1], [np.zeros(w1.shape[1])], m, np.zeros_like(m), np.array(b))
-        pred = bnn._Float32Classifier(net, x).predict_classes(lambda idx: x[idx])
+        pred, undecided = bnn._Float32Classifier(net, x).predict_classes()
+        pred[undecided] = bnn._predict_classes(net, x[undecided])
         assert np.array_equal(pred, bnn._predict_classes(net, x))
 
     @pytest.mark.parametrize("n, cols", [(1, 1), (2, 3), (50, 1), (50, 17)])

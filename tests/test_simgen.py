@@ -1,5 +1,9 @@
 """Tests for the synthetic data generators and the dataset CSV contract."""
 
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +170,147 @@ class TestCsvRoundTrip:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"reg\.csv: data row 7, column 'y' is not finite"):
             load_dataset_csv(path)
+
+
+def reference_load(path):
+    """The data rows read plainly: ``csv`` rows and ``float()`` per cell; the
+    labels are returned as their strings."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    x = np.array([[float(v) for v in row[:-1]] for row in rows]).reshape(len(rows), -1)
+    return tuple(header[:-1]), x, [row[-1] for row in rows]
+
+
+def write_csv(path, names, cells, newline="\n", sidecar=None):
+    """A dataset CSV with the header through ``csv.writer`` and the data rows
+    as given, cell by cell; ``sidecar`` is the mask JSON, if any."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator=newline).writerow([*names, "y"])
+        fh.write("".join(",".join(row) + newline for row in cells))
+    if sidecar is not None:
+        path.with_suffix(".mask.json").write_text(sidecar)
+    return path
+
+
+def cell_grid(n, p, seed):
+    """repr spellings of random doubles over many magnitudes, n rows of p."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 300, size=(n, p))
+    return [[repr(float(v)) for v in row] for row in x]
+
+
+class TestCsvParity:
+    """The loader reads the same bits as ``float()`` on ``csv`` rows."""
+
+    @pytest.mark.parametrize(
+        "case", ["plain", "quoted_names", "quoted_cells", "crlf", "spaces", "one_row", "one_feature"]
+    )
+    def test_cells_parse_as_float_does(self, tmp_path, case):
+        n, p = (1, 4) if case == "one_row" else (6, 1) if case == "one_feature" else (6, 4)
+        names = [f"f{j + 1}" for j in range(p)]
+        cells = cell_grid(n, p, seed=len(case))
+        labels = [str(i % 2) for i in range(n)]
+        newline = "\r\n" if case == "crlf" else "\n"
+        if case == "quoted_names":
+            names = ["a,1", 'b "2"', "c,,3", "d"]
+        elif case == "quoted_cells":
+            cells = [[f'"{v}"' for v in row] for row in cells]
+            labels = [f'"{v}"' for v in labels]
+        elif case == "spaces":
+            cells = [[f" {v}\t" for v in row] for row in cells]
+            labels = [f" {v} " for v in labels]
+        rows = [row + [label] for row, label in zip(cells, labels)]
+        path = write_csv(tmp_path / "data.csv", names, rows, newline=newline)
+        ds = load_dataset_csv(path)
+        ref_names, ref_x, ref_labels = reference_load(path)
+        assert ds.feature_names == ref_names == tuple(names)
+        assert ds.X.tobytes() == ref_x.tobytes()
+        assert ds.X.flags["C_CONTIGUOUS"] and ds.X.dtype == np.float64
+        assert ds.y.dtype.kind == "i"
+        assert ds.y.tolist() == [int(v) for v in ref_labels]
+
+    @pytest.mark.parametrize(
+        "labels, sidecar, parse",
+        [
+            (["0", "1", "12345678901234567"], None, int),
+            (["0", "1", "12345678901234567"], '{"integer_labels": true}', int),
+            (["0", "1", "12345678901234567"], '{"integer_labels": false}', float),
+            (["0.5", "1e3", "-2.25"], None, float),
+            (["1", "2", "1E3"], None, float),
+            (["0", "1", "1e3"], '{"integer_labels": true}', None),  # int() refuses 1e3
+        ],
+    )
+    def test_labels_parse_as_int_or_float_does(self, tmp_path, labels, sidecar, parse):
+        rows = [row + [v] for row, v in zip(cell_grid(3, 2, seed=1), labels)]
+        path = write_csv(tmp_path / "data.csv", ["a", "b"], rows, sidecar=sidecar)
+        if parse is None:
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                load_dataset_csv(path)
+            return
+        ds = load_dataset_csv(path)
+        assert ds.y.tolist() == [parse(v) for v in labels]
+        assert ds.y.dtype.kind == ("i" if parse is int else "f")
+
+    @pytest.mark.parametrize(
+        "row, cells, message",
+        [
+            (2, ["1", "2", "0"], "data row 2 has 3 cells, expected 4"),
+            (3, ["1", "2", "3", "4", "0"], "data row 3 has 5 cells, expected 4"),
+            (1, ["1", "2", "0"], "data row 1 has 3 cells, expected 4"),
+            (2, ["1", "", "3", "0"], "data row 2, column 'b': '' is not a number"),
+            (3, ["1", "2", "#3", "0"], "data row 3, column 'c': '#3' is not a number"),
+            (2, ["1_0", "2", "3", "0"], "data row 2, column 'a': '1_0' is not a number"),
+            (3, ["1", "2", "3", "x"], "data row 3, column 'y': 'x' is not a number"),
+        ],
+    )
+    def test_malformed_row_names_the_data_row(self, tmp_path, row, cells, message):
+        rows = [["1.5", "2.5", "3.5", "1"]] * 3
+        rows = rows[: row - 1] + [cells] + rows[row:]
+        path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], rows)
+        with pytest.raises(ValueError, match=f"data\\.csv: {message}$"):
+            load_dataset_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n1.5,0\n\n2.5,1\n\n")
+        ds = load_dataset_csv(path)
+        assert ds.X.tolist() == [[1.5], [2.5]]
+        assert ds.y.tolist() == [0, 1]
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,y\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("labels", ["int", "float", "bool"])
+    def test_saved_bytes_match_csv_writer(self, tmp_path, labels):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, size=(7, 3))
+        y = {"int": rng.integers(-3, 3, 7), "float": rng.standard_normal(7),
+             "bool": rng.integers(0, 2, 7).astype(bool)}[labels]
+        ds = Dataset(X=x, y=y, feature_names=("a,1", 'b "2"', "c"))
+        save_dataset_csv(ds, tmp_path / "data.csv")
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow([*ds.feature_names, "y"])
+        for row, label in zip(x, y):
+            label = str(int(label)) if labels == "int" else repr(float(label))
+            writer.writerow([repr(float(v)) for v in row] + [label])
+        assert (tmp_path / "data.csv").read_bytes() == ref.getvalue().encode()
+
+    def test_load_peak_memory_is_a_few_copies_of_x(self, tmp_path):
+        # a Python float and str per cell made this about 15 X.nbytes
+        rng = np.random.default_rng(5)
+        path = tmp_path / "data.csv"
+        save_dataset_csv(Dataset(X=rng.standard_normal((500, 400)), y=rng.integers(0, 2, 500)), path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ds.X.nbytes + 2**20
 
 
 class TestDatasetValidation:
