@@ -13,7 +13,7 @@ family and validated against finite differences in the test suite.
 The three links are canonical, so one inverse link maps logits to the
 likelihood's mean, the NLL's logit gradient is mean - target for labels
 encoded as (n, c) targets, and that mean also serves ``predict_proba`` and
-the metric ``train`` stops early on.
+the squared error; classes come from the logits themselves.
 """
 
 from __future__ import annotations
@@ -198,27 +198,31 @@ def _check_inputs(net: Network, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hidden_buffers(net: Network, n: int) -> list[np.ndarray]:
-    """One (n, width) float64 buffer per hidden layer, for ``_predict_hidden``."""
-    return [np.empty((n, width)) for width in net.config.hidden_sizes]
+def _check_labelled(net: Network, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs and prepared labels of ``dataset`` (a ``Dataset`` or an
+    (x, y) pair), of one length; every input cell must be finite."""
+    x, y = (dataset.X, dataset.y) if hasattr(dataset, "X") else dataset
+    x = _check_inputs(net, x)
+    y = _prepare_labels(net.config.link, net.config.n_classes, y)
+    if y.shape[0] != x.shape[0]:
+        raise ValueError("inputs and labels disagree on length")
+    # min and max reach nan and +-inf without an n x p temporary
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"inputs must be finite; row {i}, column {j} is {float(x[i, j])}")
+    return x, y
 
 
-def _predict_hidden(net: Network, x: np.ndarray, out=None) -> np.ndarray:
-    """Run the affine+ReLU hidden stack.
-
-    Layer l's activations are written in place into ``out[l]`` (see
-    ``_hidden_buffers``), which the caller may reuse across calls; with
-    ``out=None`` fresh buffers are allocated. Returns the last layer's.
-    """
-    if out is None:
-        out = _hidden_buffers(net, x.shape[0])
+def _predict_hidden(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """Run the affine+ReLU hidden stack; returns every layer's activations."""
+    hidden = []
     a = x
-    for w, c, z in zip(net.hidden_weights, net.hidden_biases, out):
-        np.matmul(a, w, out=z)
-        z += c
-        np.maximum(z, 0.0, out=z)
-        a = z
-    return a
+    for w, c in zip(net.hidden_weights, net.hidden_biases):
+        a = a @ w
+        a += c
+        np.maximum(a, 0.0, out=a)
+        hidden.append(a)
+    return hidden
 
 
 #: Unit roundoff of IEEE float32 (round to nearest).
@@ -243,17 +247,17 @@ class _Float32Classifier:
 
     with â_0 the float32 input and â_l the float32 activations. The factor
     2 covers the bound's own float32 arithmetic and the float64 route's
-    rounding; the floor keeps a decided row off sigmoid(f) = 0.5 ties and
-    covers the float64 bias add. (γ_n assumes no underflow: a float32
-    result below 1.2e-38 is off by up to 2^-149 absolute, which the floor
-    covers while the entries of w̄ stay below about 1e25.) A row is decided when the bound fixes its
-    class: |f̂| > E for the sigmoid, f̂_top - f̂_j > E_top + E_j for every
-    j != top for softmax; a non-finite f̂ (float32 overflow, or an input
-    beyond float32's range) never decides one. A decided row gets the
-    float64 route's class. The caller recomputes the others with
-    ``_predict_classes``, in whatever batch it gathers them in, so their
-    logits can differ from a whole-batch float64 pass in the last bits
-    (BLAS blocks the rows differently).
+    rounding; the floor covers the float64 bias add. (γ_n assumes no
+    underflow: a float32 result below 1.2e-38 is off by up to 2^-149
+    absolute, which the floor covers while the entries of w̄ stay below
+    about 1e25.) A row is decided when the bound fixes its class:
+    f̂_top - f̂_j > E_top + E_j for every j != top, a sigmoid net counting
+    as two classes whose first has the exact logit 0; a non-finite f̂
+    (float32 overflow, or an input beyond float32's range) never decides
+    one. A decided row gets the float64 route's class. The caller
+    recomputes the others with ``_predict_classes``, in whatever batch it
+    gathers them in, so their logits can differ from a whole-batch float64
+    pass in the last bits (BLAS blocks the rows differently).
     """
 
     def __init__(self, net: Network, x: np.ndarray):
@@ -312,22 +316,21 @@ class _Float32Classifier:
         entries hold the float32 guess until the caller recomputes them."""
         f, bound = self.logits_and_bounds()
         if f.shape[1] == 1:
-            pred = (f[:, 0] > 0).astype(np.intp)
-            decided = np.abs(f[:, 0]) > bound[:, 0]
-        else:
-            pred = f.argmax(axis=1)
-            rows = np.arange(f.shape[0])
-            with np.errstate(invalid="ignore"):
-                upper = f + bound
-                upper[rows, pred] = -np.inf
-                decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
+            f = np.hstack([np.zeros_like(f), f])
+            bound = np.hstack([np.zeros_like(bound), bound])
+        pred = f.argmax(axis=1)
+        rows = np.arange(f.shape[0])
+        with np.errstate(invalid="ignore"):
+            upper = f + bound
+            upper[rows, pred] = -np.inf
+            decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
         decided &= np.isfinite(f).all(axis=1)
         return pred, np.flatnonzero(~decided)
 
 
 def penultimate_activations(net: Network, x) -> np.ndarray:
     """The n-by-k activation matrix feeding the variational output layer."""
-    return _predict_hidden(net, _check_inputs(net, x))
+    return _predict_hidden(net, _check_inputs(net, x))[-1]
 
 
 def kl_q_prior(m: np.ndarray, v: np.ndarray, prior_scale: float) -> float:
@@ -411,17 +414,13 @@ def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
     batch, seed). The gradients are written into ``out``, arrays shaped like
     ``net.parameters()`` and in that order, which are allocated if None.
     """
-    x = _check_inputs(net, x)
+    x, y = _check_labelled(net, (x, y))
     cfg = net.config
-    y = _prepare_labels(cfg.link, cfg.n_classes, y)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("inputs and labels disagree on batch size")
     if n_total < x.shape[0]:
         raise ValueError("n_total must be at least the batch size")
 
-    hidden = _hidden_buffers(net, x.shape[0])
-    h = _predict_hidden(net, x, hidden)
-    activations = [x, *hidden]
+    activations = [x, *_predict_hidden(net, x)]
+    h = activations[-1]
     v = net.v
     mean = h @ net.m + net.b
     var = (h**2) @ v
@@ -449,7 +448,7 @@ def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
 
     da = dh
     for l in range(len(net.hidden_weights) - 1, -1, -1):
-        dz = da * (hidden[l] > 0)  # max(z, 0) > 0 exactly where z > 0
+        dz = da * (activations[l + 1] > 0)  # max(z, 0) > 0 exactly where z > 0
         np.sum(dz, axis=0, out=hidden_grads[2 * l + 1])  # bias
         np.matmul(activations[l].T, dz, out=hidden_grads[2 * l])  # weights
         if l:
@@ -463,33 +462,25 @@ def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
     return _elbo(net, x, y, n_total, seed)[0]
 
 
-def _dataset_xy(dataset):
-    if hasattr(dataset, "X") and hasattr(dataset, "y"):
-        return np.asarray(dataset.X, dtype=np.float64), np.asarray(dataset.y)
-    x, y = dataset
-    return np.asarray(x, dtype=np.float64), np.asarray(y)
-
-
-def _posterior_mean(net: Network, h: np.ndarray) -> np.ndarray:
-    """The likelihood's mean at the posterior-mean logits of penultimate
-    activations ``h``."""
-    return _inverse_link(net.config.link, h @ net.m + net.b)
+def _posterior_mean(net: Network, x) -> np.ndarray:
+    """The likelihood's mean at the posterior-mean logits of inputs ``x``."""
+    return _inverse_link(net.config.link, logit_posterior(net, x).mean)
 
 
 def _mean_squared_error(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     """Squared error of the posterior-mean prediction against the prepared
     labels (the Brier score for classification links)."""
-    mean = _posterior_mean(net, penultimate_activations(net, x))
+    mean = _posterior_mean(net, x)
     return float(np.mean((mean - _target(y, net.config.n_classes)) ** 2))
 
 
 def _predict_classes(net: Network, x: np.ndarray) -> np.ndarray:
-    """The posterior-mean prediction as class labels: 1 where the sigmoid
-    mean exceeds 0.5, else 0; the argmax class for softmax."""
-    mean = _posterior_mean(net, penultimate_activations(net, x))
-    if net.config.n_classes == 1:
-        return (mean[:, 0] > 0.5).astype(np.intp)
-    return mean.argmax(axis=1)
+    """Posterior-mean classes: 1 where the sigmoid's logit is positive (its
+    float64 mean rounds to 0.5 up to 1.1e-16), else 0; softmax's argmax."""
+    f = logit_posterior(net, x).mean
+    if f.shape[1] == 1:
+        return (f[:, 0] > 0).astype(np.intp)
+    return f.argmax(axis=1)
 
 
 def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
@@ -565,11 +556,7 @@ def train(net: Network, dataset, config: TrainConfig):
 
     Raises ``TrainingDivergedError`` if the loss becomes non-finite.
     """
-    x, y = _dataset_xy(dataset)
-    x = _check_inputs(net, x)
-    y = _prepare_labels(net.config.link, net.config.n_classes, y)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("inputs and labels disagree on length")
+    x, y = _check_labelled(net, dataset)
 
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
@@ -658,7 +645,6 @@ def train(net: Network, dataset, config: TrainConfig):
 
 def logit_posterior(net: Network, x) -> LogitPosterior:
     """The Gaussian over latent pre-link outputs implied by the output layer."""
-    x = _check_inputs(net, x)
     h = penultimate_activations(net, x)
     return LogitPosterior(mean=h @ net.m + net.b, hidden=h, variances=net.v)
 
@@ -671,7 +657,7 @@ def predict_proba(net: Network, x) -> np.ndarray:
     """
     if net.config.link == "identity":
         raise ValueError("predict_proba is unsupported for the identity link")
-    return _posterior_mean(net, penultimate_activations(net, x))
+    return _posterior_mean(net, x)
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -728,7 +714,7 @@ def network_from_json(text: str) -> Network:
     """Read a document written by ``network_to_json``; every array's shape
     must match the one its config implies."""
     doc = json.loads(text)
-    if doc.get("format") != SERIAL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SERIAL_FORMAT:
         raise ValueError("not a serialized network document")
     if doc.get("version") != SERIAL_VERSION:
         raise ValueError(

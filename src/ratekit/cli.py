@@ -235,7 +235,11 @@ def _configure(args, *required: str) -> tuple[Path, dict]:
 
 
 def _load_network(path) -> bnn.Network:
-    return bnn.network_from_json(Path(path).read_text())
+    """The network in model file ``path``; a document it refuses is named."""
+    try:
+        return bnn.network_from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({path})") from exc
 
 
 def _parse_list(flag: str, text: str, kind: type, noun: str) -> tuple:
@@ -406,6 +410,8 @@ def _cmd_evaluate(args) -> int:
     if cfg["mask"]:
         with _stage("roc"):
             mask_doc = json.loads(Path(cfg["mask"]).read_text())
+            if not isinstance(mask_doc, dict):
+                raise ValueError(f"{cfg['mask']}: not a JSON object")
             if mask_doc.get("causal_mask") is None:
                 raise ValueError(f"{cfg['mask']}: no causal mask recorded")
             mask = np.asarray(mask_doc["causal_mask"], dtype=bool)

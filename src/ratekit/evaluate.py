@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit import bnn
-from ratekit.bnn import Network, _check_inputs, _Float32Classifier, _prepare_labels
+from ratekit.bnn import Network, _check_labelled, _Float32Classifier
 
 __all__ = [
     "RocCurve",
@@ -124,9 +124,10 @@ def shuffle_degradation(
     """
     if net.config.link == "identity":
         raise ValueError("shuffle degradation requires a classification network")
-    x = _check_inputs(net, test.X)
-    # the labels the network can output, as training requires them
-    y = _prepare_labels(net.config.link, net.config.n_classes, test.y).astype(int)
+    # finite inputs, and the labels the network can output, as training
+    # requires them
+    x, y = _check_labelled(net, test)
+    y = y.astype(int)
     n, p = x.shape
     if n == 0:
         raise ValueError("test set is empty")

@@ -176,17 +176,25 @@ class GroupMap:
 
     @staticmethod
     def from_names(groups: dict, feature_names) -> "GroupMap":
-        """Resolve feature names to indices; unknown names are hard errors."""
-        positions = {name: j for j, name in enumerate(feature_names)}
+        """Resolve feature names to indices; an unknown name, or one that
+        appears more than once in ``feature_names``, is a hard error."""
+        positions = {}
+        for j, name in enumerate(feature_names):
+            positions[name] = None if name in positions else j  # None: repeated
         resolved = {}
         for gname, members in groups.items():
             idx = []
             for feat in members:
                 if feat not in positions:
                     raise ValueError(f"group {gname!r} names unknown feature {feat!r}")
+                if positions[feat] is None:
+                    raise ValueError(
+                        f"group {gname!r} names feature {feat!r}, which appears more "
+                        "than once in the feature names"
+                    )
                 idx.append(positions[feat])
             resolved[gname] = idx
-        return GroupMap.from_indices(resolved, len(positions))
+        return GroupMap.from_indices(resolved, len(feature_names))
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,8 @@ def load_dataset_csv(csv_path) -> Dataset:
     if sidecar.exists():
         with open(sidecar) as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{sidecar}: not a JSON object")
         if meta.get("causal_mask") is not None:
             mask = np.asarray(meta["causal_mask"], dtype=bool)
         if meta.get("column_permutation") is not None:

@@ -20,6 +20,7 @@ from ratekit.bnn import (
     _adam_step,
     _elbo,
     _nll_and_grad,
+    _predict_classes,
     build_network,
     elbo_loss,
     kl_q_prior,
@@ -310,6 +311,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_cell_is_named(self, bad):
+        # a nan cell used to surface as a loss gone non-finite at epoch 0
+        x, y = blob_dataset()
+        x[7, 1] = bad
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(4,)), seed=0)
+        with pytest.raises(ValueError, match=f"row 7, column 1 is {bad}"):
+            train(net, (x, y), TrainConfig(epochs=1, seed=0))
+
     def test_invalid_step_size_and_patience_rejected(self):
         for rate in (-0.01, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="learning_rate"):
@@ -492,6 +502,19 @@ class TestPredictProba:
         assert np.abs(probs - mc).max() < 0.05
 
 
+class TestPredictClasses:
+    @pytest.mark.parametrize("link, b", [("sigmoid", [1e-17]), ("softmax", [0.0, 1e-17])])
+    def test_class_comes_from_the_logits(self, link, b):
+        # the float64 sigmoid of 1e-17 rounds to exactly 0.5, and the softmax
+        # of (0, 1e-17) to (0.5, 0.5); the logits still rank class 1 first
+        net = small_net(link=link, n_classes=len(b))
+        net.hidden_weights = [np.zeros_like(w) for w in net.hidden_weights]
+        net.b = np.array(b)
+        x = np.ones((2, 3))
+        assert np.all(predict_proba(net, x)[:, -1] == 0.5)
+        assert np.array_equal(_predict_classes(net, x), [1, 1])
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         net = small_net(hidden=(5, 3), seed=13)
@@ -504,8 +527,10 @@ class TestSerialization:
         assert network_to_json(back) == text
 
     def test_rejects_foreign_documents(self):
-        with pytest.raises(ValueError):
-            network_from_json(json.dumps({"format": "something-else"}))
+        # a JSON list used to raise AttributeError
+        for doc in ({"format": "something-else"}, [], [1, 0]):
+            with pytest.raises(ValueError, match="not a serialized network document"):
+                network_from_json(json.dumps(doc))
 
     def test_round_trip_keeps_special_bit_patterns(self):
         net = small_net(hidden=(3,), p=2, seed=4)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -630,6 +631,25 @@ class TestPipeline:
                            "--out", str(tmp_path / command)) == 3
                 err = capsys.readouterr().err
                 assert f"error [load-data]: {bad}: data row {row}, column 'f4' is not finite" in err
+
+    def test_json_documents_that_are_not_objects_exit_3(self, pipeline, tmp_path, capsys):
+        # each used to end in an AttributeError traceback and exit 1
+        data, model = pipeline / "sim" / "test.csv", pipeline / "model" / "model.json"
+        mask, bad_model = tmp_path / "mask.json", tmp_path / "model.json"
+        mask.write_text("[1, 0]")
+        bad_model.write_text("[]")
+        bad_data, sidecar = tmp_path / "data.csv", tmp_path / "data.mask.json"
+        shutil.copyfile(data, bad_data)
+        sidecar.write_text("[]")
+        report = str(pipeline / "imp" / "report.json")
+        for argv, named in (
+            (("evaluate", "--report", report, "--mask", str(mask)), mask),
+            (("importance", "--data", str(data), "--model", str(bad_model)), bad_model),
+            (("importance", "--data", str(bad_data), "--model", str(model)), sidecar),
+        ):
+            capsys.readouterr()
+            assert run(*argv, "--out", str(tmp_path / "out")) == 3
+            assert str(named) in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, pipeline, tmp_path):
         data = pipeline / "sim" / "test.csv"

@@ -1,6 +1,7 @@
 """Tests for ROC scoring, shuffle degradation, and the marginal baselines."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from ratekit.bnn import (
     TrainConfig,
     build_network,
     penultimate_activations,
-    predict_proba,
     train,
 )
 from ratekit.esa import covariance_effect_sizes
@@ -94,7 +94,8 @@ def trained_softmax_net():
 
 
 def reference_degradation(net, ds, ranking, fractions, repeats, seed):
-    """Shuffle degradation written plainly: fresh copies, predict_proba."""
+    """Shuffle degradation written plainly: fresh copies, and each class
+    read off the posterior-mean logits (positive, or the argmax)."""
     x, y = np.asarray(ds.X, dtype=np.float64), np.asarray(ds.y).astype(int)
     acc = np.empty((len(fractions), repeats))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
@@ -103,11 +104,8 @@ def reference_degradation(net, ds, ranking, fractions, repeats, seed):
             shuffled = x.copy()
             for col in ranking[: math.ceil(frac * x.shape[1])]:
                 shuffled[:, col] = shuffled[rng.permutation(x.shape[0]), col]
-            probs = predict_proba(net, shuffled)
-            if probs.shape[1] == 1:
-                pred = (probs[:, 0] > 0.5).astype(int)
-            else:
-                pred = probs.argmax(axis=1)
+            f = penultimate_activations(net, shuffled) @ net.m + net.b
+            pred = (f[:, 0] > 0).astype(int) if f.shape[1] == 1 else f.argmax(axis=1)
             acc[i, r] = np.mean(pred == y)
     std = acc.std(axis=1, ddof=1) if repeats > 1 else np.zeros(len(fractions))
     std[acc.max(axis=1) == acc.min(axis=1)] = 0.0
@@ -182,6 +180,15 @@ class TestShuffleDegradation:
         shifted = Dataset(X=ds.X, y=np.asarray(ds.y) + shift)
         with pytest.raises(ValueError, match=message):
             shuffle_degradation(net, shifted, list(range(ds.p)), repeats=2, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_cell_is_named(self, trained_blob_net, bad):
+        # a nan row used to be scored as class 0
+        net, ds = trained_blob_net
+        x = ds.X.copy()
+        x[11, 0] = bad
+        with pytest.raises(ValueError, match=f"row 11, column 0 is {bad}"):
+            shuffle_degradation(net, Dataset(X=x, y=ds.y), [0, 1], repeats=2, seed=0)
 
     def test_invalid_ranking_rejected(self, trained_blob_net):
         net, ds = trained_blob_net
@@ -331,7 +338,7 @@ class TestFloat32Route:
             w1, m, b = np.array([[-2e38], [-2e38], [2.5e38], [2.5e38]]), np.array([[1e-30]]), [-1e3]
             x = np.ones((3, 4))
         elif case == "tie":
-            # f = 1e-17 > 0 but sigmoid(f) rounds to 0.5: the float64 class is 0
+            # f = 1e-17 > 0 is class 1, though sigmoid(f) rounds to 0.5
             w1, m, b = np.eye(1), np.ones((1, 1)), [0.0]
             x = np.array([[1e-17], [-1e-17], [1.0]])
         else:
@@ -347,6 +354,28 @@ class TestFloat32Route:
         pred, undecided = bnn._Float32Classifier(net, x).predict_classes()
         pred[undecided] = bnn._predict_classes(net, x[undecided])
         assert np.array_equal(pred, bnn._predict_classes(net, x))
+
+    def test_sigmoid_as_two_classes_matches_the_sign_rule(self):
+        def sign_rule(f, bound):
+            """The sigmoid branch predict_classes had before the sigmoid was
+            read as the two logits (0, f)."""
+            pred = (f[:, 0] > 0).astype(np.intp)
+            decided = (np.abs(f[:, 0]) > bound[:, 0]) & np.isfinite(f).all(axis=1)
+            return pred, np.flatnonzero(~decided)
+
+        e, up = np.float32(0.25), np.nextafter(np.float32(0.25), np.float32(1))
+        logits = [0.0, -0.0, e, -e, up, -up, 1e-12, -1e-12, 1e-30, -3.0, np.nan, np.inf, -np.inf]
+        bounds = [e, 1e-12, np.inf]
+        f, bound = (np.array(a, np.float32)[:, None] for a in zip(*itertools.product(logits, bounds)))
+        classifier = bnn._Float32Classifier(exact_net("sigmoid"), np.zeros((len(f), 3)))
+        classifier.logits_and_bounds = lambda: (f.copy(), bound.copy())
+        pred, undecided = classifier.predict_classes()
+        expected_pred, expected_undecided = sign_rule(f, bound)
+        assert np.array_equal(undecided, expected_undecided)
+        # a nan logit decides no row under either rule, and the caller
+        # overwrites an undecided row's entry
+        known = ~np.isnan(f[:, 0])
+        assert np.array_equal(pred[known], expected_pred[known])
 
     @pytest.mark.parametrize("n, cols", [(1, 1), (2, 3), (50, 1), (50, 17)])
     def test_permuted_rows_are_the_permutation_stream(self, n, cols):

@@ -714,6 +714,15 @@ class TestGroupMap:
         gm = GroupMap.from_names({"a": ["z", "x"]}, feature_names=("x", "y", "z"))
         assert gm.groups["a"] == (0, 2)
 
+    def test_repeated_names_still_count_toward_p(self):
+        # p is 3 here; counting distinct names made it 2, and index 2 out of range
+        gm = GroupMap.from_names({"g1": ["b"]}, feature_names=("a", "a", "b"))
+        assert gm.groups["g1"] == (2,)
+
+    def test_repeated_name_as_a_member_is_hard_error(self):
+        with pytest.raises(ValueError, match="feature 'a', which appears more than once"):
+            GroupMap.from_names({"g1": ["a"]}, feature_names=("a", "a", "b"))
+
 
 class TestMutualInfo:
     def test_diagonal_covariance_gives_zero(self):
