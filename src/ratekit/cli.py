@@ -333,10 +333,12 @@ def _cmd_train(args) -> int:
             val_fraction=cfg["val_fraction"],
             seed=cfg["seed"],
         )
-        net = bnn.build_network(net_cfg, seed=cfg["seed"])
-        trained, history = bnn.train(net, ds, train_cfg)
+        # the initial network is passed as a temporary so that bnn.train can
+        # free it once its parameters are copied
+        trained, history = bnn.train(bnn.build_network(net_cfg, seed=cfg["seed"]), ds, train_cfg)
+        del ds  # the model file is written without the dataset in memory
     with _stage("write-output"):
-        (out / "model.json").write_text(bnn.network_to_json(trained) + "\n")
+        bnn.save_network_json(trained, out / "model.json")
         (out / "history.json").write_text(json.dumps(history, sort_keys=True) + "\n")
     return 0
 
@@ -398,13 +400,25 @@ def _read_group_csv(path, feature_names) -> rate.GroupMap:
     return rate.GroupMap.from_names(groups, feature_names)
 
 
+def _read_report(path) -> tuple[list[str], np.ndarray]:
+    """The feature names and rates of the importance report ``path``; an
+    item without either key is refused, naming the item, the key and the file."""
+    doc = json.loads(Path(path).read_text())
+    items = doc.get("items") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ValueError(f"{path}: not an importance report (no 'items' list)")
+    for i, item in enumerate(items):
+        for key in ("name", "rate"):
+            if not isinstance(item, dict) or key not in item:
+                raise ValueError(f"{path}: report item {i} has no {key!r} key")
+    return [item["name"] for item in items], np.array([item["rate"] for item in items])
+
+
 def _cmd_evaluate(args) -> int:
     with _stage("config"):
         out, cfg = _configure(args, "report")
     with _stage("load-report"):
-        report_doc = json.loads(Path(cfg["report"]).read_text())
-        names = [item["name"] for item in report_doc["items"]]
-        scores = np.array([item["rate"] for item in report_doc["items"]])
+        names, scores = _read_report(cfg["report"])
 
     wrote_anything = False
     if cfg["mask"]:
@@ -415,8 +429,11 @@ def _cmd_evaluate(args) -> int:
             if mask_doc.get("causal_mask") is None:
                 raise ValueError(f"{cfg['mask']}: no causal mask recorded")
             mask = np.asarray(mask_doc["causal_mask"], dtype=bool)
-            if mask.shape[0] != scores.shape[0]:
-                raise ValueError("mask length does not match the report")
+            if mask.shape != scores.shape:
+                raise ValueError(
+                    f"{cfg['mask']}: causal_mask must be a list with one entry per report "
+                    f"item ({scores.size}), got shape {mask.shape}"
+                )
             curve = evaluate.roc_auc(scores, mask)
             evaluate.roc_curve_to_csv(curve, out / "roc.csv")
             svg = render_curve_svg(

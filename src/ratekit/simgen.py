@@ -92,8 +92,11 @@ class Dataset:
             raise ValueError("X and y disagree on the number of rows")
         if self.causal_mask is not None:
             self.causal_mask = np.asarray(self.causal_mask, dtype=bool)
-            if self.causal_mask.shape[0] != self.X.shape[1]:
-                raise ValueError("causal_mask length must equal the feature count")
+            if self.causal_mask.shape != (self.X.shape[1],):
+                raise ValueError(
+                    f"causal_mask must be 1-d with one entry per feature ({self.X.shape[1]}), "
+                    f"got shape {self.causal_mask.shape}"
+                )
         if not self.feature_names:
             self.feature_names = tuple(f"f{j + 1}" for j in range(self.X.shape[1]))
 
@@ -297,6 +300,11 @@ def load_dataset_csv(csv_path) -> Dataset:
             raise ValueError(f"{sidecar}: not a JSON object")
         if meta.get("causal_mask") is not None:
             mask = np.asarray(meta["causal_mask"], dtype=bool)
+            if mask.shape != (p,):
+                raise ValueError(
+                    f"{sidecar}: causal_mask must be a list with one entry per feature ({p}), "
+                    f"got shape {mask.shape}"
+                )
         if meta.get("column_permutation") is not None:
             perm = np.asarray(meta["column_permutation"], dtype=int)
         seed = meta.get("seed")

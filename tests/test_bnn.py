@@ -7,6 +7,8 @@ is checked against central differences of the loss at fixed sampling noise.
 import base64
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ratekit.bnn import (
     network_to_json,
     penultimate_activations,
     predict_proba,
+    save_network_json,
     train,
 )
 
@@ -307,6 +310,29 @@ class TestTrain:
         assert acc > 0.95
         assert all(np.isfinite(loss) for loss in history["train_loss"])
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps the caller's reference to a call argument until the call "
+        "returns, so the initial network passed as a temporary stays alive through training",
+    )
+    def test_traced_peak_is_four_parameter_buffers(self):
+        # Parameters, gradient and two Adam moments: the initial network,
+        # passed as a temporary, is freed once copied. The 1 MiB of slack
+        # covers Adam's 256 KiB scratch and the ELBO's batch-sized activations
+        # (8 rows of width 512); holding the network too adds 2.1 MiB.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 10))
+        y = (x[:, 0] > 0).astype(int)
+        cfg = NetworkConfig(input_dim=10, hidden_sizes=(512, 512))
+        tracemalloc.start()
+        try:
+            trained, _ = train(build_network(cfg, seed=0), (x, y), TrainConfig(epochs=1, batch_size=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = sum(p.nbytes for p in trained.parameters())
+        assert peak <= 4 * buffer + 2**20
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -576,6 +602,43 @@ class TestSerialization:
         doc["config"]["activation"] = "tanh"
         with pytest.raises(ValueError, match="unsupported activation: 'tanh'"):
             network_from_json(json.dumps(doc))
+
+    def test_rejects_a_document_missing_a_top_level_key(self):
+        text = network_to_json(small_net(hidden=(3,), seed=2))
+        for key in ("format", "version", "seed", "config", "hidden", "m", "rho", "b"):
+            doc = json.loads(text)
+            del doc[key]
+            message = "'format' is not" if key == "format" else f"is missing '{key}'"
+            with pytest.raises(ValueError, match=message):
+                network_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("link, n_classes", [("sigmoid", 1), ("softmax", 3), ("identity", 1)])
+    def test_writer_writes_network_to_json_and_a_newline(self, tmp_path, link, n_classes):
+        net = small_net(link=link, n_classes=n_classes, hidden=(4, 3), seed=6)
+        net.hidden_weights[1].flat[:4] = [-0.0, np.nan, np.inf, -np.inf]
+        net.m[0] = -0.0
+        net.b[-1] = np.nan
+        path = tmp_path / "model.json"
+        save_network_json(net, path)
+        assert path.read_bytes() == (network_to_json(net) + "\n").encode("ascii")
+
+    def test_writer_holds_no_copy_of_the_whole_document(self, tmp_path):
+        # A paper-scale model (p=100, hidden 512,512): 3.2 MiB of JSON, of
+        # which the 512x512 weights are 2.7 MiB of base64. Streaming holds the
+        # document's strings plus a quoted and an encoded copy of the largest
+        # one; a string of the whole document, its newline-terminated copy and
+        # their encoded bytes held three document sizes (9.6 MiB).
+        net = small_net(hidden=(512, 512), p=100, seed=1)
+        text = network_to_json(net)
+        largest = len(json.loads(text)["hidden"][1]["weights"]["data"])
+        tracemalloc.start()
+        try:
+            save_network_json(net, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(text) + 2 * largest + 2**18
+        assert (tmp_path / "model.json").read_text() == text + "\n"
 
     def test_links_constant_is_exported(self):
         assert LINKS == ("sigmoid", "identity", "softmax")

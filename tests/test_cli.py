@@ -651,6 +651,55 @@ class TestPipeline:
             assert run(*argv, "--out", str(tmp_path / "out")) == 3
             assert str(named) in capsys.readouterr().err
 
+    def test_mask_that_is_not_a_list_exits_3(self, pipeline, tmp_path, capsys):
+        # a 0-d mask used to end in an IndexError traceback and exit 1
+        data, model = pipeline / "sim" / "test.csv", pipeline / "model" / "model.json"
+        mask = tmp_path / "mask.json"
+        mask.write_text('{"causal_mask": 5}')
+        bad_data, sidecar = tmp_path / "data.csv", tmp_path / "data.mask.json"
+        shutil.copyfile(data, bad_data)
+        sidecar.write_text('{"causal_mask": 5}')
+        report = str(pipeline / "imp" / "report.json")
+        for argv, stage, named in (
+            (("evaluate", "--report", report, "--mask", str(mask)), "roc", mask),
+            (("importance", "--data", str(bad_data), "--model", str(model)), "load-data", sidecar),
+        ):
+            capsys.readouterr()
+            assert run(*argv, "--out", str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert f"error [{stage}]: {named}: causal_mask must be a list" in err
+            assert "got shape ()" in err
+
+    def test_model_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
+        # these used to print only the key's repr, as in "error [load-data]: 'config'"
+        data = str(pipeline / "sim" / "test.csv")
+        text = (pipeline / "model" / "model.json").read_text()
+        for key in ("format", "version", "seed", "config", "hidden", "m", "rho", "b"):
+            doc = json.loads(text)
+            del doc[key]
+            model = tmp_path / f"no-{key}.json"
+            model.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("importance", "--data", data, "--model", str(model),
+                       "--out", str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert f"'{key}'" in err and str(model) in err
+
+    def test_report_item_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
+        # these used to print only the key's repr, as in "error [load-report]: 'rate'"
+        text = (pipeline / "imp" / "report.json").read_text()
+        for key in ("name", "rate"):
+            doc = json.loads(text)
+            del doc["items"][3][key]
+            report = tmp_path / f"no-{key}.json"
+            report.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("evaluate", "--report", str(report),
+                       "--mask", str(pipeline / "sim" / "test.mask.json"),
+                       "--out", str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert f"error [load-report]: {report}: report item 3 has no '{key}' key" in err
+
     def test_inputs_not_mutated(self, pipeline, tmp_path):
         data = pipeline / "sim" / "test.csv"
         before = data.read_bytes()

@@ -321,3 +321,16 @@ class TestDatasetValidation:
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
             Dataset(X=np.ones((4, 2)), y=np.ones(4), causal_mask=np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize("mask", [5, [[True, False]]])
+    def test_mask_that_is_not_1d_rejected(self, mask):
+        # a 0-d mask used to raise IndexError
+        with pytest.raises(ValueError, match=r"causal_mask must be 1-d .*got shape"):
+            Dataset(X=np.ones((4, 2)), y=np.ones(4), causal_mask=mask)
+
+    @pytest.mark.parametrize("mask", ["5", "[[1, 0, 1]]", "[1, 0]"])
+    def test_sidecar_mask_that_is_not_one_entry_per_feature_is_named(self, tmp_path, mask):
+        path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], [["1", "2", "3", "0"]],
+                         sidecar=f'{{"causal_mask": {mask}}}')
+        with pytest.raises(ValueError, match=r"data\.mask\.json: causal_mask must be a list"):
+            load_dataset_csv(path)
