@@ -674,14 +674,41 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
 
 
-def _decode_array(obj: dict, name: str, expected: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_encode_array``, checked against the shape the config
-    implies; returns a native float64 array that owns its data."""
-    shape = tuple(obj["shape"])
+#: The JSON name of each type ``json.loads`` returns.
+_JSON_KINDS = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    float: "a number", bool: "true or false", type(None): "null",
+}
+
+
+def _checked(value, path: str, kind: type):
+    """``value`` if it is of JSON type ``kind`` (a number may be an integer);
+    otherwise a ``ValueError`` naming its key path in the document."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _field(obj: dict, prefix: str, key: str, kind: type):
+    """``obj[key]`` checked by ``_checked``; ``prefix`` is the key path of
+    ``obj``, so a missing key is named in full (``config.link``)."""
+    path = f"{prefix}.{key}" if prefix else key
+    if key not in obj:
+        raise ValueError(f"network document is missing {path!r}")
+    return _checked(obj[key], path, kind)
+
+
+def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_encode_array`` for the array at ``parent[key]``, checked
+    against the shape the config implies; returns a native float64 array
+    that owns its data."""
+    name = f"{prefix}.{key}" if prefix else key
+    obj = _field(parent, prefix, key, dict)
+    shape = tuple(_field(obj, name, "shape", list))
     if shape != expected:
         raise ValueError(f"{name} has shape {shape}, expected {expected}")
     try:
-        raw = base64.b64decode(obj["data"], validate=True)
+        raw = base64.b64decode(_field(obj, name, "data", str), validate=True)
     except binascii.Error as exc:
         raise ValueError(f"{name} data is not valid base64: {exc}") from None
     size = 8 * math.prod(expected)
@@ -747,33 +774,39 @@ def network_from_json(text: str) -> Network:
             f"unsupported network document version: {doc.get('version')!r} "
             f"(this ratekit reads version {SERIAL_VERSION}); retrain the model"
         )
-    if doc["config"]["activation"] != ACTIVATION:
-        raise ValueError(f"unsupported activation: {doc['config']['activation']!r}")
+    config = _checked(doc["config"], "config", dict)
+    if _field(config, "config", "activation", str) != ACTIVATION:
+        raise ValueError(f"unsupported activation: {config['activation']!r}")
     cfg = NetworkConfig(
-        input_dim=doc["config"]["input_dim"],
-        hidden_sizes=tuple(doc["config"]["hidden_sizes"]),
-        link=doc["config"]["link"],
-        n_classes=doc["config"]["n_classes"],
-        prior_scale=doc["config"]["prior_scale"],
+        input_dim=_field(config, "config", "input_dim", int),
+        hidden_sizes=tuple(
+            _checked(width, f"config.hidden_sizes[{i}]", int)
+            for i, width in enumerate(_field(config, "config", "hidden_sizes", list))
+        ),
+        link=_field(config, "config", "link", str),
+        n_classes=_field(config, "config", "n_classes", int),
+        prior_scale=_field(config, "config", "prior_scale", float),
     )
-    if len(doc["hidden"]) != len(cfg.hidden_sizes):
+    hidden = _checked(doc["hidden"], "hidden", list)
+    if len(hidden) != len(cfg.hidden_sizes):
         raise ValueError(
-            f"document has {len(doc['hidden'])} hidden layers, "
+            f"document has {len(hidden)} hidden layers, "
             f"its config lists {len(cfg.hidden_sizes)}"
         )
     weights, biases = [], []
     fan_in = cfg.input_dim
-    for l, (layer, width) in enumerate(zip(doc["hidden"], cfg.hidden_sizes)):
-        weights.append(_decode_array(layer["weights"], f"hidden[{l}].weights", (fan_in, width)))
-        biases.append(_decode_array(layer["bias"], f"hidden[{l}].bias", (width,)))
+    for l, (layer, width) in enumerate(zip(hidden, cfg.hidden_sizes)):
+        _checked(layer, f"hidden[{l}]", dict)
+        weights.append(_decode_array(layer, f"hidden[{l}]", "weights", (fan_in, width)))
+        biases.append(_decode_array(layer, f"hidden[{l}]", "bias", (width,)))
         fan_in = width
     k, c = cfg.penultimate_dim, cfg.n_classes
     return Network(
         config=cfg,
         hidden_weights=weights,
         hidden_biases=biases,
-        m=_decode_array(doc["m"], "m", (k, c)),
-        rho=_decode_array(doc["rho"], "rho", (k, c)),
-        b=_decode_array(doc["b"], "b", (c,)),
-        seed=int(doc["seed"]),
+        m=_decode_array(doc, "", "m", (k, c)),
+        rho=_decode_array(doc, "", "rho", (k, c)),
+        b=_decode_array(doc, "", "b", (c,)),
+        seed=_checked(doc["seed"], "seed", int),
     )

@@ -212,13 +212,12 @@ def _merge(defaults: dict, config: dict, args) -> dict:
     return merged
 
 
-def _configure(args, *required: str) -> tuple[Path, dict]:
-    """Create ``--out``, merge the subcommand's settings, check that the
-    ``required`` ones are set and echo the result to effective_config.json."""
+def _configure(args, *required: str, check=None) -> tuple[Path, dict]:
+    """Merge the subcommand's settings, check that the ``required`` ones are
+    set and that ``check(cfg)`` passes, then create ``--out`` and echo the
+    result to effective_config.json: a refused setting writes nothing."""
     if not args.out:
         raise ValueError("an output directory is required (--out)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = {}
     if args.config:
         with open(args.config) as fh:
@@ -229,6 +228,10 @@ def _configure(args, *required: str) -> tuple[Path, dict]:
     for name in required:
         if not cfg[name]:
             raise ValueError(f"--{name} is required")
+    if check:
+        check(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     doc = {"command": args.command, "config": cfg}
     (out / "effective_config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
     return out, cfg
@@ -262,8 +265,16 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return widths
 
 
-def _parse_fractions(text: str) -> tuple[float, ...]:
-    return _parse_list("fractions", text, float, "a number")
+def _parse_fractions(cfg: dict) -> tuple[float, ...]:
+    """The ``fractions`` setting, checked with ``repeats`` as degradation
+    needs them: at least 2 values, each in [0, 1]."""
+    fractions = _parse_list("fractions", cfg["fractions"], float, "a number")
+    if len(fractions) < 2:
+        raise ValueError(
+            f"--fractions needs at least 2 values to draw a curve, got {cfg['fractions']!r}"
+        )
+    evaluate.check_degradation_settings(fractions, cfg["repeats"])
+    return fractions
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +425,21 @@ def _read_report(path) -> tuple[list[str], np.ndarray]:
     return [item["name"] for item in items], np.array([item["rate"] for item in items])
 
 
+def _check_evaluate_settings(cfg: dict) -> None:
+    if not cfg["mask"] and not cfg["degradation"]:
+        raise ValueError("nothing to evaluate: pass --mask and/or --degradation")
+    if cfg["degradation"]:
+        if not cfg["model"] or not cfg["data"]:
+            raise ValueError("degradation needs --model and --data")
+        _parse_fractions(cfg)
+
+
 def _cmd_evaluate(args) -> int:
     with _stage("config"):
-        out, cfg = _configure(args, "report")
+        out, cfg = _configure(args, "report", check=_check_evaluate_settings)
     with _stage("load-report"):
         names, scores = _read_report(cfg["report"])
 
-    wrote_anything = False
     if cfg["mask"]:
         with _stage("roc"):
             mask_doc = json.loads(Path(cfg["mask"]).read_text())
@@ -442,17 +461,9 @@ def _cmd_evaluate(args) -> int:
                 "true positive rate",
             )
             (out / "roc.svg").write_text(svg)
-            wrote_anything = True
 
     if cfg["degradation"]:
         with _stage("degradation"):
-            if not cfg["model"] or not cfg["data"]:
-                raise ValueError("degradation needs --model and --data")
-            fractions = _parse_fractions(cfg["fractions"])
-            if len(fractions) < 2:
-                raise ValueError(
-                    f"--fractions needs at least 2 values to draw a curve, got {cfg['fractions']!r}"
-                )
             net = _load_network(cfg["model"])
             ds = simgen.load_dataset_csv(cfg["data"])
             if list(ds.feature_names) != names:
@@ -465,7 +476,7 @@ def _cmd_evaluate(args) -> int:
                 net,
                 ds,
                 ranking,
-                fractions=fractions,
+                fractions=_parse_fractions(cfg),
                 repeats=cfg["repeats"],
                 seed=cfg["seed"],
             )
@@ -476,10 +487,6 @@ def _cmd_evaluate(args) -> int:
                 "test accuracy",
             )
             (out / "degradation.svg").write_text(svg)
-            wrote_anything = True
-
-    if not wrote_anything:
-        raise StageError("config", ValueError("nothing to evaluate: pass --mask and/or --degradation"), EXIT_DATA)
     return 0
 
 

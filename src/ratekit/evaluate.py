@@ -36,6 +36,7 @@ __all__ = [
     "DegradationCurve",
     "roc_auc",
     "shuffle_degradation",
+    "check_degradation_settings",
     "marginal_correlation",
     "ttest_stats",
     "student_t_sf_two_sided",
@@ -103,6 +104,20 @@ def roc_auc(scores, mask) -> RocCurve:
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
 
 
+def check_degradation_settings(fractions, repeats: int) -> np.ndarray:
+    """``fractions`` as a float64 array, once it is checked to be a non-empty
+    list of values in [0, 1] and ``repeats`` to be at least 1."""
+    fractions = np.asarray(fractions, dtype=np.float64)
+    if fractions.ndim != 1 or fractions.size == 0:
+        raise ValueError("fractions must be a non-empty list of values in [0, 1]")
+    for frac in fractions.tolist():
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"fraction {frac!r} is not in [0, 1]")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    return fractions
+
+
 def shuffle_degradation(
     net: Network,
     test,
@@ -136,14 +151,7 @@ def shuffle_degradation(
         raise ValueError("ranking must be a permutation of the feature indices")
     if fractions is None:
         fractions = np.round(np.arange(0.0, 0.5001, 0.05), 10)
-    fractions = np.asarray(fractions, dtype=np.float64)
-    if fractions.ndim != 1 or fractions.size == 0:
-        raise ValueError("fractions must be a non-empty list of values in [0, 1]")
-    for frac in fractions.tolist():
-        if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"fraction {frac!r} is not in [0, 1]")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    fractions = check_degradation_settings(fractions, repeats)
 
     classifier = _Float32Classifier(net, x)
     x32 = classifier.inputs  # a pass shuffles its top columns in place

@@ -159,20 +159,12 @@ class GroupMap:
     """Named, non-empty index sets over the p features."""
 
     groups: dict[str, tuple[int, ...]]
+    p: int  # the number of features the index sets were checked against
 
     @staticmethod
     def from_indices(groups: dict, p: int) -> "GroupMap":
-        clean: dict[str, tuple[int, ...]] = {}
-        for name, idx in groups.items():
-            members = tuple(sorted(set(int(j) for j in idx)))
-            if not members:
-                raise ValueError(f"group {name!r} is empty")
-            if members[0] < 0 or members[-1] >= p:
-                raise ValueError(f"group {name!r} has indices outside [0, {p})")
-            if len(members) >= p:
-                raise ValueError(f"group {name!r} has an empty complement")
-            clean[name] = members
-        return GroupMap(groups=clean)
+        clean = {name: _index_set(idx, p, f"group {name!r}") for name, idx in groups.items()}
+        return GroupMap(groups=clean, p=p)
 
     @staticmethod
     def from_names(groups: dict, feature_names) -> "GroupMap":
@@ -280,6 +272,19 @@ def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> Precision
         diagonal += 1.0
         basis = np.linalg.solve(np.linalg.cholesky(gram_u), basis.T).T
     return PrecisionModel(mu=mu, basis=basis, eigvals=eigvals, feature_names=esa.feature_names)
+
+
+def _index_set(indices, p: int, label: str) -> tuple[int, ...]:
+    """The sorted distinct ``indices``, checked to be a non-empty index set
+    in [0, p) whose complement is not empty either."""
+    members = tuple(sorted(set(int(j) for j in indices)))
+    if not members:
+        raise ValueError(f"{label} is empty")
+    if members[0] < 0 or members[-1] >= p:
+        raise ValueError(f"{label} has indices outside [0, {p})")
+    if len(members) >= p:
+        raise ValueError(f"{label} has an empty complement")
+    return members
 
 
 def _check_index(pm: PrecisionModel, j: int) -> None:
@@ -493,15 +498,12 @@ def kld_group(pm: PrecisionModel, indices) -> float:
           + mu_J^T Delta_J mu_J ],
     Delta_J = Lambda_{J,-J} Lambda_-J^{-1} Lambda_{-J,J}.
     """
-    p = pm.p
-    idx = np.asarray(sorted(set(int(j) for j in indices)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("group is empty")
-    if idx[0] < 0 or idx[-1] >= p:
-        raise IndexError(f"group indices outside [0, {p})")
-    if idx.size >= p:
-        raise ValueError("group complement is empty")
-    return float(_block_kl(pm, idx[None, :])[0][0])
+    return _group_kl(pm, _index_set(indices, pm.p, "group"))
+
+
+def _group_kl(pm: PrecisionModel, members: tuple[int, ...]) -> float:
+    """``kld_group`` of an index set ``_index_set`` has already checked."""
+    return float(_block_kl(pm, np.array([members]))[0][0])
 
 
 def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
@@ -512,6 +514,8 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
     """
     if len(groups.groups) < 2:
         raise ValueError("need at least 2 groups to rank")
+    if groups.p != pm.p:
+        raise ValueError(f"the groups index {groups.p} features, the model has {pm.p}")
     seen: set[int] = set()
     overlapping = False
     for members in groups.groups.values():
@@ -522,7 +526,7 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
         warnings.warn("groups overlap; scores are normalized as provided", stacklevel=2)
 
     names = list(groups.groups)
-    klds = [kld_group(pm, groups.groups[name]) for name in names]
+    klds = [_group_kl(pm, groups.groups[name]) for name in names]
     signs = [int(np.sign(np.sum(pm.mu[list(groups.groups[name])]))) for name in names]
     members = [
         tuple(pm.feature_names[j] for j in groups.groups[name]) for name in names

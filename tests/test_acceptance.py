@@ -355,6 +355,20 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
             "--epochs", "3", "--seed", "3", "--out", str(out),
         ],
     )
+    # the identity link (val_mse) and a run without a validation split
+    # (train_mse): every metric mode that early stopping follows
+    for name, extra in (
+        ("train-identity", ["--link", "identity"]),
+        ("train-no-val", ["--val-fraction", "0"]),
+    ):
+        _run_twice_and_compare(
+            tmp_path,
+            name,
+            lambda out: [
+                "train", "--data", str(sim_dir / "train.csv"), "--hidden", "8", *extra,
+                "--epochs", "2", "--seed", "3", "--out", str(out),
+            ],
+        )
     imp_dir, _ = _run_twice_and_compare(
         tmp_path,
         "importance",
@@ -385,6 +399,37 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
             "--repeats", "3", "--seed", "4", "--out", str(out),
         ],
     )
+    # a two-class softmax model, scored at its second output node
+    softmax_dir, _ = _run_twice_and_compare(
+        tmp_path,
+        "train-softmax",
+        lambda out: [
+            "train", "--data", str(sim_dir / "train.csv"), "--link", "softmax",
+            "--classes", "2", "--hidden", "8", "--epochs", "2", "--seed", "3",
+            "--out", str(out),
+        ],
+    )
+    scored = ("--data", str(sim_dir / "test.csv"), "--model", str(softmax_dir / "model.json"),
+              "--class-index", "1")
+    softmax_imp_dir, _ = _run_twice_and_compare(
+        tmp_path,
+        "importance-softmax",
+        lambda out: ["importance", *scored, "--out", str(out)],
+    )
+    _run_twice_and_compare(
+        tmp_path,
+        "group-importance-softmax",
+        lambda out: ["group-importance", *scored, "--groups", str(groups), "--out", str(out)],
+    )
+    _run_twice_and_compare(
+        tmp_path,
+        "evaluate-softmax",
+        lambda out: [
+            "evaluate", "--report", str(softmax_imp_dir / "report.json"), "--degradation",
+            "--model", str(softmax_dir / "model.json"), "--data", str(sim_dir / "test.csv"),
+            "--fractions", "0,0.5", "--repeats", "3", "--seed", "4", "--out", str(out),
+        ],
+    )
     _run_twice_and_compare(
         tmp_path,
         "demo-collinearity",
@@ -393,4 +438,8 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
             "--seed", "5", "--out", str(out),
         ],
     )
-    _record(11, "all six subcommands byte-identical across reruns")
+    _record(
+        11,
+        "all six subcommands byte-identical across reruns, with the sigmoid, identity and "
+        "2-class softmax links and without a validation split",
+    )

@@ -46,27 +46,67 @@ class TestRenderCurveSvg:
             render_curve_svg([("d", [0.0, np.inf], [0.0, 1.0])], "x", "y")
 
 
-class TestRuntimeDependencies:
-    def test_cli_import_loads_no_scipy(self):
-        # the runtime needs numpy only; scipy is a test-time dependency
-        code = (
-            "import sys, ratekit, ratekit.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+#: Runs the CLI chain the way ``python -m ratekit.cli`` does, in a process
+#: where importing scipy, or any scipy submodule, raises.
+NUMPY_ONLY_CHAIN = r"""
+import runpy, sys
 
-    def test_module_entry_point_runs_cli(self, tmp_path):
+class RefuseScipy:
+    refused = []  # every scipy import tried, also one whose ImportError is caught
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            self.refused.append(name)
+            raise ModuleNotFoundError(f"blocked: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy  # the control: the finder must refuse it
+except ModuleNotFoundError as exc:
+    print(exc)
+else:
+    sys.exit("the finder let scipy import")
+RefuseScipy.refused.clear()
+d = sys.argv[1]
+for argv in (
+    ["simulate", "--n", "200", "--p", "20", "--seed", "1", "--out", f"{d}/sim"],
+    ["train", "--data", f"{d}/sim/dataset.csv", "--hidden", "16", "--epochs", "1",
+     "--seed", "1", "--out", f"{d}/model"],
+    ["importance", "--data", f"{d}/sim/dataset.csv", "--model", f"{d}/model/model.json",
+     "--out", f"{d}/imp"],
+    ["group-importance", "--data", f"{d}/sim/dataset.csv", "--model", f"{d}/model/model.json",
+     "--groups", f"{d}/groups.csv", "--out", f"{d}/groups"],
+    ["evaluate", "--report", f"{d}/imp/report.json", "--mask", f"{d}/sim/dataset.mask.json",
+     "--degradation", "--model", f"{d}/model/model.json", "--data", f"{d}/sim/dataset.csv",
+     "--repeats", "2", "--out", f"{d}/eval"],
+    ["demo-collinearity", "--n", "200", "--reps", "3", "--out", f"{d}/collinear"],
+):
+    sys.argv = ["ratekit", *argv]
+    try:
+        runpy.run_module("ratekit.cli", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(sorted(set(RefuseScipy.refused)))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_numpy_only_chain_under_a_scipy_refusing_finder(self, tmp_path):
+        # the runtime needs numpy only; scipy is a test-time dependency
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        subprocess.run(
-            [sys.executable, "-m", "ratekit.cli", "simulate", "--n", "50", "--p", "8",
-             "--frac-causal", "0.25", "--out", str(tmp_path)],
-            env=env, capture_output=True, check=True,
+        (tmp_path / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f3\n")
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(tmp_path)],
+            env=env, capture_output=True, text=True,
         )
-        assert (tmp_path / "dataset.csv").is_file()
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["blocked: scipy", "[]"]
+        for name in ("sim/dataset.csv", "model/model.json", "imp/report.json",
+                     "groups/group_report.json", "eval/roc.csv", "eval/degradation.csv",
+                     "collinear/collinearity_summary.csv"):
+            assert (tmp_path / name).is_file(), name
 
 
 class TestBlasThreadCount:
@@ -199,8 +239,13 @@ class TestSettings:
         assert f"error [config]: {flag} is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(SETTINGS))
-    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, command):
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, capsys, command):
         values = {name: _other_value(name, d) for name, d in SETTINGS[command].items()}
+        capsys.readouterr()
+        assert run(command, "--help") == 0
+        usage = capsys.readouterr().out
+        for name in values:
+            assert "--" + name.replace("_", "-") in usage
         flags = []
         for name, value in values.items():
             flag = "--" + name.replace("_", "-")
@@ -309,15 +354,22 @@ class TestPipeline:
         assert (pipeline / "imp" / "effect_sizes.csv").exists()
 
     def test_train_reruns_byte_identical(self, pipeline, tmp_path):
-        code = run(
-            "train", "--data", str(pipeline / "sim" / "train.csv"),
-            "--hidden", "32,16", "--epochs", "12", "--seed", "11",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert (tmp_path / "model.json").read_bytes() == (
-            pipeline / "model" / "model.json"
-        ).read_bytes()
+        # a rerun with the same flags, and one with the same settings in a
+        # config file, write the pipeline's model.json bytes
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"hidden": "32,16", "epochs": 12, "seed": 11}))
+        for name, settings in (
+            ("flags", ("--hidden", "32,16", "--epochs", "12", "--seed", "11")),
+            ("config", ("--config", str(cfg))),
+        ):
+            code = run(
+                "train", "--data", str(pipeline / "sim" / "train.csv"), *settings,
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+            assert (tmp_path / name / "model.json").read_bytes() == (
+                pipeline / "model" / "model.json"
+            ).read_bytes(), name
 
     def test_evaluate_roc(self, pipeline, tmp_path):
         code = run(
@@ -346,35 +398,59 @@ class TestPipeline:
     def test_degradation_rejects_fraction_outside_unit_interval(self, pipeline, tmp_path):
         code = run(
             "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--mask", str(pipeline / "sim" / "test.mask.json"),
             "--degradation", "--model", str(pipeline / "model" / "model.json"),
             "--data", str(pipeline / "sim" / "test.csv"),
-            "--fractions=-0.1,0.5", "--out", str(tmp_path),
+            "--fractions=-0.1,0.5", "--out", str(tmp_path / "out"),
         )
         assert code == 3
+        assert not (tmp_path / "out").exists()
 
     def test_spaced_negative_fractions_reach_the_range_check(self, pipeline, tmp_path, capsys):
         # argparse alone takes "-0.1,0.5", not a plain negative number, for an
         # unknown option and exits 2
         code = run(
             "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--mask", str(pipeline / "sim" / "test.mask.json"),
             "--degradation", "--model", str(pipeline / "model" / "model.json"),
             "--data", str(pipeline / "sim" / "test.csv"),
-            "--fractions", "-0.1,0.5", "--out", str(tmp_path),
+            "--fractions", "-0.1,0.5", "--out", str(tmp_path / "out"),
         )
         assert code == 3
-        assert "fraction -0.1 is not in [0, 1]" in capsys.readouterr().err
+        assert "error [config]: fraction -0.1 is not in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fractions", ["0.5", "", " , "])
     def test_degradation_needs_two_fractions(self, pipeline, tmp_path, capsys, fractions):
+        # with --mask too: the ROC files are not written before the refusal
         code = run(
             "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--mask", str(pipeline / "sim" / "test.mask.json"),
             "--degradation", "--model", str(pipeline / "model" / "model.json"),
             "--data", str(pipeline / "sim" / "test.csv"),
-            "--fractions", fractions, "--out", str(tmp_path),
+            "--fractions", fractions, "--out", str(tmp_path / "out"),
         )
         assert code == 3
-        assert "--fractions needs at least 2 values" in capsys.readouterr().err
-        assert not (tmp_path / "degradation.csv").exists()
+        assert "error [config]: --fractions needs at least 2 values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "nothing to evaluate: pass --mask and/or --degradation"),
+        (("--degradation",), "degradation needs --model and --data"),
+        (("--mask", "MASK", "--degradation"), "degradation needs --model and --data"),
+        (("--mask", "MASK", "--degradation", "--model", "MODEL"), "degradation needs --model and --data"),
+        (("--mask", "MASK", "--degradation", "--model", "MODEL", "--data", "DATA",
+          "--repeats", "0"), "repeats must be >= 1"),
+    ], ids=["neither", "no-model-or-data", "mask-no-model-or-data", "no-data", "repeats-0"])
+    def test_evaluate_refuses_its_settings_before_writing(self, pipeline, tmp_path, capsys, argv, message):
+        paths = {"MASK": pipeline / "sim" / "test.mask.json", "MODEL": pipeline / "model" / "model.json",
+                 "DATA": pipeline / "sim" / "test.csv"}
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        code = run("evaluate", "--report", str(pipeline / "imp" / "report.json"), *argv,
+                   "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert f"error [config]: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flag, value, message",
@@ -435,15 +511,23 @@ class TestPipeline:
         assert all(item["mi"] is None for item in doc["items"])
         doc = json.loads((tmp_path / "group-importance" / "group_report.json").read_text())
         assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
+        members = {item["name"]: len(item["members"]) for item in doc["items"]}
+        assert members == {"g1": 10, "g2": 2} and members["g1"] > 8 >= rank
+        assert all(math.isfinite(item["kld"]) and item["kld"] > 0 for item in doc["items"])
 
     def test_full_rank_covariance_does_not_warn(self, pipeline, tmp_path, capsys):
-        # hidden 32,16 at p = 16: k = p and Omega has full rank
+        # hidden 32,16 at p = 16: k = p and Omega has full rank; neither
+        # training such a model nor scoring it prints anything
         capsys.readouterr()
         assert run(
-            "importance", "--data", str(pipeline / "sim" / "test.csv"),
-            "--model", str(pipeline / "model" / "model.json"), "--out", str(tmp_path),
+            "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "32,16",
+            "--epochs", "1", "--seed", "11", "--out", str(tmp_path / "model"),
         ) == 0
-        assert capsys.readouterr().err == ""
+        assert run(
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(pipeline / "model" / "model.json"), "--out", str(tmp_path / "imp"),
+        ) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_group_importance(self, pipeline, tmp_path):
         groups = tmp_path / "groups.csv"
@@ -671,19 +755,53 @@ class TestPipeline:
             assert "got shape ()" in err
 
     def test_model_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
-        # these used to print only the key's repr, as in "error [load-data]: 'config'"
+        # these used to print only the key's repr, as in "error [load-data]: 'config'",
+        # or a Python error naming neither the key nor the file, as in
+        # "string indices must be integers, not 'str'"
+        def delete(*path):
+            def edit(doc):
+                for key in path[:-1]:
+                    doc = doc[key]
+                del doc[path[-1]]
+            return edit
+
+        def set_to(value, *path):
+            def edit(doc):
+                for key in path[:-1]:
+                    doc = doc[key]
+                doc[path[-1]] = value
+            return edit
+
+        cases = [(delete(key), f"network document is missing '{key}'")
+                 for key in ("version", "seed", "config", "hidden", "m", "rho", "b")]
+        cases += [
+            (delete("format"), "not a serialized network document: 'format' is not"),
+            (delete("config", "link"), "network document is missing 'config.link'"),
+            (delete("config", "activation"), "network document is missing 'config.activation'"),
+            (delete("m", "data"), "network document is missing 'm.data'"),
+            (delete("hidden", 1, "bias"), "network document is missing 'hidden[1].bias'"),
+            (set_to("relu", "config"), "config must be an object, got a string"),
+            (set_to("w", "hidden", 0), "hidden[0] must be an object, got a string"),
+            (set_to(5, "config", "hidden_sizes"), "config.hidden_sizes must be a list, got an integer"),
+            (set_to("32", "config", "hidden_sizes", 0), "config.hidden_sizes[0] must be an integer, got a string"),
+            (set_to(True, "config", "n_classes"), "config.n_classes must be an integer, got true or false"),
+            (set_to("1", "config", "prior_scale"), "config.prior_scale must be a number, got a string"),
+            (set_to(5, "m", "shape"), "m.shape must be a list, got an integer"),
+            (set_to(None, "rho", "data"), "rho.data must be a string, got null"),
+            (set_to(1.5, "seed"), "seed must be an integer, got a number"),
+        ]
         data = str(pipeline / "sim" / "test.csv")
         text = (pipeline / "model" / "model.json").read_text()
-        for key in ("format", "version", "seed", "config", "hidden", "m", "rho", "b"):
+        for i, (edit, message) in enumerate(cases):
             doc = json.loads(text)
-            del doc[key]
-            model = tmp_path / f"no-{key}.json"
+            edit(doc)
+            model = tmp_path / f"case{i}.json"
             model.write_text(json.dumps(doc))
             capsys.readouterr()
             assert run("importance", "--data", data, "--model", str(model),
                        "--out", str(tmp_path / "out")) == 3
             err = capsys.readouterr().err
-            assert f"'{key}'" in err and str(model) in err
+            assert f"error [load-data]: {message}" in err and f"({model})" in err, (message, err)
 
     def test_report_item_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
         # these used to print only the key's repr, as in "error [load-report]: 'rate'"
@@ -699,6 +817,22 @@ class TestPipeline:
                        "--out", str(tmp_path / "out")) == 3
             err = capsys.readouterr().err
             assert f"error [load-report]: {report}: report item 3 has no '{key}' key" in err
+
+    def test_quoted_crlf_copy_scores_to_the_same_report(self, pipeline, tmp_path):
+        # every cell quoted, with CRLF line endings: the same numbers load,
+        # so the report bytes are the pipeline's
+        header, *rows = (pipeline / "sim" / "test.csv").read_text().splitlines()
+        quoted = [",".join(f'"{cell}"' for cell in row.split(",")) for row in rows]
+        data = tmp_path / "quoted.csv"
+        data.write_bytes(("\r\n".join([header, *quoted]) + "\r\n").encode())
+        shutil.copyfile(pipeline / "sim" / "test.mask.json", tmp_path / "quoted.mask.json")
+        assert run(
+            "importance", "--data", str(data), "--model", str(pipeline / "model" / "model.json"),
+            "--out", str(tmp_path / "imp"),
+        ) == 0
+        assert (tmp_path / "imp" / "report.json").read_bytes() == (
+            pipeline / "imp" / "report.json"
+        ).read_bytes()
 
     def test_inputs_not_mutated(self, pipeline, tmp_path):
         data = pipeline / "sim" / "test.csv"

@@ -638,6 +638,19 @@ class TestKldGroup:
         with pytest.raises(ValueError):
             kld_group(pm, [0, 1])
 
+    @pytest.mark.parametrize("indices, message", [
+        ([], "is empty"),
+        ([4], r"has indices outside \[0, 4\)"),
+        ([-1, 0], r"has indices outside \[0, 4\)"),
+        ([0, 1, 2, 3, 3], "has an empty complement"),
+    ], ids=["empty", "above-p", "negative", "full-cover"])
+    def test_index_set_is_checked_as_group_map_checks_it(self, indices, message):
+        pm = random_model(4, seed=15)
+        with pytest.raises(ValueError, match=f"^group {message}"):
+            kld_group(pm, indices)
+        with pytest.raises(ValueError, match=f"^group 'a' {message}"):
+            GroupMap.from_indices({"a": indices}, p=4)
+
 
 class TestGroupRate:
     def test_singleton_partition_matches_variable_ranking(self):
@@ -684,6 +697,18 @@ class TestGroupRate:
         pm = random_model(5, seed=19)
         with pytest.raises(ValueError):
             group_rate(pm, GroupMap.from_indices({"a": [0]}, p=5))
+
+    def test_scores_each_group_as_kld_group_does(self):
+        pm = random_model(9, seed=21)
+        groups = GroupMap.from_indices({"a": [4, 0, 2], "b": [5], "c": [8, 7, 6, 1]}, p=9)
+        klds = group_rate(pm, groups).klds()
+        assert klds.tolist() == [kld_group(pm, groups.groups[name]) for name in "abc"]
+
+    def test_groups_checked_against_another_p_are_refused(self):
+        pm = random_model(5, seed=22)
+        groups = GroupMap.from_indices({"a": [0, 1], "b": [2, 3, 4]}, p=6)
+        with pytest.raises(ValueError, match="the groups index 6 features, the model has 5"):
+            group_rate(pm, groups)
 
     def test_members_recorded(self):
         pm = random_model(5, seed=20)

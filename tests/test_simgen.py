@@ -125,6 +125,10 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.causal_mask, ds.causal_mask)
         assert back.feature_names == ds.feature_names
         assert back.y.dtype.kind == "i"
+        # saving what was loaded writes the same bytes, sidecar included
+        save_dataset_csv(back, tmp_path / "again.csv")
+        for saved, resaved in (("data.csv", "again.csv"), ("data.mask.json", "again.mask.json")):
+            assert (tmp_path / resaved).read_bytes() == (tmp_path / saved).read_bytes()
 
     def test_regression_round_trip(self, tmp_path):
         ds = collinear_regression(30, 0.5, seed=9)
