@@ -93,20 +93,35 @@ print(sorted(set(RefuseScipy.refused)))
 
 
 class TestRuntimeDependencies:
-    def test_numpy_only_chain_under_a_scipy_refusing_finder(self, tmp_path):
-        # the runtime needs numpy only; scipy is a test-time dependency
+    # the runtime needs numpy only; scipy is a test-time dependency. One
+    # subprocess runs the chain; each test checks its own part of the result.
+    @pytest.fixture(scope="class")
+    def numpy_only_chain(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("numpy_only_chain")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        (tmp_path / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f3\n")
+        (out / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f3\n")
         result = subprocess.run(
-            [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(tmp_path)],
+            [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(out)],
             env=env, capture_output=True, text=True,
         )
+        return out, result
+
+    def test_cli_import_loads_no_scipy(self, numpy_only_chain):
+        # the control line shows the finder refuses scipy; the last line lists
+        # every scipy import any stage tried, also one whose ImportError is caught
+        _, result = numpy_only_chain
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["blocked: scipy", "[]"]
+
+    def test_module_entry_point_runs_cli(self, numpy_only_chain):
+        # every stage ran through runpy.run_module("ratekit.cli", run_name="__main__"),
+        # what ``python -m ratekit.cli`` runs, and wrote its output
+        out, result = numpy_only_chain
+        assert result.returncode == 0, result.stderr
         for name in ("sim/dataset.csv", "model/model.json", "imp/report.json",
                      "groups/group_report.json", "eval/roc.csv", "eval/degradation.csv",
                      "collinear/collinearity_summary.csv"):
-            assert (tmp_path / name).is_file(), name
+            assert (out / name).is_file(), name
 
 
 class TestBlasThreadCount:
