@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ratekit.core import write_json
+
 __all__ = [
     "NetworkConfig",
     "Network",
@@ -752,12 +754,8 @@ def network_to_json(net: Network) -> str:
 
 
 def save_network_json(net: Network, path) -> None:
-    """Write ``network_to_json(net)`` and a newline to ``path``. The document
-    is streamed into the file, so no string of the whole document, nor its
-    encoded bytes, is ever built."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_network_document(net), fh, sort_keys=True)
-        fh.write("\n")
+    """Stream ``network_to_json(net)`` and a newline into ``path``."""
+    write_json(path, _network_document(net))
 
 
 def network_from_json(text: str) -> Network:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ratekit import bnn, esa, evaluate, rate, simgen
+from ratekit.core import write_csv, write_json
 
 __all__ = ["main", "dispatch", "render_curve_svg"]
 
@@ -232,8 +234,7 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict]:
         check(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = {"command": args.command, "config": cfg}
-    (out / "effective_config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+    write_json(out / "effective_config.json", {"command": args.command, "config": cfg})
     return out, cfg
 
 
@@ -309,14 +310,7 @@ def _cmd_simulate(args) -> int:
             order = split_rng.permutation(ds.n)
             test_idx, train_idx = order[:n_test], order[n_test:]
             for name, idx in (("train", train_idx), ("test", test_idx)):
-                part = simgen.Dataset(
-                    X=ds.X[idx],
-                    y=ds.y[idx],
-                    causal_mask=ds.causal_mask,
-                    feature_names=ds.feature_names,
-                    column_permutation=ds.column_permutation,
-                    seed=ds.seed,
-                )
+                part = dataclasses.replace(ds, X=ds.X[idx], y=ds.y[idx])
                 simgen.save_dataset_csv(part, out / f"{name}.csv")
         else:
             simgen.save_dataset_csv(ds, out / "dataset.csv")
@@ -350,7 +344,7 @@ def _cmd_train(args) -> int:
         del ds  # the model file is written without the dataset in memory
     with _stage("write-output"):
         bnn.save_network_json(trained, out / "model.json")
-        (out / "history.json").write_text(json.dumps(history, sort_keys=True) + "\n")
+        write_json(out / "history.json", history)
     return 0
 
 
@@ -382,13 +376,13 @@ def _cmd_importance(args) -> int:
         with _stage("group-importance"):
             report = rate.group_rate(pm, groups)
         with _stage("write-output"):
-            (out / "group_report.json").write_text(rate.report_to_json(report) + "\n")
+            write_json(out / "group_report.json", rate._report_document(report))
             rate.report_to_csv(report, out / "group_report.csv")
     else:
         with _stage("importance"):
             report = rate.rate_scores(pm)
         with _stage("write-output"):
-            (out / "report.json").write_text(rate.report_to_json(report) + "\n")
+            write_json(out / "report.json", rate._report_document(report))
             rate.report_to_csv(report, out / "report.csv")
     return 0
 
@@ -412,8 +406,8 @@ def _read_group_csv(path, feature_names) -> rate.GroupMap:
 
 
 def _read_report(path) -> tuple[list[str], np.ndarray]:
-    """The feature names and rates of the importance report ``path``; an
-    item without either key is refused, naming the item, the key and the file."""
+    """The feature names and rates of the importance report ``path``; an item
+    without either key or a finite rate is refused, naming it, the key and the file."""
     doc = json.loads(Path(path).read_text())
     items = doc.get("items") if isinstance(doc, dict) else None
     if not isinstance(items, list):
@@ -422,6 +416,9 @@ def _read_report(path) -> tuple[list[str], np.ndarray]:
         for key in ("name", "rate"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"{path}: report item {i} has no {key!r} key")
+        if type(item["rate"]) not in (int, float) or not abs(item["rate"]) <= sys.float_info.max:
+            raise ValueError(f"{path}: report item {i} has a 'rate' that is not a finite "
+                             f"number: {json.dumps(item['rate'])}")
     return [item["name"] for item in items], np.array([item["rate"] for item in items])
 
 
@@ -442,17 +439,9 @@ def _cmd_evaluate(args) -> int:
 
     if cfg["mask"]:
         with _stage("roc"):
-            mask_doc = json.loads(Path(cfg["mask"]).read_text())
-            if not isinstance(mask_doc, dict):
-                raise ValueError(f"{cfg['mask']}: not a JSON object")
-            if mask_doc.get("causal_mask") is None:
+            mask = simgen.read_sidecar(cfg["mask"], scores.size)[1]
+            if mask is None:
                 raise ValueError(f"{cfg['mask']}: no causal mask recorded")
-            mask = np.asarray(mask_doc["causal_mask"], dtype=bool)
-            if mask.shape != scores.shape:
-                raise ValueError(
-                    f"{cfg['mask']}: causal_mask must be a list with one entry per report "
-                    f"item ({scores.size}), got shape {mask.shape}"
-                )
             curve = evaluate.roc_auc(scores, mask)
             evaluate.roc_curve_to_csv(curve, out / "roc.csv")
             svg = render_curve_svg(
@@ -501,34 +490,20 @@ def _cmd_demo_collinearity(args) -> int:
         rows = []
         for r in range(reps):
             ds = simgen.collinear_regression(n, rho, seed=int(seeds[r]))
-            cov_est = esa.covariance_effect_sizes(ds.X, ds.y)
-            ols_est = esa.ols_effect_size(ds.X, ds.y)
-            rows.append((cov_est, ols_est))
-        cov_all = np.stack([r[0] for r in rows])
-        ols_all = np.stack([r[1] for r in rows])
+            cov_est = esa.covariance_effect_sizes(ds.X, ds.y).tolist()
+            rows.append([r, *cov_est, *esa.ols_effect_size(ds.X, ds.y).tolist()])
     with _stage("write-output"):
-        with open(out / "estimates.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "covariance_f1", "covariance_f2", "ols_f1", "ols_f2"])
-            for r in range(reps):
-                writer.writerow(
-                    [r]
-                    + [repr(float(v)) for v in cov_all[r]]
-                    + [repr(float(v)) for v in ols_all[r]]
-                )
-        with open(out / "collinearity_summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["estimator", "coefficient", "mean", "std"])
-            for label, block in (("covariance", cov_all), ("ols", ols_all)):
-                for j in range(block.shape[1]):
-                    writer.writerow(
-                        [
-                            label,
-                            f"f{j + 1}",
-                            repr(float(block[:, j].mean())),
-                            repr(float(block[:, j].std(ddof=1))),
-                        ]
-                    )
+        header = ["replicate", "covariance_f1", "covariance_f2", "ols_f1", "ols_f2"]
+        write_csv(out / "estimates.csv", header, rows)
+        # one summary row per estimate column, named by its estimator and coefficient
+        write_csv(
+            out / "collinearity_summary.csv",
+            ["estimator", "coefficient", "mean", "std"],
+            (
+                [*name.split("_"), float(column.mean()), float(column.std(ddof=1))]
+                for name, column in zip(header[1:], np.array(rows)[:, 1:].T)
+            ),
+        )
     return 0
 
 

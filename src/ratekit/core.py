@@ -1,19 +1,22 @@
-"""Dense symmetric helpers shared by the precision code.
-
-Everything here operates on plain float64 ndarrays: the exactly symmetric
-Gram matrix G G^T, the checked symmetric part of an input matrix, and the one
-relative bound below which an eigenvalue or a squared Cholesky pivot counts
-as zero.
+"""Helpers shared across modules: the dense symmetric kernels of the precision
+code and its one relative rank bound, the default feature names, and the two
+writers every CSV and JSON output goes through, so reruns write the same bytes.
 """
 
 from __future__ import annotations
+
+import csv
+import json
 
 import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
     "checked_symmetric",
+    "default_names",
     "gram",
+    "write_csv",
+    "write_json",
 ]
 
 #: An eigenvalue, or squared Cholesky pivot, of a symmetric positive
@@ -65,3 +68,24 @@ def gram(g) -> np.ndarray:
     if not np.all(np.isfinite(np.diagonal(prod))):
         raise ValueError("G has a non-finite row or one whose squared norm overflows")
     return prod
+
+
+def default_names(p: int) -> tuple[str, ...]:
+    """f1, f2, ..., fp: the names of p unnamed features."""
+    return tuple(f"f{j + 1}" for j in range(p))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV lines ended by "\\n". Cells are
+    Python scalars: a float is written as its ``repr``, None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Stream ``json.dumps(doc, sort_keys=True)`` and a newline into ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")

@@ -12,13 +12,13 @@ features are nearly collinear.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ratekit.bnn import LogitPosterior
+from ratekit.core import default_names, write_csv
 
 __all__ = [
     "EffectSizePosterior",
@@ -69,10 +69,6 @@ class EffectSizePosterior:
         return self.projection * self.scales[class_index]
 
 
-def _default_names(p: int) -> tuple[str, ...]:
-    return tuple(f"f{j + 1}" for j in range(p))
-
-
 def covariance_effect_sizes(x, f) -> np.ndarray:
     """Sample covariance of each column of x with each column of f.
 
@@ -105,7 +101,7 @@ def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePoste
     n, p = x.shape
     if n != lp.n:
         raise ValueError(f"x has {n} rows but the logit posterior covers {lp.n}")
-    names = _default_names(p) if feature_names is None else tuple(feature_names)
+    names = default_names(p) if feature_names is None else tuple(feature_names)
     if len(names) != p:
         raise ValueError("feature_names length does not match x")
     return EffectSizePosterior(
@@ -140,15 +136,14 @@ def ols_effect_size(x, y) -> np.ndarray:
 
 def effect_sizes_to_csv(esa: EffectSizePosterior, path) -> None:
     """Write (feature, class, mu, omega_diag) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "class", "mu", "omega_diag"])
-        for c in range(esa.n_classes):
-            # row by row this is np.sum(esa.factor(c) ** 2, axis=1), the same
-            # bits, without that p x k temporary
-            omega_diag = np.concatenate([
-                np.sum((esa.projection[i : i + _CSV_ROWS] * esa.scales[c]) ** 2, axis=1)
-                for i in range(0, esa.n_features, _CSV_ROWS)
-            ])
-            for j, name in enumerate(esa.feature_names):
-                writer.writerow([name, c, repr(float(esa.mu[c, j])), repr(float(omega_diag[j]))])
+    rows = []
+    for c in range(esa.n_classes):
+        # row by row this is np.sum(esa.factor(c) ** 2, axis=1), the same
+        # bits, without that p x k temporary
+        omega_diag = np.concatenate([
+            np.sum((esa.projection[i : i + _CSV_ROWS] * esa.scales[c]) ** 2, axis=1)
+            for i in range(0, esa.n_features, _CSV_ROWS)
+        ])
+        rows += [(name, c, mu, omega) for name, mu, omega in
+                 zip(esa.feature_names, esa.mu[c].tolist(), omega_diag.tolist())]
+    write_csv(path, ["feature", "class", "mu", "omega_diag"], rows)

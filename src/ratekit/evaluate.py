@@ -21,7 +21,6 @@ oracle in the tests.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ import numpy as np
 
 from ratekit import bnn
 from ratekit.bnn import Network, _check_labelled, _Float32Classifier
+from ratekit.core import write_csv
 
 __all__ = [
     "RocCurve",
@@ -321,16 +321,10 @@ def ttest_stats(x, y):
 
 
 def roc_curve_to_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for thr, fp, tp in zip(curve.thresholds, curve.fpr, curve.tpr):
-            writer.writerow([repr(float(thr)), repr(float(fp)), repr(float(tp))])
+    rows = np.column_stack((curve.thresholds, curve.fpr, curve.tpr))
+    write_csv(path, ["threshold", "fpr", "tpr"], rows.astype(float).tolist())
 
 
 def degradation_curve_to_csv(curve: DegradationCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fraction", "mean_accuracy", "std_accuracy"])
-        for frac, mean, std in zip(curve.fractions, curve.mean_accuracy, curve.std_accuracy):
-            writer.writerow([repr(float(frac)), repr(float(mean)), repr(float(std))])
+    rows = np.column_stack((curve.fractions, curve.mean_accuracy, curve.std_accuracy))
+    write_csv(path, ["fraction", "mean_accuracy", "std_accuracy"], rows.astype(float).tolist())

@@ -60,14 +60,15 @@ everywhere.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, gram
+from ratekit.core import (
+    RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, default_names, gram, write_csv,
+)
 from ratekit.esa import EffectSizePosterior
 
 __all__ = [
@@ -126,7 +127,7 @@ class PrecisionModel:
             )
         if np.any(self.eigvals <= 0):
             raise ValueError("eigvals must be positive")
-        self.feature_names = tuple(self.feature_names or (f"f{j + 1}" for j in range(self.p)))
+        self.feature_names = tuple(self.feature_names or default_names(self.p))
         if len(self.feature_names) != self.p:
             raise ValueError("feature_names length does not match mu")
 
@@ -534,7 +535,8 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
     return _normalize(names, klds, signs, mis=None, members=members)
 
 
-def report_to_json(report: ImportanceReport) -> str:
+def _report_document(report: ImportanceReport) -> dict:
+    """The JSON document of ``report``: its items, threshold and flag."""
     items = []
     for it in report.items:
         entry = {
@@ -548,31 +550,20 @@ def report_to_json(report: ImportanceReport) -> str:
         if it.members is not None:
             entry["members"] = list(it.members)
         items.append(entry)
-    doc = {
-        "items": items,
-        "threshold": report.threshold,
-        "degenerate": report.degenerate,
-    }
-    return json.dumps(doc, sort_keys=True)
+    return {"items": items, "threshold": report.threshold, "degenerate": report.degenerate}
+
+
+def report_to_json(report: ImportanceReport) -> str:
+    return json.dumps(_report_document(report), sort_keys=True)
 
 
 def report_to_csv(report: ImportanceReport, path) -> None:
-    has_members = any(it.members is not None for it in report.items)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["name", "kld", "rate", "sign", "mi", "significant"]
-        if has_members:
-            header.append("members")
-        writer.writerow(header)
-        for it in report.items:
-            row = [
-                it.name,
-                repr(it.kld),
-                repr(it.rate),
-                it.sign,
-                "" if it.mi is None else repr(it.mi),
-                int(it.significant),
-            ]
-            if has_members:
-                row.append("" if it.members is None else ";".join(it.members))
-            writer.writerow(row)
+    header = ["name", "kld", "rate", "sign", "mi", "significant"]
+    rows = [
+        [it.name, it.kld, it.rate, it.sign, it.mi, int(it.significant)] for it in report.items
+    ]
+    if any(it.members is not None for it in report.items):
+        header.append("members")
+        for row, it in zip(rows, report.items):
+            row.append(None if it.members is None else ";".join(it.members))
+    write_csv(path, header, rows)

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ratekit.core import default_names, write_json
+
 __all__ = [
     "SynthSpec",
     "Dataset",
@@ -26,6 +28,7 @@ __all__ = [
     "collinear_regression",
     "save_dataset_csv",
     "load_dataset_csv",
+    "read_sidecar",
 ]
 
 
@@ -98,7 +101,7 @@ class Dataset:
                     f"got shape {self.causal_mask.shape}"
                 )
         if not self.feature_names:
-            self.feature_names = tuple(f"f{j + 1}" for j in range(self.X.shape[1]))
+            self.feature_names = default_names(self.X.shape[1])
 
     @property
     def n(self) -> int:
@@ -196,8 +199,8 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     """Write features-then-y CSV plus a JSON sidecar with mask and seed.
 
     Cells are ``repr`` of each float64 and the integer or float label, one
-    line per row; only the header, whose names may need quoting, goes
-    through ``csv.writer``."""
+    line per row. Only the header, whose names may need quoting, goes through
+    ``csv.writer``: on 300 x 2000 data rows it wrote the same bytes 1.5x slower."""
     csv_path = Path(csv_path)
     integer_labels = np.issubdtype(ds.y.dtype, np.integer)
     labels = [str(int(v)) if integer_labels else repr(float(v)) for v in ds.y.tolist()]
@@ -206,40 +209,30 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
         for row, label in zip(ds.X, labels):
             fh.write(",".join(map(repr, row.tolist())) + "," + label + "\n")
     sidecar = _sidecar_path(csv_path)
-    meta = {
+    write_json(sidecar, {
         "causal_mask": None if ds.causal_mask is None else ds.causal_mask.astype(int).tolist(),
         "column_permutation": (
             None if ds.column_permutation is None else np.asarray(ds.column_permutation).tolist()
         ),
         "seed": ds.seed,
         "integer_labels": bool(integer_labels),
-    }
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    })
     return sidecar
 
 
-def _data_rows(csv_path, **loadtxt_args) -> tuple[list[str], np.ndarray]:
-    """The header, parsed by ``csv``, and ``np.loadtxt`` of the data rows
-    after it, with the same quoting; blank lines are skipped."""
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        header_lines = reader.line_num  # a quoted name may hold a line break
-    if not header or header[-1] != "y":
-        raise ValueError(f"{csv_path}: expected feature columns followed by 'y'")
-    with warnings.catch_warnings():
-        # a file without data rows is refused by the caller, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            rows = np.loadtxt(
-                csv_path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
-                **loadtxt_args,
-            )
-        except ValueError as exc:
-            raise _data_row_error(csv_path, header, exc) from exc
-    return header, rows
+def read_sidecar(path, p: int) -> tuple[dict, np.ndarray | None]:
+    """The mask sidecar at ``path`` and its ``causal_mask`` as bools (None if
+    none is recorded); a document or mask of the wrong form is named."""
+    meta = json.loads(Path(path).read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    mask = None if meta.get("causal_mask") is None else np.asarray(meta["causal_mask"], dtype=bool)
+    if mask is not None and mask.shape != (p,):
+        raise ValueError(
+            f"{path}: causal_mask must be a list with one entry per feature ({p}), "
+            f"got shape {mask.shape}"
+        )
+    return meta, mask
 
 
 def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
@@ -257,61 +250,79 @@ def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
         if first != len(header):  # the first data row was already wrong
             row, cells = 1, first
         return ValueError(f"{csv_path}: data row {row} has {cells} cells, expected {len(header)}")
+    short = re.search(r"invalid for the number of fields (\d+)", text)  # no label column
+    if short:
+        return ValueError(f"{csv_path}: data row 1 has {short[1]} cells, expected {len(header)}")
     return ValueError(f"{csv_path}: {text}")
 
 
 def load_dataset_csv(csv_path) -> Dataset:
     """Read a dataset CSV and its sidecar.
 
-    numpy's C reader parses every cell straight into float64, with no Python
-    object per cell; a second pass reads the labels as strings, which are
-    parsed with ``int`` when the labels are integers (as the sidecar says,
-    or else when none has a '.' or an 'e') and with ``float`` otherwise. A
-    ragged row, a cell that is not a number (empty, or spelt with an
-    underscore such as ``1_0``) or a NaN or infinite cell raises
+    numpy's C reader parses every feature cell straight into float64, with
+    no Python object per cell, in one pass that also keeps each label's text.
+    The labels are parsed with ``int`` when they are integers (as the
+    sidecar says, or else when none has a '.' or an 'e') and with ``float``
+    otherwise. A ragged row, a cell that is not a number (empty, or spelt
+    with an underscore such as ``1_0``) or a NaN or infinite cell raises
     ``ValueError`` naming the data row."""
     csv_path = Path(csv_path)
-    header, data = _data_rows(csv_path, ndmin=2)
-    n, p = data.shape[0], len(header) - 1
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        header_lines = reader.line_num  # a quoted name may hold a line break
+    if not header or header[-1] != "y":
+        raise ValueError(f"{csv_path}: expected feature columns followed by 'y'")
+    p = len(header) - 1
+    labels: list[str] = []
+
+    def label(text: str) -> float:
+        if not text.isascii() or "_" in text:  # float() takes these, numpy's parser does not
+            raise ValueError(text)
+        labels.append(text)
+        return float(text)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows is refused below
+        try:
+            # keyed at p: numpy calls a converter keyed at -1 once more, with ''
+            data = np.loadtxt(
+                csv_path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
+                ndmin=2, converters={p: label},
+            )
+        except ValueError as exc:
+            raise _data_row_error(csv_path, header, exc) from exc
+    n = data.shape[0]
     if n == 0:
         raise ValueError(f"{csv_path}: no data rows")
     if data.shape[1] != p + 1:
         raise ValueError(f"{csv_path}: data row 1 has {data.shape[1]} cells, expected {p + 1}")
+    if len(labels) != n:
+        raise RuntimeError(f"{csv_path}: numpy passed {len(labels)} labels for {n} data rows")
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise ValueError(f"{csv_path}: data row {row + 1}, column {header[col]!r} is not finite")
+    y = data[:, p].copy()  # float() of each label, before X overwrites the column
     # drop the label column in place, so X is C-contiguous without a second
     # n x p buffer: row i moves from offset i (p + 1) to i p
     flat = data.reshape(-1)
     for i in range(1, n):
         flat[i * p : (i + 1) * p] = flat[i * (p + 1) : i * (p + 1) + p]
     x = flat[: n * p].reshape(n, p)
-    y_raw = _data_rows(csv_path, ndmin=1, usecols=-1, dtype=str)[1].tolist()
 
     mask = None
     perm = None
     seed = None
-    integer_labels = all("." not in v and "e" not in v.lower() for v in y_raw)
+    integer_labels = all("." not in v and "e" not in v.lower() for v in labels)
     sidecar = _sidecar_path(csv_path)
     if sidecar.exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise ValueError(f"{sidecar}: not a JSON object")
-        if meta.get("causal_mask") is not None:
-            mask = np.asarray(meta["causal_mask"], dtype=bool)
-            if mask.shape != (p,):
-                raise ValueError(
-                    f"{sidecar}: causal_mask must be a list with one entry per feature ({p}), "
-                    f"got shape {mask.shape}"
-                )
+        meta, mask = read_sidecar(sidecar, p)
         if meta.get("column_permutation") is not None:
             perm = np.asarray(meta["column_permutation"], dtype=int)
         seed = meta.get("seed")
         integer_labels = bool(meta.get("integer_labels", integer_labels))
-    y = np.array([int(v) for v in y_raw]) if integer_labels else np.array(
-        [float(v) for v in y_raw]
-    )
+    if integer_labels:
+        y = np.array([int(v) for v in labels])
     return Dataset(
         X=x,
         y=y,

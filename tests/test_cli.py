@@ -123,6 +123,19 @@ class TestRuntimeDependencies:
                      "collinear/collinearity_summary.csv"):
             assert (out / name).is_file(), name
 
+    def test_every_output_keeps_the_byte_policy(self, numpy_only_chain):
+        # criterion 11 compares reruns with each other, so it cannot see a
+        # policy change that every run makes alike: this pins the policy itself
+        out, result = numpy_only_chain
+        assert result.returncode == 0, result.stderr
+        written = sorted(p for p in out.glob("*/*") if p.suffix in (".csv", ".json"))
+        assert len(written) == 20, written  # every CSV and JSON file of the six stages
+        for path in written:
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path
+            if path.suffix == ".json":
+                assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode(), path
+
 
 class TestBlasThreadCount:
     def test_model_bytes_and_scores_hold_across_thread_counts(self, tmp_path):
@@ -832,6 +845,24 @@ class TestPipeline:
                        "--out", str(tmp_path / "out")) == 3
             err = capsys.readouterr().err
             assert f"error [load-report]: {report}: report item 3 has no '{key}' key" in err
+        # a rate that is not a finite number used to reach roc or degradation as a
+        # numpy message naming no item, or (true) to be scored as 1.0 with exit 0
+        for i, value in enumerate(("x", None, True, [0.5], float("nan"), 10**400)):
+            doc = json.loads(text)
+            doc["items"][3]["rate"] = value
+            report = tmp_path / f"rate{i}.json"
+            report.write_text(json.dumps(doc))
+            for stage_args in (
+                ("--mask", str(pipeline / "sim" / "test.mask.json")),
+                ("--degradation", "--model", str(pipeline / "model" / "model.json"),
+                 "--data", str(pipeline / "sim" / "test.csv")),
+            ):
+                capsys.readouterr()
+                assert run("evaluate", "--report", str(report), *stage_args,
+                           "--out", str(tmp_path / "out")) == 3, value
+                err = capsys.readouterr().err
+                assert (f"error [load-report]: {report}: report item 3 has a 'rate' that is "
+                        f"not a finite number: {json.dumps(value)}") in err, err
 
     def test_quoted_crlf_copy_scores_to_the_same_report(self, pipeline, tmp_path):
         # every cell quoted, with CRLF line endings: the same numbers load,

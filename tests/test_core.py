@@ -1,9 +1,14 @@
-"""Tests for the dense linear algebra kernel."""
+"""Tests for the helpers shared across modules: the dense linear algebra
+kernel and the CSV and JSON writers."""
+
+import csv
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from ratekit.core import gram
+from ratekit.core import default_names, gram, write_csv, write_json
 
 
 class TestGram:
@@ -45,3 +50,34 @@ class TestGram:
         g[1] = 1e200
         with pytest.raises(ValueError, match="squared norm overflows"):
             gram(g)
+
+
+class TestWriters:
+    def test_float_cells_read_back_bit_for_bit(self, tmp_path):
+        values = [-0.0, 0.0, 1e-300, 5e-324, 1e16, 0.1, 1 / 3, -1.7976931348623157e308]
+        path = tmp_path / "floats.csv"
+        write_csv(path, ["v"], [[v] for v in values])
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["v"]
+        assert [struct.pack("<d", float(cell)) for (cell,) in rows] == [
+            struct.pack("<d", v) for v in values
+        ]
+
+    def test_cells_and_lines(self, tmp_path):
+        # None is an empty cell, a name holding a comma or a quote is quoted,
+        # every line ends in "\n", and the rows may come from a generator
+        path = tmp_path / "cells.csv"
+        rows = [["a,b", 1, None], ['say "hi"', 0.5, 2.0]]
+        write_csv(path, ["name", "value", "mi"], (row for row in rows))
+        assert path.read_bytes() == b'name,value,mi\n"a,b",1,\n"say ""hi""",0.5,2.0\n'
+
+    def test_json_is_sorted_and_ends_in_a_newline(self, tmp_path):
+        doc = {"b": [1.5, None, True], "a": {"z": 0.1, "y": "\u00e9"}, "c": -0.0}
+        path = tmp_path / "doc.json"
+        write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
+
+    def test_default_names(self):
+        assert default_names(3) == ("f1", "f2", "f3")
+        assert default_names(0) == ()

@@ -265,6 +265,9 @@ class TestCsvParity:
             (3, ["1", "2", "#3", "0"], "data row 3, column 'c': '#3' is not a number"),
             (2, ["1_0", "2", "3", "0"], "data row 2, column 'a': '1_0' is not a number"),
             (3, ["1", "2", "3", "x"], "data row 3, column 'y': 'x' is not a number"),
+            # float() accepts these labels, numpy's parser does not
+            (2, ["1", "2", "3", "1_0"], "data row 2, column 'y': '1_0' is not a number"),
+            (1, ["1", "2", "3", "\u0661"], "data row 1, column 'y': '\u0661' is not a number"),
         ],
     )
     def test_malformed_row_names_the_data_row(self, tmp_path, row, cells, message):
@@ -273,6 +276,27 @@ class TestCsvParity:
         path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], rows)
         with pytest.raises(ValueError, match=f"data\\.csv: {message}$"):
             load_dataset_csv(path)
+
+    def test_every_row_one_cell_short(self, tmp_path):
+        path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], [["1.5", "2.5", "1"]] * 3)
+        with pytest.raises(ValueError, match="data\\.csv: data row 1 has 3 cells, expected 4$"):
+            load_dataset_csv(path)
+
+    def test_the_file_is_parsed_once(self, tmp_path, monkeypatch):
+        # the labels used to be read in a second loadtxt pass over every cell
+        path = tmp_path / "data.csv"
+        save_dataset_csv(Dataset(X=np.ones((5, 3)), y=np.arange(5) % 2), path)
+        calls = []
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        ds = load_dataset_csv(path)
+        assert len(calls) == 1
+        assert ds.y.tolist() == [0, 1, 0, 1, 0]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
