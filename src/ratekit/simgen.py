@@ -250,7 +250,7 @@ def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
         if first != len(header):  # the first data row was already wrong
             row, cells = 1, first
         return ValueError(f"{csv_path}: data row {row} has {cells} cells, expected {len(header)}")
-    short = re.search(r"invalid for the number of fields (\d+)", text)  # no label column
+    short = re.search(r"invalid for the number of fields (\d+)", text)  # no label cell
     if short:
         return ValueError(f"{csv_path}: data row 1 has {short[1]} cells, expected {len(header)}")
     return ValueError(f"{csv_path}: {text}")
@@ -277,7 +277,9 @@ def load_dataset_csv(csv_path) -> Dataset:
     labels: list[str] = []
 
     def label(text: str) -> float:
-        if not text.isascii() or "_" in text:  # float() takes these, numpy's parser does not
+        # float() takes non-ASCII digits and '_', numpy's parser does not; both
+        # strip whitespace, Unicode spaces included, around the number
+        if not text.strip().isascii() or "_" in text:
             raise ValueError(text)
         labels.append(text)
         return float(text)

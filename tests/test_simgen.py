@@ -298,6 +298,19 @@ class TestCsvParity:
         assert len(calls) == 1
         assert ds.y.tolist() == [0, 1, 0, 1, 0]
 
+    def test_a_label_parses_as_a_feature_cell_does(self, tmp_path):
+        # numpy strips Unicode whitespace around a number but takes only ASCII
+        # digits; the label column keeps to the same rule
+        for cell, ok in (("1\u00a0", True), ("\u20031 ", True), ("\u0661", False), ("1_0", False)):
+            for row in ([cell, "0"], ["2.5", cell]):
+                path = write_csv(tmp_path / "data.csv", ["a"], [["1.5", "1"], row])
+                if ok:
+                    ds = load_dataset_csv(path)
+                    assert ds.X.tolist() == [[1.5], [float(row[0])]] and ds.y.tolist() == [1, int(row[1])]
+                else:
+                    with pytest.raises(ValueError, match="data row 2, column '[ay]': .* is not a number"):
+                        load_dataset_csv(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,y\n1.5,0\n\n2.5,1\n\n")
