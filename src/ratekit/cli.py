@@ -6,9 +6,11 @@ with the same arguments are byte-identical. Exit codes: 2 usage, 3 data or
 config problems, 4 numerical failures; error messages name the stage that
 failed.
 
-Each subcommand's settings and their defaults are declared once, in
-``SETTINGS``; the flags, their types and the accepted config-file keys all
-come from that table, and ``ratekit <subcommand> --help`` lists them.
+Each subcommand's settings are listed in ``SETTINGS``; the flags, their types
+and the accepted config-file keys all come from that table, and ``ratekit
+<subcommand> --help`` lists them. A setting the library takes (``SynthSpec``,
+``NetworkConfig``, ``TrainConfig``, the degradation curve) has the default
+declared there, and the subcommand builds that type from the settings.
 """
 
 from __future__ import annotations
@@ -134,30 +136,44 @@ def _xml_escape(text: str) -> str:
 # Config plumbing
 
 
-#: Each subcommand's settings and their defaults, the one place they are
-#: declared: ``build_parser`` turns every name into a ``--name`` flag (``-``
-#: for ``_``) typed by its default (``None`` takes text, ``False`` is a bare
-#: switch), and the same names are the config-file keys ``_merge`` accepts,
-#: each value checked against its flag's type (``_config_value``).
+#: The library fields whose setting has another name: field -> setting.
+_SETTING_NAMES = {"n_clusters_per_class": "clusters_per_class", "n_classes": "classes"}
+
+
+def _library_fields(kind) -> dict[str, dataclasses.Field]:
+    """The fields of dataclass ``kind`` that have a default, by setting name."""
+    return {_SETTING_NAMES.get(f.name, f.name): f for f in dataclasses.fields(kind)
+            if f.default is not dataclasses.MISSING}
+
+
+def _library_defaults(*kinds) -> dict:
+    return {name: f.default for kind in kinds for name, f in _library_fields(kind).items()}
+
+
+def _from_settings(kind, cfg: dict, **fields):
+    """``kind(**fields)``, each defaulted field set from its setting in ``cfg``."""
+    return kind(**fields, **{f.name: cfg[name] for name, f in _library_fields(kind).items()})
+
+
+#: Each subcommand's settings and their defaults, those of the library type
+#: or function that takes a setting where there is one: ``build_parser``
+#: turns every name into a ``--name`` flag (``-`` for ``_``) typed by its
+#: default (``None`` takes text, ``False`` is a bare switch), and the same
+#: names are the config-file keys ``_merge`` accepts, each value checked
+#: against its flag's type (``_config_value``).
 #: Every subcommand also takes ``--config``, ``--out`` and ``--seed``; a
 #: subcommand without a ``seed`` setting ignores ``--seed``.
 SETTINGS: dict[str, dict] = {
-    "simulate": {
-        "n": 1000, "p": 100, "frac_causal": 0.1, "frac_redundant": 0.0,
-        "clusters_per_class": 2, "class_sep": 2.0, "flip_y": 0.01, "test_fraction": 0.0,
-        "seed": 0,
-    },
+    "simulate": {"n": 1000, "p": 100, **_library_defaults(simgen.SynthSpec), "test_fraction": 0.0},
     "train": {
-        "data": None, "hidden": "128,128", "link": "sigmoid", "classes": 1,
-        "prior_scale": 1.0, "epochs": 20, "learning_rate": 1e-3, "patience": 2,
-        "batch_size": 32, "val_fraction": 0.2, "seed": 0,
+        "data": None, "hidden": "128,128", **_library_defaults(bnn.NetworkConfig, bnn.TrainConfig),
     },
     "importance": {"data": None, "model": None, "class_index": 0},
     "group-importance": {"data": None, "model": None, "groups": None, "class_index": 0},
     "evaluate": {
         "report": None, "mask": None, "model": None, "data": None, "degradation": False,
-        "ranking": "rate", "fractions": "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5",
-        "repeats": 10, "seed": 0,
+        "ranking": "rate", "fractions": ",".join(f"{v:g}" for v in evaluate.DEGRADATION_FRACTIONS),
+        "repeats": evaluate.DEGRADATION_REPEATS, "seed": 0,
     },
     "demo-collinearity": {"rho": 0.999, "n": 5000, "reps": 100, "seed": 0},
 }
@@ -286,16 +302,7 @@ def _cmd_simulate(args) -> int:
     with _stage("config"):
         out, cfg = _configure(args)
     with _stage("simulate"):
-        spec = simgen.SynthSpec(
-            n=cfg["n"],
-            p=cfg["p"],
-            frac_causal=cfg["frac_causal"],
-            frac_redundant=cfg["frac_redundant"],
-            n_clusters_per_class=cfg["clusters_per_class"],
-            class_sep=cfg["class_sep"],
-            flip_y=cfg["flip_y"],
-            seed=cfg["seed"],
-        )
+        spec = _from_settings(simgen.SynthSpec, cfg, n=cfg["n"], p=cfg["p"])
         test_fraction = cfg["test_fraction"]
         n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
         if test_fraction != 0 and not 0 < n_test < spec.n:
@@ -323,21 +330,10 @@ def _cmd_train(args) -> int:
     with _stage("load-data"):
         ds = simgen.load_dataset_csv(cfg["data"])
     with _stage("train"):
-        net_cfg = bnn.NetworkConfig(
-            input_dim=ds.p,
-            hidden_sizes=_parse_hidden(cfg["hidden"]),
-            link=cfg["link"],
-            n_classes=cfg["classes"],
-            prior_scale=cfg["prior_scale"],
+        net_cfg = _from_settings(
+            bnn.NetworkConfig, cfg, input_dim=ds.p, hidden_sizes=_parse_hidden(cfg["hidden"])
         )
-        train_cfg = bnn.TrainConfig(
-            epochs=cfg["epochs"],
-            learning_rate=cfg["learning_rate"],
-            patience=cfg["patience"],
-            batch_size=cfg["batch_size"],
-            val_fraction=cfg["val_fraction"],
-            seed=cfg["seed"],
-        )
+        train_cfg = _from_settings(bnn.TrainConfig, cfg)
         # the initial network is passed as a temporary so that bnn.train can
         # free it once its parameters are copied
         trained, history = bnn.train(bnn.build_network(net_cfg, seed=cfg["seed"]), ds, train_cfg)
@@ -439,7 +435,7 @@ def _cmd_evaluate(args) -> int:
 
     if cfg["mask"]:
         with _stage("roc"):
-            mask = simgen.read_sidecar(cfg["mask"], scores.size)[1]
+            mask = simgen.read_sidecar(cfg["mask"], scores.size)["causal_mask"]
             if mask is None:
                 raise ValueError(f"{cfg['mask']}: no causal mask recorded")
             curve = evaluate.roc_auc(scores, mask)

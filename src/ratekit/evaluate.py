@@ -51,6 +51,11 @@ __all__ = [
 #: rows always go in one batch.
 FALLBACK_ROWS = 64
 
+#: The default degradation curve of ``shuffle_degradation`` and the CLI:
+#: 0, 0.05, ..., 0.5 of the features shuffled, ``DEGRADATION_REPEATS`` times each.
+DEGRADATION_FRACTIONS = tuple(np.round(np.arange(0.0, 0.5001, 0.05), 10).tolist())
+DEGRADATION_REPEATS = 10
+
 
 @dataclass(frozen=True)
 class RocCurve:
@@ -122,8 +127,8 @@ def shuffle_degradation(
     net: Network,
     test,
     ranking,
-    fractions=None,
-    repeats: int = 10,
+    fractions=DEGRADATION_FRACTIONS,
+    repeats: int = DEGRADATION_REPEATS,
     seed: int = 0,
 ) -> DegradationCurve:
     """Accuracy drop as the top-ranked feature columns are permuted.
@@ -149,8 +154,6 @@ def shuffle_degradation(
     ranking = np.asarray(ranking, dtype=int)
     if sorted(ranking.tolist()) != list(range(p)):
         raise ValueError("ranking must be a permutation of the feature indices")
-    if fractions is None:
-        fractions = np.round(np.arange(0.0, 0.5001, 0.05), 10)
     fractions = check_degradation_settings(fractions, repeats)
 
     classifier = _Float32Classifier(net, x)

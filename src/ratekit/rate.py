@@ -276,9 +276,14 @@ def build_precision(esa: EffectSizePosterior, class_index: int = 0) -> Precision
 
 
 def _index_set(indices, p: int, label: str) -> tuple[int, ...]:
-    """The sorted distinct ``indices``, checked to be a non-empty index set
-    in [0, p) whose complement is not empty either."""
-    members = tuple(sorted(set(int(j) for j in indices)))
+    """The sorted distinct ``indices``, checked to be a non-empty set of
+    integers (Python or numpy, not bools) in [0, p) whose complement is not
+    empty either."""
+    entries = list(indices)
+    for j in entries:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise ValueError(f"{label} has an entry that is not an integer: {j!r}")
+    members = tuple(sorted(set(int(j) for j in entries)))
     if not members:
         raise ValueError(f"{label} is empty")
     if members[0] < 0 or members[-1] >= p:

@@ -220,19 +220,45 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     return sidecar
 
 
-def read_sidecar(path, p: int) -> tuple[dict, np.ndarray | None]:
-    """The mask sidecar at ``path`` and its ``causal_mask`` as bools (None if
-    none is recorded); a document or mask of the wrong form is named."""
+def read_sidecar(path, p: int) -> dict:
+    """The sidecar at ``path`` for ``p`` features, each key the loader reads
+    checked: ``causal_mask`` (null, or one 0/1 or true/false entry per
+    feature, returned as bools), ``column_permutation`` (null, or a
+    permutation of range(p), returned as ints), ``seed`` (null or an
+    integer) and ``integer_labels`` (true or false). A key left out is
+    returned as None; a value of the wrong form is refused, naming the key
+    and the file."""
     meta = json.loads(Path(path).read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: not a JSON object")
-    mask = None if meta.get("causal_mask") is None else np.asarray(meta["causal_mask"], dtype=bool)
-    if mask is not None and mask.shape != (p,):
+    mask, perm = meta.get("causal_mask"), meta.get("column_permutation")
+    seed, integer_labels = meta.get("seed"), meta.get("integer_labels")
+    if mask is not None:
+        shape = np.asarray(mask, dtype=object).shape
+        if shape != (p,):
+            raise ValueError(
+                f"{path}: causal_mask must be a list with one entry per feature ({p}), "
+                f"got shape {shape}"
+            )
+        for j, entry in enumerate(mask):
+            if type(entry) not in (int, bool) or entry not in (0, 1):
+                raise ValueError(f"{path}: causal_mask entry {j} must be 0, 1, true or "
+                                 f"false, got {json.dumps(entry)}")
+        mask = np.array(mask, dtype=bool)
+    if perm is not None:
+        if not (isinstance(perm, list) and all(type(j) is int for j in perm)
+                and sorted(perm) == list(range(p))):
+            raise ValueError(f"{path}: column_permutation must be null or a permutation "
+                             f"of the {p} column indices 0, ..., {p - 1}")
+        perm = np.array(perm, dtype=int)
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"{path}: seed must be null or an integer, got {json.dumps(seed)}")
+    if "integer_labels" in meta and type(integer_labels) is not bool:
         raise ValueError(
-            f"{path}: causal_mask must be a list with one entry per feature ({p}), "
-            f"got shape {mask.shape}"
+            f"{path}: integer_labels must be true or false, got {json.dumps(integer_labels)}"
         )
-    return meta, mask
+    return {"causal_mask": mask, "column_permutation": perm, "seed": seed,
+            "integer_labels": integer_labels}
 
 
 def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
@@ -312,24 +338,18 @@ def load_dataset_csv(csv_path) -> Dataset:
         flat[i * p : (i + 1) * p] = flat[i * (p + 1) : i * (p + 1) + p]
     x = flat[: n * p].reshape(n, p)
 
-    mask = None
-    perm = None
-    seed = None
-    integer_labels = all("." not in v and "e" not in v.lower() for v in labels)
     sidecar = _sidecar_path(csv_path)
-    if sidecar.exists():
-        meta, mask = read_sidecar(sidecar, p)
-        if meta.get("column_permutation") is not None:
-            perm = np.asarray(meta["column_permutation"], dtype=int)
-        seed = meta.get("seed")
-        integer_labels = bool(meta.get("integer_labels", integer_labels))
+    meta = read_sidecar(sidecar, p) if sidecar.exists() else {}
+    integer_labels = meta.get("integer_labels")
+    if integer_labels is None:
+        integer_labels = all("." not in v and "e" not in v.lower() for v in labels)
     if integer_labels:
         y = np.array([int(v) for v in labels])
     return Dataset(
         X=x,
         y=y,
-        causal_mask=mask,
+        causal_mask=meta.get("causal_mask"),
         feature_names=tuple(header[:-1]),
-        column_permutation=perm,
-        seed=seed,
+        column_permutation=meta.get("column_permutation"),
+        seed=meta.get("seed"),
     )

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line pipeline and its determinism."""
 
 import base64
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ratekit import bnn, evaluate, simgen
 from ratekit.cli import SETTINGS, _configure, build_parser, dispatch, render_curve_svg
 
 
@@ -782,6 +785,31 @@ class TestPipeline:
             assert f"error [{stage}]: {named}: causal_mask must be a list" in err
             assert "got shape ()" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("causal_mask", [1] * 15 + ["0"], 'causal_mask entry 15 must be 0, 1, true or false, got "0"'),
+        ("column_permutation", [5, 1], "column_permutation must be null or a permutation"),
+        ("seed", "abc", 'seed must be null or an integer, got "abc"'),
+        ("integer_labels", "no", 'integer_labels must be true or false, got "no"'),
+    ])
+    def test_sidecar_key_of_the_wrong_form_exits_3(
+        self, pipeline, tmp_path, capsys, key, value, message
+    ):
+        # each of these used to load, read as something else
+        data, model = pipeline / "sim" / "test.csv", pipeline / "model" / "model.json"
+        sidecar = json.loads((pipeline / "sim" / "test.mask.json").read_text())
+        mask, bad_data = tmp_path / "data.mask.json", tmp_path / "data.csv"
+        mask.write_text(json.dumps({**sidecar, key: value}))
+        shutil.copyfile(data, bad_data)
+        report = str(pipeline / "imp" / "report.json")
+        for argv, stage in (
+            (("evaluate", "--report", report, "--mask", str(mask)), "roc"),
+            (("importance", "--data", str(bad_data), "--model", str(model)), "load-data"),
+        ):
+            capsys.readouterr()
+            assert run(*argv, "--out", str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert re.search(f"error \\[{stage}\\]: {re.escape(str(mask))}: {message}", err), err
+
     def test_model_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
         # these used to print only the key's repr, as in "error [load-data]: 'config'",
         # or a Python error naming neither the key nor the file, as in
@@ -889,6 +917,90 @@ class TestPipeline:
             "--out", str(tmp_path),
         )
         assert data.read_bytes() == before
+
+
+def echoed_settings(out):
+    """The merged settings a subcommand echoed to ``out``, with their JSON types."""
+    return json.loads((out / "effective_config.json").read_text())["config"]
+
+
+def library_settings(obj, **renamed):
+    """The defaulted fields of dataclass instance ``obj`` by setting name:
+    ``renamed`` maps a field to the setting of another name that fills it."""
+    return {
+        renamed.get(f.name, f.name): getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if f.default is not dataclasses.MISSING
+    }
+
+
+def assert_same_json(got, want):
+    # a float setting echoed as 2 instead of 2.0 would take integer flags
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+class TestLibraryDefaults:
+    # a subcommand given none of its defaulted settings echoes, and builds,
+    # the defaults of the library types and functions that take them
+
+    def test_bare_simulate_builds_the_default_spec(self, tmp_path):
+        assert run("simulate", "--out", str(tmp_path)) == 0
+        cfg = echoed_settings(tmp_path)
+        spec = simgen.SynthSpec(n=1000, p=100)
+        assert_same_json(cfg, {
+            "n": 1000, "p": 100, "test_fraction": 0.0,
+            **library_settings(spec, n_clusters_per_class="clusters_per_class"),
+        })
+        assert sorted(cfg) == sorted([
+            "n", "p", "frac_causal", "frac_redundant", "clusters_per_class", "class_sep",
+            "flip_y", "test_fraction", "seed",
+        ])
+        ds = simgen.load_dataset_csv(tmp_path / "dataset.csv")
+        ref = simgen.synth_classification(spec)
+        np.testing.assert_array_equal(ds.X, ref.X)
+        np.testing.assert_array_equal(ds.causal_mask, ref.causal_mask)
+
+    def test_bare_train_builds_the_default_configs(self, pipeline, tmp_path, monkeypatch):
+        seen = {}
+        real_train = bnn.train
+
+        def spy(net, ds, train_cfg):
+            seen.update(net=net.config, train=train_cfg)
+            return real_train(net, ds, train_cfg)
+
+        monkeypatch.setattr(bnn, "train", spy)
+        data = str(pipeline / "sim" / "train.csv")
+        assert run("train", "--data", data, "--out", str(tmp_path)) == 0
+        cfg = echoed_settings(tmp_path)
+        net_cfg = bnn.NetworkConfig(input_dim=16, hidden_sizes=(128, 128))
+        assert_same_json(cfg, {
+            "data": data, "hidden": "128,128",
+            **library_settings(net_cfg, n_classes="classes"),
+            **library_settings(bnn.TrainConfig()),
+        })
+        assert sorted(cfg) == sorted([
+            "data", "hidden", "link", "classes", "prior_scale", "epochs", "learning_rate",
+            "patience", "batch_size", "val_fraction", "seed",
+        ])
+        assert seen == {"net": net_cfg, "train": bnn.TrainConfig()}
+
+    def test_bare_evaluate_echoes_the_degradation_defaults(self, pipeline, tmp_path):
+        assert run(
+            "evaluate", "--report", str(pipeline / "imp" / "report.json"),
+            "--mask", str(pipeline / "sim" / "test.mask.json"), "--out", str(tmp_path),
+        ) == 0
+        cfg = echoed_settings(tmp_path)
+        assert cfg["fractions"] == "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5"
+        assert tuple(map(float, cfg["fractions"].split(","))) == evaluate.DEGRADATION_FRACTIONS
+        assert_same_json(cfg["repeats"], evaluate.DEGRADATION_REPEATS)
+        defaults = inspect.signature(evaluate.shuffle_degradation).parameters
+        assert defaults["fractions"].default is evaluate.DEGRADATION_FRACTIONS
+        assert defaults["repeats"].default is evaluate.DEGRADATION_REPEATS
+
+    def test_default_fractions_are_the_rounded_range(self):
+        # perfbench's paper check reads the curve at these exact keys
+        want = np.round(np.arange(0.0, 0.5001, 0.05), 10)
+        assert np.array(evaluate.DEGRADATION_FRACTIONS).tobytes() == want.tobytes()
 
 
 class TestFullScalePipeline:

@@ -643,13 +643,27 @@ class TestKldGroup:
         ([4], r"has indices outside \[0, 4\)"),
         ([-1, 0], r"has indices outside \[0, 4\)"),
         ([0, 1, 2, 3, 3], "has an empty complement"),
-    ], ids=["empty", "above-p", "negative", "full-cover"])
+        ([0.7, 2.2], "has an entry that is not an integer: 0.7"),
+        ([1.5], "has an entry that is not an integer: 1.5"),
+        ([1, np.float64(2.0)], r"has an entry that is not an integer: np.float64\(2.0\)"),
+        ([True], "has an entry that is not an integer: True"),
+        ([np.True_], "has an entry that is not an integer: np.True_"),
+        (["1"], "has an entry that is not an integer: '1'"),
+    ], ids=["empty", "above-p", "negative", "full-cover", "floats", "float", "numpy-float",
+            "bool", "numpy-bool", "string"])
     def test_index_set_is_checked_as_group_map_checks_it(self, indices, message):
         pm = random_model(4, seed=15)
         with pytest.raises(ValueError, match=f"^group {message}"):
             kld_group(pm, indices)
         with pytest.raises(ValueError, match=f"^group 'a' {message}"):
             GroupMap.from_indices({"a": indices}, p=4)
+
+    def test_numpy_integer_indices_are_index_sets(self):
+        pm = random_model(4, seed=15)
+        for kind in (np.int64, np.int32, np.uint8):
+            indices = np.array([2, 0], dtype=kind)
+            assert kld_group(pm, indices) == kld_group(pm, [0, 2])
+            assert GroupMap.from_indices({"a": indices}, p=4).groups == {"a": (0, 2)}
 
 
 class TestGroupRate:

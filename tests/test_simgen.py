@@ -375,3 +375,40 @@ class TestDatasetValidation:
                          sidecar=f'{{"causal_mask": {mask}}}')
         with pytest.raises(ValueError, match=r"data\.mask\.json: causal_mask must be a list"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"causal_mask": [1, 0, "0"]}', 'causal_mask entry 2 must be 0, 1, true or false, got "0"'),
+        ('{"causal_mask": ["no", 0, 1]}', r'causal_mask entry 0 .* got "no"'),
+        ('{"causal_mask": [1, 0, "x"]}', r'causal_mask entry 2 .* got "x"'),
+        ('{"causal_mask": [1, 2, 0]}', r"causal_mask entry 1 .* got 2"),
+        ('{"causal_mask": [1, 0, 0.5]}', r"causal_mask entry 2 .* got 0.5"),
+        ('{"causal_mask": [1, 0, 1.0]}', r"causal_mask entry 2 .* got 1.0"),
+        ('{"causal_mask": [null, 0, 1]}', r"causal_mask entry 0 .* got null"),
+        ('{"causal_mask": [[1], 0, 1]}', r"causal_mask entry 0 .* got \[1\]"),
+        ('{"column_permutation": [5, 1]}', "column_permutation must be null or a permutation"),
+        ('{"column_permutation": [0, 1, 1]}', "column_permutation must be null or a permutation"),
+        ('{"column_permutation": [0, 1, 2.0]}', "column_permutation must be null or a permutation"),
+        ('{"column_permutation": [0, true, 2]}', "column_permutation must be null or a perm"),
+        ('{"column_permutation": 3}', "column_permutation must be null or a permutation"),
+        ('{"seed": "abc"}', 'seed must be null or an integer, got "abc"'),
+        ('{"seed": true}', "seed must be null or an integer, got true"),
+        ('{"seed": 1.5}', "seed must be null or an integer, got 1.5"),
+        ('{"integer_labels": "no"}', 'integer_labels must be true or false, got "no"'),
+        ('{"integer_labels": 1}', "integer_labels must be true or false, got 1"),
+        ('{"integer_labels": null}', "integer_labels must be true or false, got null"),
+    ])
+    def test_sidecar_key_of_the_wrong_form_is_named(self, tmp_path, sidecar, message):
+        # each of these used to load, read as something else
+        path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], [["1", "2", "3", "0"]],
+                         sidecar=sidecar)
+        with pytest.raises(ValueError, match=r"data\.mask\.json: " + message):
+            load_dataset_csv(path)
+
+    def test_sidecar_of_the_right_form_loads_as_written(self, tmp_path):
+        path = write_csv(tmp_path / "data.csv", ["a", "b", "c"], [["1", "2", "3", "0"]],
+                         sidecar='{"causal_mask": [true, 0, 1], "column_permutation": [2, 0, 1], '
+                                 '"seed": 7, "integer_labels": false}')
+        ds = load_dataset_csv(path)
+        assert ds.causal_mask.tolist() == [True, False, True]
+        assert ds.column_permutation.tolist() == [2, 0, 1] and ds.seed == 7
+        assert ds.y.dtype == np.float64
