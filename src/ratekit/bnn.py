@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from ratekit.core import write_json
 
 __all__ = [
     "NetworkConfig",
@@ -408,14 +408,35 @@ def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
     return float(np.sum(0.5 * g[:, 0] ** 2 + 0.5 * math.log(2.0 * math.pi))), g
 
 
-def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
-    """Negative minibatch ELBO and its gradients for every parameter.
+#: The most values of the flat gradient that ``_elbo_blocks`` hands over at
+#: once, and so the most that one ``_adam_step`` updates.
+_ADAM_BLOCK = 32768
 
-    Each example's logits are one sample from N(h m + b, (h*h) v), the local
-    reparameterization of the output-layer weight posterior, with noise
-    fixed by ``seed`` so the loss is a deterministic function of (params,
-    batch, seed). The gradients are written into ``out``, arrays shaped like
-    ``net.parameters()`` and in that order, which are allocated if None.
+
+def _blocks(start: int, grad: np.ndarray):
+    """``(offset, values)`` pieces of at most ``_ADAM_BLOCK`` values of
+    ``grad``, the flat gradient's values from offset ``start`` on."""
+    grad = grad.reshape(-1)
+    for i in range(0, grad.size, _ADAM_BLOCK):
+        yield start + i, grad[i : i + _ADAM_BLOCK]
+
+
+def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
+    """Negative minibatch ELBO, then its gradient a block at a time.
+
+    A generator. Each example's logits are one sample from
+    N(h m + b, (h*h) v), the local reparameterization of the output-layer
+    weight posterior, with noise fixed by ``seed`` so the loss is a
+    deterministic function of (params, batch, seed). The loss is yielded
+    first, before the backward pass. Then come ``(start, grad)`` pairs:
+    ``grad`` holds at most ``_ADAM_BLOCK`` values of the gradient of the
+    flat parameter vector (``net.parameters()`` raveled and concatenated),
+    from offset ``start`` on; each offset comes exactly once. A block comes
+    only after the backward pass last reads its parameter: ``m``, ``rho``
+    and ``b`` (contiguous in the flat vector) once dh is formed, hidden
+    layer l's bias and weight rows once da = dz W_lᵀ is. So the consumer
+    may update each block's parameters in place before asking for the next
+    block. It may also overwrite ``grad``, which the next block may reuse.
     """
     x, y = _check_labelled(net, (x, y))
     cfg = net.config
@@ -432,14 +453,14 @@ def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
     z = np.random.default_rng(seed).standard_normal(size=mean.shape)
     nll, g = _nll_and_grad(cfg.link, mean + sd * z, y)
     kl_scale = x.shape[0] / n_total
-    loss = kl_scale * kl_q_prior(net.m, v, cfg.prior_scale) + nll
+    yield kl_scale * kl_q_prior(net.m, v, cfg.prior_scale) + nll
 
     # d loss / d var, guarding degenerate rows where var == 0 exactly
     q = np.divide(g * z, 2.0 * sd, out=np.zeros_like(mean), where=var > 0)
 
-    if out is None:
-        out = [np.empty_like(p) for p in net.parameters()]
-    *hidden_grads, dm, drho, db = out
+    starts = np.cumsum([0] + [p.size for p in net.parameters()]).tolist()
+    tail = np.empty(starts[-1] - starts[-4])
+    dm, drho, db = _views(tail, (net.m.shape, net.rho.shape, net.b.shape))
     s2 = cfg.prior_scale**2
     np.matmul(h.T, g, out=dm)
     dm += kl_scale * net.m / s2
@@ -447,22 +468,60 @@ def _elbo(net: Network, x, y, n_total: int, seed: int, out=None):
     drho *= v
     drho += kl_scale * 0.5 * (v / s2 - 1.0)
     np.sum(g, axis=0, out=db)
-    dh = g @ net.m.T + 2.0 * h * (q @ v.T)
+    # da starts as d loss / d h, the bits of g mᵀ + 2 h (q vᵀ) formed in
+    # place; the backward pass keeps only the layers it has still to reach
+    da = 2.0 * h
+    da *= q @ v.T
+    da += g @ net.m.T
+    del h
+    yield from _blocks(starts[-4], tail)
 
-    da = dh
+    # A weight gradient is formed a block of whole rows, about _ADAM_BLOCK
+    # values, at a time, in one buffer that every block reuses. numpy hands a
+    # one-row product to gemv, which rounds unlike gemm, so a last single row
+    # joins the block before it. (With OpenBLAS 0.3.31 a block's rows then
+    # have the bits of the whole product's where the layer's width is a
+    # multiple of 8; at other widths the last columns can differ in the last
+    # bit.)
+    row_bounds = []
+    for w in net.hidden_weights:
+        cuts = list(range(0, len(w), max(2, _ADAM_BLOCK // w.shape[1])))
+        if len(cuts) > 1 and len(w) - cuts[-1] == 1:
+            cuts.pop()
+        row_bounds.append([*cuts, len(w)])
+    buffer = np.empty(max(
+        max(np.diff(bounds)) * w.shape[1] for bounds, w in zip(row_bounds, net.hidden_weights)
+    ))
     for l in range(len(net.hidden_weights) - 1, -1, -1):
-        dz = da * (activations[l + 1] > 0)  # max(z, 0) > 0 exactly where z > 0
-        np.sum(dz, axis=0, out=hidden_grads[2 * l + 1])  # bias
-        np.matmul(activations[l].T, dz, out=hidden_grads[2 * l])  # weights
+        w = net.hidden_weights[l]
+        da *= activations.pop() > 0  # max(z, 0) > 0 exactly where z > 0
+        dz = da
         if l:
-            da = dz @ net.hidden_weights[l].T
-    return loss, out
+            da = dz @ w.T
+        yield from _blocks(starts[2 * l + 1], np.sum(dz, axis=0))  # bias
+        for r0, r1 in zip(row_bounds[l], row_bounds[l][1:]):
+            block = buffer[: (r1 - r0) * w.shape[1]].reshape(r1 - r0, w.shape[1])
+            np.matmul(activations[l].T[r0:r1], dz, out=block)
+            yield from _blocks(starts[2 * l] + r0 * w.shape[1], block)
+
+
+def _elbo(net: Network, x, y, n_total: int, seed: int):
+    """Negative minibatch ELBO and its gradients, arrays shaped like
+    ``net.parameters()`` and in that order: ``_elbo_blocks``' blocks,
+    collected."""
+    blocks = _elbo_blocks(net, x, y, n_total, seed)
+    loss = next(blocks)
+    params = net.parameters()
+    flat = np.empty(sum(p.size for p in params))
+    for start, grad in blocks:
+        flat[start : start + grad.size] = grad
+    return loss, _views(flat, [p.shape for p in params])
 
 
 def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
     """Negative minibatch ELBO: scaled KL-to-prior plus the NLL of one
     logit sample per example."""
-    return _elbo(net, x, y, n_total, seed)[0]
+    return next(_elbo_blocks(net, x, y, n_total, seed))
 
 
 def _posterior_mean(net: Network, x) -> np.ndarray:
@@ -513,9 +572,6 @@ def _network_with_parameters(net: Network, params: list[np.ndarray]) -> Network:
         b=params[-1],
         seed=net.seed,
     )
-
-
-_ADAM_BLOCK = 32768
 
 
 def _adam_step(p, g, ma, va, scratch, step: int, lr: float) -> None:
@@ -577,32 +633,24 @@ def train(net: Network, dataset, config: TrainConfig):
         metric_name = "val_mse" if n_val else "train_mse"
         metric_fn, sign = _mean_squared_error, -1.0
 
-    # Parameters, gradients and Adam state each live in one flat buffer, and
-    # the model and _elbo's gradients are views into them, so a step
-    # allocates nothing of parameter size. Adam then runs block by block: one
-    # block of all five buffers (5 x 256 KiB) stays in a core's L2 cache
-    # through the update's 14 passes; on the paper-scale net (315k parameters,
-    # 2-vCPU Xeon VM, 2 MiB L2 per core) a training step ran ~20% faster than
-    # with whole-buffer passes.
+    # The parameters and Adam's two moments each live in one flat buffer, and
+    # the model is views into the first. No gradient buffer exists:
+    # _elbo_blocks hands the gradient over a block at a time, once the
+    # backward pass is done with the block's parameters, and Adam updates
+    # that block of the three buffers at once. A block of all five arrays
+    # (with the gradient and one shared block-sized scratch, 5 x 256 KiB)
+    # stays in a core's L2 cache through the update's 14 passes.
     shapes = [p.shape for p in net.parameters()]
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
     model = _network_with_parameters(net, _views(flat, shapes))
     # The initial arrays are not needed past this point. Dropping this frame's
-    # reference frees them before the gradient and moments are allocated when
-    # the caller passed a temporary, ``train(build_network(...), ...)``, so
-    # training then holds four parameter-sized buffers instead of five. (From
-    # CPython 3.11 a call keeps no caller-side reference to its arguments.)
+    # reference frees them before the moments are allocated when the caller
+    # passed a temporary, ``train(build_network(...), ...)``, so training then
+    # holds three parameter-sized buffers instead of four. (From CPython 3.11
+    # a call keeps no caller-side reference to its arguments.)
     del net
-    grad_flat = np.empty_like(flat)
-    grads = _views(grad_flat, shapes)
-    # in _adam_step's argument order: parameters, gradient, moments; the
-    # blocks run one after another, so they share one block-sized scratch
-    adam_buffers = (flat, grad_flat, np.zeros_like(flat), np.zeros_like(flat))
+    moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
     scratch = np.empty(min(_ADAM_BLOCK, flat.size))
-    adam_blocks = []
-    for i in range(0, flat.size, _ADAM_BLOCK):
-        block = tuple(a[i : i + _ADAM_BLOCK] for a in adam_buffers)
-        adam_blocks.append((*block, scratch[: block[0].size]))
     step = 0
 
     n_train = len(train_idx)
@@ -616,15 +664,9 @@ def train(net: Network, dataset, config: TrainConfig):
         for start in range(0, n_train, batch_size):
             rows = epoch_rows[start : start + batch_size]
             batch_seed = int(rng.integers(0, 2**63 - 1))
+            blocks = _elbo_blocks(model, x[rows], y[rows], n_train, batch_seed)
             try:
-                loss, _ = _elbo(
-                    model,
-                    x[rows],
-                    y[rows],
-                    n_total=n_train,
-                    seed=batch_seed,
-                    out=grads,
-                )
+                loss = next(blocks)
             except ValueError as exc:
                 # inputs were validated up front, so a loss-side rejection here
                 # means the parameters themselves degenerated
@@ -633,8 +675,10 @@ def train(net: Network, dataset, config: TrainConfig):
                 raise TrainingDivergedError(epoch)
             epoch_losses.append(loss)
             step += 1
-            for block in adam_blocks:
-                _adam_step(*block, step, config.learning_rate)
+            for offset, grad in blocks:
+                block = slice(offset, offset + grad.size)
+                _adam_step(flat[block], grad, moment1[block], moment2[block],
+                           scratch[: grad.size], step, config.learning_rate)
 
         metric = metric_fn(model, x_eval, y_eval)
         history["train_loss"].append(float(np.mean(epoch_losses)))
@@ -668,14 +712,6 @@ def predict_proba(net: Network, x) -> np.ndarray:
     return _posterior_mean(net, x)
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    """One parameter array as its shape and the base64 of its little-endian
-    float64 bytes, which round-trip every bit pattern (-0.0, nan, inf)."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    # b64encode reads the contiguous array's buffer itself: no bytes copy
-    return {"shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
-
-
 #: The JSON name of each type ``json.loads`` returns.
 _JSON_KINDS = {
     dict: "an object", list: "a list", str: "a string", int: "an integer",
@@ -701,9 +737,9 @@ def _field(obj: dict, prefix: str, key: str, kind: type):
 
 
 def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_encode_array`` for the array at ``parent[key]``, checked
-    against the shape the config implies; returns a native float64 array
-    that owns its data."""
+    """Inverse of ``_write_network``'s encoding for the array at
+    ``parent[key]``, checked against the shape the config implies; returns a
+    native float64 array that owns its data."""
     name = f"{prefix}.{key}" if prefix else key
     obj = _field(parent, prefix, key, dict)
     shape = tuple(_field(obj, name, "shape", list))
@@ -723,10 +759,23 @@ def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]
 _DOCUMENT_KEYS = ("version", "seed", "config", "hidden", "m", "rho", "b")
 
 
-def _network_document(net: Network) -> dict:
-    """The JSON document of ``net``; the parameter arrays are stored as raw
-    float64 bytes (see ``_encode_array``), so they round-trip bit-exactly."""
-    return {
+#: Bytes of an array that one base64 write encodes. A multiple of 3, so the
+#: chunks' base64 joins into the whole array's.
+_BASE64_CHUNK = 3 * 2**16
+
+
+def _network_document(net: Network) -> tuple[dict, list[np.ndarray]]:
+    """The JSON document of ``net`` and its parameter arrays, each array's
+    ``data`` its index in that list. ``_write_network`` writes the base64 of
+    the array's little-endian float64 bytes there, which round-trip every
+    bit pattern (-0.0, nan, inf)."""
+    arrays = []
+
+    def array(a: np.ndarray) -> dict:
+        arrays.append(np.ascontiguousarray(a, dtype="<f8"))
+        return {"shape": list(a.shape), "data": str(len(arrays) - 1)}
+
+    doc = {
         "format": SERIAL_FORMAT,
         "version": SERIAL_VERSION,
         "seed": net.seed,
@@ -739,23 +788,45 @@ def _network_document(net: Network) -> dict:
             "prior_scale": net.config.prior_scale,
         },
         "hidden": [
-            {"weights": _encode_array(w), "bias": _encode_array(c)}
+            {"weights": array(w), "bias": array(c)}
             for w, c in zip(net.hidden_weights, net.hidden_biases)
         ],
-        "m": _encode_array(net.m),
-        "rho": _encode_array(net.rho),
-        "b": _encode_array(net.b),
+        "m": array(net.m),
+        "rho": array(net.rho),
+        "b": array(net.b),
     }
+    return doc, arrays
+
+
+def _write_network(net: Network, write) -> None:
+    """Pass the ASCII bytes of the document's ``json.dumps(..., sort_keys=True)``
+    text to ``write``, piece by piece: the text of the document with each
+    array's index as its ``data``, in which each index is replaced by the
+    array's base64, ``_BASE64_CHUNK`` bytes of the array at a time. JSON
+    escapes no base64 character, so this is the text of the whole document,
+    and no string of it, or of a whole array, is built."""
+    doc, arrays = _network_document(net)
+    parts = re.split(r'(?<="data": ")(\d+)(?=")', json.dumps(doc, sort_keys=True))
+    for text, index in zip(parts[::2], [*parts[1::2], None]):
+        write(text.encode("ascii"))
+        if index is not None:
+            raw = arrays[int(index)].reshape(-1).view(np.uint8)
+            for start in range(0, raw.size, _BASE64_CHUNK):
+                write(base64.b64encode(raw[start : start + _BASE64_CHUNK]))
 
 
 def network_to_json(net: Network) -> str:
     """Serialize to a versioned JSON document that ``network_from_json`` reads."""
-    return json.dumps(_network_document(net), sort_keys=True)
+    text = io.BytesIO()
+    _write_network(net, text.write)
+    return text.getvalue().decode("ascii")
 
 
 def save_network_json(net: Network, path) -> None:
     """Stream ``network_to_json(net)`` and a newline into ``path``."""
-    write_json(path, _network_document(net))
+    with open(path, "wb") as fh:
+        _write_network(net, fh.write)
+        fh.write(b"\n")
 
 
 def network_from_json(text: str) -> Network:

@@ -10,7 +10,8 @@ Each subcommand's settings are listed in ``SETTINGS``; the flags, their types
 and the accepted config-file keys all come from that table, and ``ratekit
 <subcommand> --help`` lists them. A setting the library takes (``SynthSpec``,
 ``NetworkConfig``, ``TrainConfig``, the degradation curve) has the default
-declared there, and the subcommand builds that type from the settings.
+declared there, and the subcommand builds that type from the settings in its
+``config`` stage, before anything is written.
 """
 
 from __future__ import annotations
@@ -151,8 +152,16 @@ def _library_defaults(*kinds) -> dict:
 
 
 def _from_settings(kind, cfg: dict, **fields):
-    """``kind(**fields)``, each defaulted field set from its setting in ``cfg``."""
-    return kind(**fields, **{f.name: cfg[name] for name, f in _library_fields(kind).items()})
+    """``kind(**fields)``, each defaulted field set from its setting in ``cfg``;
+    a refusal names a renamed field by its flag (``--classes``, not
+    ``n_classes``)."""
+    try:
+        return kind(**fields, **{f.name: cfg[name] for name, f in _library_fields(kind).items()})
+    except ValueError as exc:
+        message = str(exc)
+        for field, name in _SETTING_NAMES.items():
+            message = re.sub(rf"\b{field}\b", "--" + name.replace("_", "-"), message)
+        raise ValueError(message) from None
 
 
 #: Each subcommand's settings and their defaults, those of the library type
@@ -230,10 +239,11 @@ def _merge(defaults: dict, config: dict, args) -> dict:
     return merged
 
 
-def _configure(args, *required: str, check=None) -> tuple[Path, dict]:
+def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
     """Merge the subcommand's settings, check that the ``required`` ones are
     set and that ``check(cfg)`` passes, then create ``--out`` and echo the
-    result to effective_config.json: a refused setting writes nothing."""
+    result to effective_config.json: a refused setting writes nothing.
+    Returns ``--out``, the settings and what ``check`` returned."""
     if not args.out:
         raise ValueError("an output directory is required (--out)")
     config = {}
@@ -246,12 +256,11 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict]:
     for name in required:
         if not cfg[name]:
             raise ValueError(f"--{name} is required")
-    if check:
-        check(cfg)
+    checked = check(cfg) if check else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "effective_config.json", {"command": args.command, "config": cfg})
-    return out, cfg
+    return out, cfg, checked
 
 
 def _load_network(path) -> bnn.Network:
@@ -298,18 +307,23 @@ def _parse_fractions(cfg: dict) -> tuple[float, ...]:
 # Subcommands
 
 
+def _simulate_settings(cfg: dict) -> tuple[simgen.SynthSpec, int]:
+    """The dataset spec and the number of test rows the settings ask for."""
+    spec = _from_settings(simgen.SynthSpec, cfg, n=cfg["n"], p=cfg["p"])
+    test_fraction = cfg["test_fraction"]
+    n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
+    if test_fraction != 0 and not 0 < n_test < spec.n:
+        raise ValueError(
+            f"test_fraction {test_fraction} must be 0 (no split) or leave both the "
+            f"train and test parts of n = {spec.n} rows non-empty"
+        )
+    return spec, n_test
+
+
 def _cmd_simulate(args) -> int:
     with _stage("config"):
-        out, cfg = _configure(args)
+        out, _, (spec, n_test) = _configure(args, check=_simulate_settings)
     with _stage("simulate"):
-        spec = _from_settings(simgen.SynthSpec, cfg, n=cfg["n"], p=cfg["p"])
-        test_fraction = cfg["test_fraction"]
-        n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
-        if test_fraction != 0 and not 0 < n_test < spec.n:
-            raise ValueError(
-                f"test_fraction {test_fraction} must be 0 (no split) or leave both the "
-                f"train and test parts of n = {spec.n} rows non-empty"
-            )
         ds = simgen.synth_classification(spec)
     with _stage("write-output"):
         if n_test:
@@ -324,16 +338,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _train_settings(cfg: dict) -> tuple[bnn.NetworkConfig, bnn.TrainConfig]:
+    """The network and training configs the settings ask for. The input
+    width comes from the data, which is not loaded yet: 1 stands in for it."""
+    net_cfg = _from_settings(
+        bnn.NetworkConfig, cfg, input_dim=1, hidden_sizes=_parse_hidden(cfg["hidden"])
+    )
+    return net_cfg, _from_settings(bnn.TrainConfig, cfg)
+
+
 def _cmd_train(args) -> int:
     with _stage("config"):
-        out, cfg = _configure(args, "data")
+        out, cfg, (net_cfg, train_cfg) = _configure(args, "data", check=_train_settings)
     with _stage("load-data"):
         ds = simgen.load_dataset_csv(cfg["data"])
     with _stage("train"):
-        net_cfg = _from_settings(
-            bnn.NetworkConfig, cfg, input_dim=ds.p, hidden_sizes=_parse_hidden(cfg["hidden"])
-        )
-        train_cfg = _from_settings(bnn.TrainConfig, cfg)
+        net_cfg = dataclasses.replace(net_cfg, input_dim=ds.p)
         # the initial network is passed as a temporary so that bnn.train can
         # free it once its parameters are copied
         trained, history = bnn.train(bnn.build_network(net_cfg, seed=cfg["seed"]), ds, train_cfg)
@@ -350,7 +370,7 @@ def _cmd_importance(args) -> int:
     with_groups = args.command == "group-importance"
     with _stage("config"):
         required = ("data", "model", "groups") if with_groups else ("data", "model")
-        out, cfg = _configure(args, *required)
+        out, cfg, _ = _configure(args, *required)
     with _stage("load-data"):
         ds = simgen.load_dataset_csv(cfg["data"])
         net = _load_network(cfg["model"])
@@ -418,18 +438,20 @@ def _read_report(path) -> tuple[list[str], np.ndarray]:
     return [item["name"] for item in items], np.array([item["rate"] for item in items])
 
 
-def _check_evaluate_settings(cfg: dict) -> None:
+def _evaluate_settings(cfg: dict) -> tuple[float, ...] | None:
+    """The degradation fractions, when the settings ask for degradation."""
     if not cfg["mask"] and not cfg["degradation"]:
         raise ValueError("nothing to evaluate: pass --mask and/or --degradation")
     if cfg["degradation"]:
         if not cfg["model"] or not cfg["data"]:
             raise ValueError("degradation needs --model and --data")
-        _parse_fractions(cfg)
+        return _parse_fractions(cfg)
+    return None
 
 
 def _cmd_evaluate(args) -> int:
     with _stage("config"):
-        out, cfg = _configure(args, "report", check=_check_evaluate_settings)
+        out, cfg, fractions = _configure(args, "report", check=_evaluate_settings)
     with _stage("load-report"):
         names, scores = _read_report(cfg["report"])
 
@@ -461,7 +483,7 @@ def _cmd_evaluate(args) -> int:
                 net,
                 ds,
                 ranking,
-                fractions=_parse_fractions(cfg),
+                fractions=fractions,
                 repeats=cfg["repeats"],
                 seed=cfg["seed"],
             )
@@ -477,7 +499,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
-        out, cfg = _configure(args)
+        out, cfg, _ = _configure(args)
     with _stage("replicates"):
         rho, n, reps = cfg["rho"], cfg["n"], cfg["reps"]
         if reps < 2:

@@ -1,6 +1,8 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
 code and its one relative rank bound, the default feature names, and the two
-writers every CSV and JSON output goes through, so reruns write the same bytes.
+writers every CSV and JSON output goes through, so reruns write the same bytes
+(``model.json`` aside: ``bnn.save_network_json`` streams the same
+``json.dumps`` text an array chunk at a time).
 """
 
 from __future__ import annotations

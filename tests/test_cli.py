@@ -206,8 +206,8 @@ class TestSimulate:
                 f"--test-fraction={fraction}", "--out", str(out),
             )
             assert code == 3
-            assert "error [simulate]: test_fraction" in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
+            assert "error [config]: test_fraction" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_class_sep_must_be_finite_and_positive(self, tmp_path, capsys):
         for sep in ("nan", "0", "-1"):
@@ -217,8 +217,8 @@ class TestSimulate:
                 f"--class-sep={sep}", "--out", str(out),
             )
             assert code == 3
-            assert "error [simulate]: class_sep must be finite and > 0" in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
+            assert "error [config]: class_sep must be finite and > 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_infeasible_spec_is_data_error(self, tmp_path):
         # frac_causal 0 yields no causal features
@@ -269,6 +269,36 @@ class TestSettings:
         assert run(*argv, "--out", str(tmp_path)) == 3
         assert f"error [config]: {flag} is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--n", "50", "--p", "8", "--frac-causal", "0.25", "--flip-y", "1.5"),
+         "flip_y must lie in [0, 1)"),
+        (("simulate", "--clusters-per-class", "0"), "--clusters-per-class must be >= 1"),
+        (("simulate", "--n", "5"), "n must be >= 10"),
+        (("train", "--data", "d.csv", "--classes", "2"), "sigmoid link requires --classes == 1"),
+        (("train", "--data", "d.csv", "--link", "softmax"), "softmax link requires --classes >= 2"),
+        (("train", "--data", "d.csv", "--hidden", "8,0"), "hidden layer widths must be >= 1"),
+        (("train", "--data", "d.csv", "--hidden", "8,x"), "--hidden entry 'x' is not an integer"),
+        (("train", "--data", "d.csv", "--prior-scale", "0"), "prior_scale must be positive"),
+        (("train", "--data", "d.csv", "--epochs", "0"), "epochs must be >= 1"),
+        (("train", "--data", "d.csv", "--val-fraction", "1"), "val_fraction must be in [0, 1)"),
+    ])
+    def test_library_type_refusal_is_config_error_naming_the_flag(self, tmp_path, capsys, argv,
+                                                                  message):
+        # the settings SynthSpec, NetworkConfig and TrainConfig check are
+        # refused before --out exists (train before it reads --data), and a
+        # renamed field is named by the flag the user typed
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"ratekit: error [config]: {message}\n"
+        assert not out.exists()
+
+    def test_config_file_refusal_names_the_setting_as_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": "d.csv", "classes": 2}))
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
+        assert "error [config]: sigmoid link requires --classes == 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", sorted(SETTINGS))
     def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, capsys, command):
         values = {name: _other_value(name, d) for name, d in SETTINGS[command].items()}
@@ -285,7 +315,7 @@ class TestSettings:
         cfg.write_text(json.dumps(values))
         for argv in (["--config", str(cfg)], flags):
             args = build_parser().parse_args([command, "--out", str(tmp_path), *argv])
-            _, effective = _configure(args)
+            _, effective, _ = _configure(args)
             assert effective == values
             echo = json.loads((tmp_path / "effective_config.json").read_text())
             assert echo == {"command": command, "config": values}
@@ -336,7 +366,7 @@ class TestSettings:
         ):
             cfg.write_text(json.dumps(values))
             args = build_parser().parse_args([command, "--config", str(cfg), "--out", str(tmp_path)])
-            _, effective = _configure(args)
+            _, effective, _ = _configure(args)
             for name, value in expected.items():
                 assert effective[name] == value and type(effective[name]) is type(value)
 
@@ -646,8 +676,9 @@ class TestPipeline:
         data = ("--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8")
         for setting in ("--learning-rate=-0.01", "--learning-rate=nan", "--patience=-3"):
             capsys.readouterr()
-            assert run("train", *data, setting, "--out", str(tmp_path)) == 3
-            assert "error [train]" in capsys.readouterr().err
+            assert run("train", *data, setting, "--out", str(tmp_path / "out")) == 3
+            assert "error [config]" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_bad_model_fails_at_load(self, pipeline, tmp_path, capsys):
         # the pipeline network is 16 -> 32 -> 16 -> 1
