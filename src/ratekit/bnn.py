@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ratekit.core import checked
+
 __all__ = [
     "NetworkConfig",
     "Network",
@@ -216,16 +218,15 @@ def _check_labelled(net: Network, dataset) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _predict_hidden(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Run the affine+ReLU hidden stack; returns every layer's activations."""
-    hidden = []
+def _predict_hidden(net: Network, x: np.ndarray):
+    """Run the affine+ReLU hidden stack, yielding each layer's activations in
+    turn: a caller that keeps only the last holds two layers at most."""
     a = x
     for w, c in zip(net.hidden_weights, net.hidden_biases):
         a = a @ w
         a += c
         np.maximum(a, 0.0, out=a)
-        hidden.append(a)
-    return hidden
+        yield a
 
 
 #: Unit roundoff of IEEE float32 (round to nearest).
@@ -333,7 +334,9 @@ class _Float32Classifier:
 
 def penultimate_activations(net: Network, x) -> np.ndarray:
     """The n-by-k activation matrix feeding the variational output layer."""
-    return _predict_hidden(net, _check_inputs(net, x))[-1]
+    for h in _predict_hidden(net, _check_inputs(net, x)):
+        pass
+    return h
 
 
 def kl_q_prior(m: np.ndarray, v: np.ndarray, prior_scale: float) -> float:
@@ -712,28 +715,13 @@ def predict_proba(net: Network, x) -> np.ndarray:
     return _posterior_mean(net, x)
 
 
-#: The JSON name of each type ``json.loads`` returns.
-_JSON_KINDS = {
-    dict: "an object", list: "a list", str: "a string", int: "an integer",
-    float: "a number", bool: "true or false", type(None): "null",
-}
-
-
-def _checked(value, path: str, kind: type):
-    """``value`` if it is of JSON type ``kind`` (a number may be an integer);
-    otherwise a ``ValueError`` naming its key path in the document."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
-    return value
-
-
 def _field(obj: dict, prefix: str, key: str, kind: type):
-    """``obj[key]`` checked by ``_checked``; ``prefix`` is the key path of
+    """``obj[key]`` checked by ``core.checked``; ``prefix`` is the key path of
     ``obj``, so a missing key is named in full (``config.link``)."""
     path = f"{prefix}.{key}" if prefix else key
     if key not in obj:
         raise ValueError(f"network document is missing {path!r}")
-    return _checked(obj[key], path, kind)
+    return checked(obj[key], path, kind)
 
 
 def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]) -> np.ndarray:
@@ -843,20 +831,20 @@ def network_from_json(text: str) -> Network:
             f"unsupported network document version: {doc.get('version')!r} "
             f"(this ratekit reads version {SERIAL_VERSION}); retrain the model"
         )
-    config = _checked(doc["config"], "config", dict)
+    config = checked(doc["config"], "config", dict)
     if _field(config, "config", "activation", str) != ACTIVATION:
         raise ValueError(f"unsupported activation: {config['activation']!r}")
     cfg = NetworkConfig(
         input_dim=_field(config, "config", "input_dim", int),
         hidden_sizes=tuple(
-            _checked(width, f"config.hidden_sizes[{i}]", int)
+            checked(width, f"config.hidden_sizes[{i}]", int)
             for i, width in enumerate(_field(config, "config", "hidden_sizes", list))
         ),
         link=_field(config, "config", "link", str),
         n_classes=_field(config, "config", "n_classes", int),
         prior_scale=_field(config, "config", "prior_scale", float),
     )
-    hidden = _checked(doc["hidden"], "hidden", list)
+    hidden = checked(doc["hidden"], "hidden", list)
     if len(hidden) != len(cfg.hidden_sizes):
         raise ValueError(
             f"document has {len(hidden)} hidden layers, "
@@ -865,7 +853,7 @@ def network_from_json(text: str) -> Network:
     weights, biases = [], []
     fan_in = cfg.input_dim
     for l, (layer, width) in enumerate(zip(hidden, cfg.hidden_sizes)):
-        _checked(layer, f"hidden[{l}]", dict)
+        checked(layer, f"hidden[{l}]", dict)
         weights.append(_decode_array(layer, f"hidden[{l}]", "weights", (fan_in, width)))
         biases.append(_decode_array(layer, f"hidden[{l}]", "bias", (width,)))
         fan_in = width
@@ -877,5 +865,5 @@ def network_from_json(text: str) -> Network:
         m=_decode_array(doc, "", "m", (k, c)),
         rho=_decode_array(doc, "", "rho", (k, c)),
         b=_decode_array(doc, "", "b", (c,)),
-        seed=_checked(doc["seed"], "seed", int),
+        seed=checked(doc["seed"], "seed", int),
     )

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ratekit import bnn, esa, evaluate, rate, simgen
-from ratekit.core import write_csv, write_json
+from ratekit.core import checked, in_file, read_json, write_csv, write_json
 
 __all__ = ["main", "dispatch", "render_curve_svg"]
 
@@ -55,7 +55,7 @@ def _stage(name: str):
         raise
     except _NUMERIC_ERRORS as exc:
         raise StageError(name, exc, EXIT_NUMERIC) from exc
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StageError(name, exc, EXIT_DATA) from exc
 
 
@@ -201,24 +201,15 @@ _FLAG_HELP = {
 def _config_value(name: str, value, default):
     """A config-file value checked against what the setting's flag accepts;
     a float setting's JSON integer is stored as a float."""
-    if default is False:
-        ok, kind = isinstance(value, bool), "true or false"
-    elif name in _CHOICES:
-        ok, kind = value in _CHOICES[name], "one of " + ", ".join(map(repr, _CHOICES[name]))
-    elif default is None or isinstance(default, str):
-        ok = isinstance(value, str) or (value is None and default is None)
-        kind = "a string or null" if default is None else "a string"
-    elif isinstance(default, int):
-        ok, kind = type(value) is int, "an integer"
-    else:
-        ok, kind = type(value) in (int, float), "a number in float range"
-        if ok:
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond the largest float
-                ok = False
-    if not ok:
-        raise ValueError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        choices = ", ".join(map(repr, _CHOICES[name]))
+        raise ValueError(f"{name} must be one of {choices}, got {json.dumps(value)}")
+    kinds = (bool,) if default is False else (str, None) if default is None else (type(default),)
+    if type(checked(value, name, *kinds)) is int and float in kinds:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise ValueError(f"{name} must be a number in float range, got {value}") from None
     return value
 
 
@@ -246,13 +237,9 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
     Returns ``--out``, the settings and what ``check`` returned."""
     if not args.out:
         raise ValueError("an output directory is required (--out)")
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
-    cfg = _merge(SETTINGS[args.command], config, args)
+    config = read_json(args.config) if args.config else {}
+    with in_file(args.config):  # only a config-file value is refused here
+        cfg = _merge(SETTINGS[args.command], config, args)
     for name in required:
         if not cfg[name]:
             raise ValueError(f"--{name} is required")
@@ -264,11 +251,9 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
 
 
 def _load_network(path) -> bnn.Network:
-    """The network in model file ``path``; a document it refuses is named."""
-    try:
-        return bnn.network_from_json(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{exc} ({path})") from exc
+    """The network in model file ``path``; a refusal names the file first."""
+    with in_file(path):
+        return bnn.network_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_list(flag: str, text: str, kind: type, noun: str) -> tuple:
@@ -387,18 +372,18 @@ def _cmd_importance(args) -> int:
             file=sys.stderr,
         )
     if with_groups:
-        with _stage("load-groups"):
+        with _stage("load-groups"), in_file(cfg["groups"]):
             groups = _read_group_csv(cfg["groups"], ds.feature_names)
         with _stage("group-importance"):
             report = rate.group_rate(pm, groups)
         with _stage("write-output"):
-            write_json(out / "group_report.json", rate._report_document(report))
+            rate.report_to_json(report, out / "group_report.json")
             rate.report_to_csv(report, out / "group_report.csv")
     else:
         with _stage("importance"):
             report = rate.rate_scores(pm)
         with _stage("write-output"):
-            write_json(out / "report.json", rate._report_document(report))
+            rate.report_to_json(report, out / "report.json")
             rate.report_to_csv(report, out / "report.csv")
     return 0
 
@@ -417,24 +402,25 @@ def _read_group_csv(path, feature_names) -> rate.GroupMap:
                 continue
             groups.setdefault(name, []).append(feat)
     if not groups:
-        raise ValueError(f"{path}: no groups found")
+        raise ValueError("no groups found")
     return rate.GroupMap.from_names(groups, feature_names)
 
 
 def _read_report(path) -> tuple[list[str], np.ndarray]:
     """The feature names and rates of the importance report ``path``; an item
-    without either key or a finite rate is refused, naming it, the key and the file."""
-    doc = json.loads(Path(path).read_text())
-    items = doc.get("items") if isinstance(doc, dict) else None
-    if not isinstance(items, list):
-        raise ValueError(f"{path}: not an importance report (no 'items' list)")
-    for i, item in enumerate(items):
-        for key in ("name", "rate"):
-            if not isinstance(item, dict) or key not in item:
-                raise ValueError(f"{path}: report item {i} has no {key!r} key")
-        if type(item["rate"]) not in (int, float) or not abs(item["rate"]) <= sys.float_info.max:
-            raise ValueError(f"{path}: report item {i} has a 'rate' that is not a finite "
-                             f"number: {json.dumps(item['rate'])}")
+    without either key, a name or rate of another JSON type, or a rate that
+    is not finite is refused, naming the file, the item and the key."""
+    items = read_json(path).get("items")
+    with in_file(path):
+        for i, item in enumerate(checked(items, "items", list)):
+            checked(item, f"items[{i}]", dict)
+            for key, kind in (("name", str), ("rate", float)):
+                if key not in item:
+                    raise ValueError(f"report item {i} has no {key!r} key")
+                checked(item[key], f"items[{i}].{key}", kind)
+            if not abs(item["rate"]) <= sys.float_info.max:
+                raise ValueError(f"report item {i} has a 'rate' that is not a finite "
+                                 f"number: {json.dumps(item['rate'])}")
     return [item["name"] for item in items], np.array([item["rate"] for item in items])
 
 
@@ -497,13 +483,16 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _check_reps(cfg: dict) -> None:
+    if cfg["reps"] < 2:
+        raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {cfg['reps']}")
+
+
 def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
-        out, cfg, _ = _configure(args)
+        out, cfg, _ = _configure(args, check=_check_reps)
     with _stage("replicates"):
         rho, n, reps = cfg["rho"], cfg["n"], cfg["reps"]
-        if reps < 2:
-            raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {reps}")
         seeds = np.random.SeedSequence(cfg["seed"]).generate_state(reps)
         rows = []
         for r in range(reps):

@@ -1,22 +1,26 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
-code and its one relative rank bound, the default feature names, and the two
-writers every CSV and JSON output goes through, so reruns write the same bytes
-(``model.json`` aside: ``bnn.save_network_json`` streams the same
-``json.dumps`` text an array chunk at a time).
+code and its one relative rank bound, the default feature names, the two
+writers every CSV and JSON output goes through, so reruns write the same bytes,
+and the reader and type check every JSON input goes through (``model.json``
+is streamed by ``bnn.save_network_json`` and parsed by ``bnn.network_from_json``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
+    "checked",
     "checked_symmetric",
     "default_names",
     "gram",
+    "in_file",
+    "read_json",
     "write_csv",
     "write_json",
 ]
@@ -91,3 +95,39 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+
+
+#: The JSON name of each type ``json.load`` returns.
+_JSON_KINDS = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    float: "a number", bool: "true or false", type(None): "null",
+}
+
+
+def checked(value, path: str, *kinds):
+    """``value`` if its JSON type is one of ``kinds`` (None for null; a float
+    may be an integer, and no number is true or false), else a ``ValueError``
+    "<path> must be <kinds>, got <kind>", ``path`` its key path."""
+    kinds = tuple(type(None) if kind is None else kind for kind in kinds)
+    if type(value) not in kinds and not (type(value) is int and float in kinds):
+        expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+        raise ValueError(f"{path} must be {expected}, got {_JSON_KINDS[type(value)]}")
+    return value
+
+
+@contextmanager
+def in_file(path):
+    """Prefix each ``ValueError`` the block raises with ``path``: the file
+    whose content it refuses."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A document that does not
+    parse (``json.JSONDecodeError`` is a ``ValueError``) or is not an object
+    raises a ``ValueError`` prefixed with ``path``."""
+    with in_file(path), open(path, encoding="utf-8") as fh:
+        return checked(json.load(fh), "the document", dict)

@@ -60,7 +60,6 @@ everywhere.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -68,6 +67,7 @@ import numpy as np
 
 from ratekit.core import (
     RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, default_names, gram, write_csv,
+    write_json,
 )
 from ratekit.esa import EffectSizePosterior
 
@@ -540,26 +540,13 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
     return _normalize(names, klds, signs, mis=None, members=members)
 
 
-def _report_document(report: ImportanceReport) -> dict:
-    """The JSON document of ``report``: its items, threshold and flag."""
-    items = []
-    for it in report.items:
-        entry = {
-            "name": it.name,
-            "kld": it.kld,
-            "rate": it.rate,
-            "sign": it.sign,
-            "mi": it.mi,
-            "significant": it.significant,
-        }
-        if it.members is not None:
-            entry["members"] = list(it.members)
-        items.append(entry)
-    return {"items": items, "threshold": report.threshold, "degenerate": report.degenerate}
-
-
-def report_to_json(report: ImportanceReport) -> str:
-    return json.dumps(_report_document(report), sort_keys=True)
+def report_to_json(report: ImportanceReport, path) -> None:
+    """Write ``report`` to ``path``: its threshold, its flag and its items,
+    each with its fields by name (``members`` only when set)."""
+    items = [{key: value for key, value in vars(it).items()
+              if key != "members" or value is not None} for it in report.items]
+    write_json(path, {"items": items, "threshold": report.threshold,
+                      "degenerate": report.degenerate})
 
 
 def report_to_csv(report: ImportanceReport, path) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ratekit.core import default_names, write_json
+from ratekit.core import checked, default_names, in_file, read_json, write_json
 
 __all__ = [
     "SynthSpec",
@@ -226,39 +226,32 @@ def read_sidecar(path, p: int) -> dict:
     feature, returned as bools), ``column_permutation`` (null, or a
     permutation of range(p), returned as ints), ``seed`` (null or an
     integer) and ``integer_labels`` (true or false). A key left out is
-    returned as None; a value of the wrong form is refused, naming the key
-    and the file."""
-    meta = json.loads(Path(path).read_text())
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: not a JSON object")
+    returned as None; a value of the wrong form is refused, naming the file
+    and the key."""
+    meta = read_json(path)
     mask, perm = meta.get("causal_mask"), meta.get("column_permutation")
-    seed, integer_labels = meta.get("seed"), meta.get("integer_labels")
-    if mask is not None:
-        shape = np.asarray(mask, dtype=object).shape
-        if shape != (p,):
-            raise ValueError(
-                f"{path}: causal_mask must be a list with one entry per feature ({p}), "
-                f"got shape {shape}"
-            )
-        for j, entry in enumerate(mask):
-            if type(entry) not in (int, bool) or entry not in (0, 1):
-                raise ValueError(f"{path}: causal_mask entry {j} must be 0, 1, true or "
-                                 f"false, got {json.dumps(entry)}")
-        mask = np.array(mask, dtype=bool)
-    if perm is not None:
-        if not (isinstance(perm, list) and all(type(j) is int for j in perm)
-                and sorted(perm) == list(range(p))):
-            raise ValueError(f"{path}: column_permutation must be null or a permutation "
-                             f"of the {p} column indices 0, ..., {p - 1}")
-        perm = np.array(perm, dtype=int)
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"{path}: seed must be null or an integer, got {json.dumps(seed)}")
-    if "integer_labels" in meta and type(integer_labels) is not bool:
-        raise ValueError(
-            f"{path}: integer_labels must be true or false, got {json.dumps(integer_labels)}"
-        )
+    with in_file(path):
+        if mask is not None:
+            shape = np.asarray(mask, dtype=object).shape
+            if shape != (p,):
+                raise ValueError(f"causal_mask must be a list with one entry per feature ({p}), "
+                                 f"got shape {shape}")
+            for j, entry in enumerate(mask):
+                if type(entry) not in (int, bool) or entry not in (0, 1):
+                    raise ValueError(f"causal_mask entry {j} must be 0, 1, true or false, "
+                                     f"got {json.dumps(entry)}")
+            mask = np.array(mask, dtype=bool)
+        if perm is not None:
+            if not (isinstance(perm, list) and all(type(j) is int for j in perm)
+                    and sorted(perm) == list(range(p))):
+                raise ValueError(f"column_permutation must be null or a permutation "
+                                 f"of the {p} column indices 0, ..., {p - 1}")
+            perm = np.array(perm, dtype=int)
+        seed = checked(meta.get("seed"), "seed", None, int)
+        if "integer_labels" in meta:
+            checked(meta["integer_labels"], "integer_labels", bool)
     return {"causal_mask": mask, "column_permutation": perm, "seed": seed,
-            "integer_labels": integer_labels}
+            "integer_labels": meta.get("integer_labels")}
 
 
 def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:

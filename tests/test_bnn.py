@@ -99,6 +99,19 @@ class TestPenultimateActivations:
         with pytest.raises(ValueError):
             penultimate_activations(net, np.ones((4, 5)))
 
+    def test_holds_two_layers_at_most(self):
+        # each layer is dropped once the next one exists: keeping every layer
+        # held three 600 x 512 layers at depth 3
+        net = small_net(hidden=(512, 512, 512), p=100, seed=1)
+        x = np.random.default_rng(0).standard_normal((600, 100))
+        tracemalloc.start()
+        try:
+            h = penultimate_activations(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * h.nbytes
+
 
 class TestKlQPrior:
     def test_zero_when_q_equals_prior(self):

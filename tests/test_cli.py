@@ -73,7 +73,7 @@ else:
 RefuseScipy.refused.clear()
 d = sys.argv[1]
 for argv in (
-    ["simulate", "--n", "200", "--p", "20", "--seed", "1", "--out", f"{d}/sim"],
+    ["simulate", "--config", f"{d}/simulate.json", "--seed", "1", "--out", f"{d}/sim"],
     ["train", "--data", f"{d}/sim/dataset.csv", "--hidden", "16", "--epochs", "1",
      "--seed", "1", "--out", f"{d}/model"],
     ["importance", "--data", f"{d}/sim/dataset.csv", "--model", f"{d}/model/model.json",
@@ -103,6 +103,7 @@ class TestRuntimeDependencies:
         out = tmp_path_factory.mktemp("numpy_only_chain")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         (out / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f3\n")
+        (out / "simulate.json").write_text('{"n": 200, "p": 20}')
         result = subprocess.run(
             [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(out)],
             env=env, capture_output=True, text=True,
@@ -333,8 +334,8 @@ class TestSettings:
         ("simulate", {"n": 100.7, "p": 8, "frac_causal": 0.25}, "n", "an integer"),
         ("simulate", {"n": "100"}, "n", "an integer"),
         ("train", {"epochs": True}, "epochs", "an integer"),
-        ("train", {"prior_scale": False}, "prior_scale", "a number in float range"),
-        ("train", {"learning_rate": "1e-3"}, "learning_rate", "a number in float range"),
+        ("train", {"prior_scale": False}, "prior_scale", "a number"),
+        ("train", {"learning_rate": "1e-3"}, "learning_rate", "a number"),
         ("simulate", {"class_sep": 10**400}, "class_sep", "a number in float range"),
         ("train", {"hidden": [8, 4]}, "hidden", "a string"),
         ("train", {"hidden": None}, "hidden", "a string"),
@@ -352,7 +353,7 @@ class TestSettings:
         cfg.write_text(json.dumps(values))
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
-        assert f"error [config]: config key {key!r} must be {kind}, got " in err
+        assert f"error [config]: {cfg}: {key} must be {kind}, got " in err
         assert not (tmp_path / "out" / "effective_config.json").exists()
 
     def test_config_values_take_the_flag_types(self, tmp_path):
@@ -605,6 +606,23 @@ class TestPipeline:
         assert abs(sum(item["rate"] for item in doc["items"]) - 1.0) <= 1e-12
         assert all("members" in item for item in doc["items"])
 
+    def test_group_file_header_row_is_skipped(self, pipeline, tmp_path):
+        # either literal header scores as the same rows without it
+        rows = "g1,f1\ng1,f2\ng2,f3\n"
+        reports = []
+        for i, header in enumerate(("", "group_name,feature_name\n", "group,feature\n")):
+            groups = tmp_path / f"groups{i}.csv"
+            groups.write_text(header + rows)
+            out = tmp_path / f"out{i}"
+            assert run(
+                "group-importance", "--data", str(pipeline / "sim" / "test.csv"),
+                "--model", str(pipeline / "model" / "model.json"),
+                "--groups", str(groups), "--out", str(out),
+            ) == 0
+            reports.append((out / "group_report.json").read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert [item["name"] for item in json.loads(reports[0])["items"]] == ["g1", "g2"]
+
     def test_path_setting_belongs_to_importance_only(self, pipeline, tmp_path, capsys):
         # scoring has one route, so a "path" setting is an error on both commands
         cfg = tmp_path / "cfg.json"
@@ -647,15 +665,22 @@ class TestPipeline:
         assert "unknown config key(s): 'mc_samples'" in capsys.readouterr().err
         assert run(*train, "--mc-samples", "2") == 2
 
-    def test_group_with_unknown_feature_is_data_error(self, pipeline, tmp_path):
+    def test_group_with_unknown_feature_is_data_error(self, pipeline, tmp_path, capsys):
+        # each message used to name neither --groups nor its file
         groups = tmp_path / "bad_groups.csv"
-        groups.write_text("g1,f1\ng2,not_a_feature\n")
-        code = run(
-            "group-importance", "--data", str(pipeline / "sim" / "test.csv"),
-            "--model", str(pipeline / "model" / "model.json"),
-            "--groups", str(groups), "--out", str(tmp_path / "out2"),
-        )
-        assert code == 3
+        for text, message in (
+            ("g1,f1\ng2,not_a_feature\n", "group 'g2' names unknown feature 'not_a_feature'"),
+            ("g1,f1\ng2\n", "group file row must be group_name,feature_name: ['g2']"),
+        ):
+            groups.write_text(text)
+            capsys.readouterr()
+            code = run(
+                "group-importance", "--data", str(pipeline / "sim" / "test.csv"),
+                "--model", str(pipeline / "model" / "model.json"),
+                "--groups", str(groups), "--out", str(tmp_path / "out2"),
+            )
+            assert code == 3
+            assert capsys.readouterr().err == f"ratekit: error [load-groups]: {groups}: {message}\n"
 
     def test_class_index_out_of_range_is_data_error(self, pipeline, tmp_path, capsys):
         # the pipeline network has one (sigmoid) output class
@@ -724,7 +749,7 @@ class TestPipeline:
                 capsys.readouterr()
                 assert run(command, "--data", data, "--model", str(model), *extra,
                            "--out", str(tmp_path / command)) == 3
-                assert f"error [{stage}]: {message}" in capsys.readouterr().err
+                assert f"error [{stage}]: {model}: {message}" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, pipeline, tmp_path):
         with np.errstate(all="ignore"):
@@ -797,6 +822,41 @@ class TestPipeline:
             assert run(*argv, "--out", str(tmp_path / "out")) == 3
             assert str(named) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role, text", [
+        ("config", '{"n": 40,'), ("config", "[]"), ("report", '{"items": [}'),
+        ("mask", '{"causal_mask": [1, 0}'), ("sidecar", '{"seed": 1'), ("model", "{"),
+    ])
+    def test_json_input_that_is_refused_names_its_file_first(
+        self, pipeline, tmp_path, capsys, role, text
+    ):
+        # a syntax error in any of these used to exit 3 naming no file; the
+        # sidecar is named, not the dataset CSV beside it
+        data, model = pipeline / "sim" / "test.csv", pipeline / "model" / "model.json"
+        report, mask = pipeline / "imp" / "report.json", pipeline / "sim" / "test.mask.json"
+        bad = tmp_path / ("data.mask.json" if role == "sidecar" else f"{role}.json")
+        bad.write_text(text)
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            message = str(exc)
+        else:
+            message = "the document must be an object, got a list"
+        if role == "sidecar":
+            shutil.copyfile(data, tmp_path / "data.csv")
+            data = tmp_path / "data.csv"
+        stage, argv = {
+            "config": ("config", ("simulate", "--config", bad)),
+            "report": ("load-report", ("evaluate", "--report", bad, "--mask", mask)),
+            "mask": ("roc", ("evaluate", "--report", report, "--mask", bad)),
+            "sidecar": ("load-data", ("importance", "--data", data, "--model", model)),
+            "model": ("load-data", ("importance", "--data", data, "--model", bad)),
+        }[role]
+        out = tmp_path / "out"
+        assert run(*map(str, argv), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == f"ratekit: error [{stage}]: {bad}: {message}\n"
+        assert out.exists() == (role != "config")
+
     def test_mask_that_is_not_a_list_exits_3(self, pipeline, tmp_path, capsys):
         # a 0-d mask used to end in an IndexError traceback and exit 1
         data, model = pipeline / "sim" / "test.csv", pipeline / "model" / "model.json"
@@ -819,8 +879,8 @@ class TestPipeline:
     @pytest.mark.parametrize("key, value, message", [
         ("causal_mask", [1] * 15 + ["0"], 'causal_mask entry 15 must be 0, 1, true or false, got "0"'),
         ("column_permutation", [5, 1], "column_permutation must be null or a permutation"),
-        ("seed", "abc", 'seed must be null or an integer, got "abc"'),
-        ("integer_labels", "no", 'integer_labels must be true or false, got "no"'),
+        ("seed", "abc", "seed must be null or an integer, got a string"),
+        ("integer_labels", "no", "integer_labels must be true or false, got a string"),
     ])
     def test_sidecar_key_of_the_wrong_form_exits_3(
         self, pipeline, tmp_path, capsys, key, value, message
@@ -888,7 +948,7 @@ class TestPipeline:
             assert run("importance", "--data", data, "--model", str(model),
                        "--out", str(tmp_path / "out")) == 3
             err = capsys.readouterr().err
-            assert f"error [load-data]: {message}" in err and f"({model})" in err, (message, err)
+            assert f"error [load-data]: {model}: {message}" in err, (message, err)
 
     def test_report_item_missing_a_key_names_the_key_and_the_file(self, pipeline, tmp_path, capsys):
         # these used to print only the key's repr, as in "error [load-report]: 'rate'"
@@ -906,7 +966,14 @@ class TestPipeline:
             assert f"error [load-report]: {report}: report item 3 has no '{key}' key" in err
         # a rate that is not a finite number used to reach roc or degradation as a
         # numpy message naming no item, or (true) to be scored as 1.0 with exit 0
-        for i, value in enumerate(("x", None, True, [0.5], float("nan"), 10**400)):
+        for i, (value, message) in enumerate((
+            ("x", "items[3].rate must be a number, got a string"),
+            (None, "items[3].rate must be a number, got null"),
+            (True, "items[3].rate must be a number, got true or false"),
+            ([0.5], "items[3].rate must be a number, got a list"),
+            (float("nan"), "report item 3 has a 'rate' that is not a finite number: NaN"),
+            (10**400, f"report item 3 has a 'rate' that is not a finite number: {10**400}"),
+        )):
             doc = json.loads(text)
             doc["items"][3]["rate"] = value
             report = tmp_path / f"rate{i}.json"
@@ -920,8 +987,7 @@ class TestPipeline:
                 assert run("evaluate", "--report", str(report), *stage_args,
                            "--out", str(tmp_path / "out")) == 3, value
                 err = capsys.readouterr().err
-                assert (f"error [load-report]: {report}: report item 3 has a 'rate' that is "
-                        f"not a finite number: {json.dumps(value)}") in err, err
+                assert f"error [load-report]: {report}: {message}\n" in err, err
 
     def test_quoted_crlf_copy_scores_to_the_same_report(self, pipeline, tmp_path):
         # every cell quoted, with CRLF line endings: the same numbers load,
@@ -1078,14 +1144,15 @@ class TestDemoCollinearity:
         assert stds[("covariance", "f2")] < stds[("ols", "f2")]
 
     def test_fewer_than_two_reps_is_data_error(self, tmp_path, capsys):
+        # refused at config, before --out is created
         for reps in ("1", "0"):
             capsys.readouterr()
             code = run(
                 "demo-collinearity", "--n", "100", "--reps", reps, "--out", str(tmp_path / reps),
             )
             assert code == 3
-            assert "error [replicates]: reps must be >= 2" in capsys.readouterr().err
-            assert not (tmp_path / reps / "collinearity_summary.csv").exists()
+            assert "error [config]: reps must be >= 2" in capsys.readouterr().err
+            assert not (tmp_path / reps).exists()
 
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):

@@ -1,5 +1,5 @@
 """Tests for the helpers shared across modules: the dense linear algebra
-kernel and the CSV and JSON writers."""
+kernel, the CSV and JSON writers, and the JSON reader and type check."""
 
 import csv
 import json
@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from ratekit.core import default_names, gram, write_csv, write_json
+from ratekit.core import checked, default_names, gram, read_json, write_csv, write_json
 
 
 class TestGram:
@@ -81,3 +81,46 @@ class TestWriters:
     def test_default_names(self):
         assert default_names(3) == ("f1", "f2", "f3")
         assert default_names(0) == ()
+
+
+class TestJsonInput:
+    @pytest.mark.parametrize("value, kinds", [
+        (1, (float,)), (1.5, (float,)), (False, (bool,)), (None, (None, int)), (3, (None, int)),
+        ({}, (dict,)), ([], (list,)), ("", (str, None)),
+    ])
+    def test_checked_returns_a_value_of_its_kind(self, value, kinds):
+        assert checked(value, "k", *kinds) is value
+
+    @pytest.mark.parametrize("value, kinds, message", [
+        (True, (int,), "must be an integer, got true or false"),
+        (False, (float,), "must be a number, got true or false"),
+        (1, (bool,), "must be true or false, got an integer"),
+        (1.0, (int,), "must be an integer, got a number"),
+        (None, (str,), "must be a string, got null"),
+        ("1", (None, int), "must be null or an integer, got a string"),
+        ([], (dict,), "must be an object, got a list"),
+        ({}, (list,), "must be a list, got an object"),
+    ])
+    def test_checked_names_the_key_path_and_both_kinds(self, value, kinds, message):
+        with pytest.raises(ValueError) as info:
+            checked(value, "a.b[0]", *kinds)
+        assert str(info.value) == f"a.b[0] {message}"
+
+    def test_read_json_returns_the_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5, null, "\u00e9"]}', encoding="utf-8")
+        assert read_json(path) == {"a": [1, 2.5, None, "\u00e9"]}
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": 1,', "Expecting property name enclosed in double quotes"),
+        (b"", "Expecting value"),
+        (b"[1, 0]", "the document must be an object, got a list"),
+        (b'"text"', "the document must be an object, got a string"),
+        (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_read_json_refusal_starts_with_the_path(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_json(path)
+        assert str(info.value).startswith(f"{path}: {message}")

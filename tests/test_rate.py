@@ -789,19 +789,24 @@ class TestMutualInfo:
 
 
 class TestReportExports:
-    def test_json_fields(self):
+    def test_json_fields(self, tmp_path):
         pm = random_model(4, seed=23)
-        doc = json.loads(report_to_json(rate_scores(pm)))
+        report = rate_scores(pm)
+        report_to_json(report, tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert set(doc) == {"items", "threshold", "degenerate"}
+        assert (doc["threshold"], doc["degenerate"]) == (report.threshold, report.degenerate)
         assert len(doc["items"]) == 4
-        for item in doc["items"]:
-            assert set(item) == {"name", "kld", "rate", "sign", "mi", "significant"}
+        for item, it in zip(doc["items"], report.items):
+            assert item == {"name": it.name, "kld": it.kld, "rate": it.rate, "sign": it.sign,
+                            "mi": it.mi, "significant": it.significant}
 
-    def test_group_json_includes_members(self):
+    def test_group_json_includes_members(self, tmp_path):
         pm = random_model(5, seed=24)
         groups = GroupMap.from_indices({"a": [0, 1], "b": [2, 3]}, p=5)
-        doc = json.loads(report_to_json(group_rate(pm, groups)))
-        assert all("members" in item for item in doc["items"])
+        report_to_json(group_rate(pm, groups), tmp_path / "group_report.json")
+        doc = json.loads((tmp_path / "group_report.json").read_text())
+        assert [item["members"] for item in doc["items"]] == [["f1", "f2"], ["f3", "f4"]]
 
     def test_csv_round_trip_values(self, tmp_path):
         pm = random_model(4, seed=25)

@@ -390,11 +390,11 @@ class TestDatasetValidation:
         ('{"column_permutation": [0, 1, 2.0]}', "column_permutation must be null or a permutation"),
         ('{"column_permutation": [0, true, 2]}', "column_permutation must be null or a perm"),
         ('{"column_permutation": 3}', "column_permutation must be null or a permutation"),
-        ('{"seed": "abc"}', 'seed must be null or an integer, got "abc"'),
-        ('{"seed": true}', "seed must be null or an integer, got true"),
-        ('{"seed": 1.5}', "seed must be null or an integer, got 1.5"),
-        ('{"integer_labels": "no"}', 'integer_labels must be true or false, got "no"'),
-        ('{"integer_labels": 1}', "integer_labels must be true or false, got 1"),
+        ('{"seed": "abc"}', "seed must be null or an integer, got a string"),
+        ('{"seed": true}', "seed must be null or an integer, got true or false"),
+        ('{"seed": 1.5}', "seed must be null or an integer, got a number"),
+        ('{"integer_labels": "no"}', "integer_labels must be true or false, got a string"),
+        ('{"integer_labels": 1}', "integer_labels must be true or false, got an integer"),
         ('{"integer_labels": null}', "integer_labels must be true or false, got null"),
     ])
     def test_sidecar_key_of_the_wrong_form_is_named(self, tmp_path, sidecar, message):
