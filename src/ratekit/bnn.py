@@ -229,109 +229,6 @@ def _predict_hidden(net: Network, x: np.ndarray):
         yield a
 
 
-#: Unit roundoff of IEEE float32 (round to nearest).
-_U32 = 2.0**-24
-
-
-class _Float32Classifier:
-    """Posterior-mean class predictions for n input rows, from a float32
-    forward pass checked by a per-row error bound; the caller may rewrite
-    the float32 input (``inputs``) in place between calls.
-
-    The hidden stack and the output mean run in float32, each layer's bias
-    folded into its product as one more weight row against a column of ones.
-    With the output layer as layer L+1 (weights m, bias b), w̄_{L+1} = I and
-    w̄_{l-1} = |W_l| w̄_l, the componentwise bound
-    |fl(AB) - AB| <= γ_n |A||B|, γ_n = n u / (1 - n u) (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, §3.5), carried through the
-    1-Lipschitz ReLU gives, per row and class,
-
-        |f̂ - f| <= E = 2 Σ_l γ_{k_{l-1}+3} (|â_{l-1}| w̄_{l-1} + |c_l| w̄_l)
-                       + 1e-12 (1 + |b|),
-
-    with â_0 the float32 input and â_l the float32 activations. The factor
-    2 covers the bound's own float32 arithmetic and the float64 route's
-    rounding; the floor covers the float64 bias add. (γ_n assumes no
-    underflow: a float32 result below 1.2e-38 is off by up to 2^-149
-    absolute, which the floor covers while the entries of w̄ stay below
-    about 1e25.) A row is decided when the bound fixes its class:
-    f̂_top - f̂_j > E_top + E_j for every j != top, a sigmoid net counting
-    as two classes whose first has the exact logit 0; a non-finite f̂
-    (float32 overflow, or an input beyond float32's range) never decides
-    one. A decided row gets the float64 route's class. The caller
-    recomputes the others with ``_predict_classes``, in whatever batch it
-    gathers them in, so their logits can differ from a whole-batch float64
-    pass in the last bits (BLAS blocks the rows differently).
-    """
-
-    def __init__(self, net: Network, x: np.ndarray):
-        n, p = x.shape
-        layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
-        self._weights = []
-        for w, c in layers:
-            w32 = np.empty((w.shape[0] + 1, w.shape[1]), np.float32)
-            w32[:-1], w32[-1] = w, c
-            self._weights.append(w32)
-        # layer l's input with a trailing column of ones, which the ReLU keeps;
-        # each product writes the columns before it
-        self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in self._weights]
-        logits = np.empty((n, net.config.n_classes), np.float32)
-        self._outputs = [a[:, :-1] for a in self._inputs[1:]] + [logits]
-        self._mask = np.empty((n, max(net.config.hidden_sizes) + 1), bool)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide no row
-            self._inputs[0][:, :p] = x
-            # layer l's term of E is |â_{l-1}, 1| (2 γ_{k_{l-1}+3} |W_l; c_l| w̄_l);
-            # the +3 covers rounding the input and [W_l; c_l] to float32 and
-            # the bias as one more term of the sum
-            wbar = np.eye(net.config.n_classes)
-            scaled = []
-            for w, c in reversed(layers):
-                gamma = (w.shape[0] + 3) * _U32 / (1.0 - (w.shape[0] + 3) * _U32)
-                # |W_l| w̄_l in row blocks, so no copy of |W_l| is made
-                wbar_c = np.abs(c) @ wbar
-                wbar = np.vstack([np.abs(w[i : i + 64]) @ wbar for i in range(0, len(w), 64)])
-                scaled.append((2.0 * gamma * np.vstack([wbar, wbar_c])).astype(np.float32))
-            self._floor = (1e-12 * (1.0 + np.abs(net.b))).astype(np.float32)
-        self._scaled = scaled[::-1]
-        #: The (n, p) float32 input rows, a view into the first layer's input.
-        self.inputs = self._inputs[0][:, :p]
-
-    def logits_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float32 posterior-mean logits f̂ of ``inputs`` and their bounds
-        E, both (n, c); f̂ is a buffer that the next call overwrites."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = self._floor + np.abs(self._inputs[0]) @ self._scaled[0]
-            for l, (w, z) in enumerate(zip(self._weights, self._outputs)):
-                np.matmul(self._inputs[l], w, out=z)
-                if l + 1 < len(self._weights):
-                    # ReLU as a * (a > 0), not max(a, 0): a pre-activation that
-                    # overflowed to -inf becomes nan, which reaches f̂, where
-                    # max would leave a finite activation E does not cover
-                    a = self._inputs[l + 1]
-                    mask = self._mask[:, : a.shape[1]]
-                    np.greater(a, 0, out=mask)
-                    np.multiply(a, mask, out=a)
-                    bound += a @ self._scaled[l + 1]
-        return self._outputs[-1], bound
-
-    def predict_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class of each row of ``inputs``, as the float64 route gives
-        it, and the indices of the rows the bound leaves undecided, whose
-        entries hold the float32 guess until the caller recomputes them."""
-        f, bound = self.logits_and_bounds()
-        if f.shape[1] == 1:
-            f = np.hstack([np.zeros_like(f), f])
-            bound = np.hstack([np.zeros_like(bound), bound])
-        pred = f.argmax(axis=1)
-        rows = np.arange(f.shape[0])
-        with np.errstate(invalid="ignore"):
-            upper = f + bound
-            upper[rows, pred] = -np.inf
-            decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
-        decided &= np.isfinite(f).all(axis=1)
-        return pred, np.flatnonzero(~decided)
-
-
 def penultimate_activations(net: Network, x) -> np.ndarray:
     """The n-by-k activation matrix feeding the variational output layer."""
     for h in _predict_hidden(net, _check_inputs(net, x)):
@@ -462,8 +359,11 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     q = np.divide(g * z, 2.0 * sd, out=np.zeros_like(mean), where=var > 0)
 
     starts = np.cumsum([0] + [p.size for p in net.parameters()]).tolist()
+    # the gradient of m, rho and b, the flat vector's last arrays: the layout
+    # of a network without hidden layers
     tail = np.empty(starts[-1] - starts[-4])
-    dm, drho, db = _views(tail, (net.m.shape, net.rho.shape, net.b.shape))
+    out = _flat_network(Network(cfg, [], [], net.m, net.rho, net.b), tail)
+    dm, drho, db = out.m, out.rho, out.b
     s2 = cfg.prior_scale**2
     np.matmul(h.T, g, out=dm)
     dm += kl_scale * net.m / s2
@@ -514,11 +414,10 @@ def _elbo(net: Network, x, y, n_total: int, seed: int):
     collected."""
     blocks = _elbo_blocks(net, x, y, n_total, seed)
     loss = next(blocks)
-    params = net.parameters()
-    flat = np.empty(sum(p.size for p in params))
+    flat = np.empty(sum(p.size for p in net.parameters()))
     for start, grad in blocks:
         flat[start : start + grad.size] = grad
-    return loss, _views(flat, [p.shape for p in params])
+    return loss, _flat_network(net, flat).parameters()
 
 
 def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
@@ -553,28 +452,17 @@ def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(_predict_classes(net, x) == y.astype(int)))
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of a flat buffer, one per shape."""
+def _flat_network(net: Network, flat: np.ndarray) -> Network:
+    """A network with ``net``'s config and seed whose arrays, shaped as
+    ``net``'s, are consecutive views into ``flat``, in ``parameters()``
+    order: the layout of the flat parameter vector and of its gradient."""
     views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
-
-
-def _network_with_parameters(net: Network, params: list[np.ndarray]) -> Network:
-    """``net`` with its arrays replaced by ``params``, in ``parameters()`` order."""
+    for p in net.parameters():
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
     n_hidden = len(net.hidden_weights)
-    return Network(
-        config=net.config,
-        hidden_weights=params[0 : 2 * n_hidden : 2],
-        hidden_biases=params[1 : 2 * n_hidden : 2],
-        m=params[-3],
-        rho=params[-2],
-        b=params[-1],
-        seed=net.seed,
-    )
+    return Network(net.config, views[0 : 2 * n_hidden : 2], views[1 : 2 * n_hidden : 2],
+                   *views[2 * n_hidden :], seed=net.seed)
 
 
 def _adam_step(p, g, ma, va, scratch, step: int, lr: float) -> None:
@@ -643,9 +531,8 @@ def train(net: Network, dataset, config: TrainConfig):
     # that block of the three buffers at once. A block of all five arrays
     # (with the gradient and one shared block-sized scratch, 5 x 256 KiB)
     # stays in a core's L2 cache through the update's 14 passes.
-    shapes = [p.shape for p in net.parameters()]
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
-    model = _network_with_parameters(net, _views(flat, shapes))
+    model = _flat_network(net, flat)
     # The initial arrays are not needed past this point. Dropping this frame's
     # reference frees them before the moments are allocated when the caller
     # passed a temporary, ``train(build_network(...), ...)``, so training then
@@ -743,10 +630,6 @@ def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]
     return np.frombuffer(raw, dtype="<f8").reshape(expected).astype(np.float64)
 
 
-#: The top-level keys of a network document besides "format".
-_DOCUMENT_KEYS = ("version", "seed", "config", "hidden", "m", "rho", "b")
-
-
 #: Bytes of an array that one base64 write encodes. A multiple of 3, so the
 #: chunks' base64 joins into the whole array's.
 _BASE64_CHUNK = 3 * 2**16
@@ -820,18 +703,16 @@ def save_network_json(net: Network, path) -> None:
 def network_from_json(text: str) -> Network:
     """Read a document written by ``network_to_json``; every array's shape
     must match the one its config implies."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != SERIAL_FORMAT:
+    doc = checked(json.loads(text), "the document", dict)
+    if doc.get("format") != SERIAL_FORMAT:
         raise ValueError(f"not a serialized network document: 'format' is not {SERIAL_FORMAT!r}")
-    missing = [key for key in _DOCUMENT_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"network document is missing {', '.join(map(repr, missing))}")
-    if doc.get("version") != SERIAL_VERSION:
+    version = _field(doc, "", "version", int)
+    if version != SERIAL_VERSION:
         raise ValueError(
-            f"unsupported network document version: {doc.get('version')!r} "
+            f"unsupported network document version: {version!r} "
             f"(this ratekit reads version {SERIAL_VERSION}); retrain the model"
         )
-    config = checked(doc["config"], "config", dict)
+    config = _field(doc, "", "config", dict)
     if _field(config, "config", "activation", str) != ACTIVATION:
         raise ValueError(f"unsupported activation: {config['activation']!r}")
     cfg = NetworkConfig(
@@ -844,7 +725,7 @@ def network_from_json(text: str) -> Network:
         n_classes=_field(config, "config", "n_classes", int),
         prior_scale=_field(config, "config", "prior_scale", float),
     )
-    hidden = checked(doc["hidden"], "hidden", list)
+    hidden = _field(doc, "", "hidden", list)
     if len(hidden) != len(cfg.hidden_sizes):
         raise ValueError(
             f"document has {len(hidden)} hidden layers, "
@@ -865,5 +746,5 @@ def network_from_json(text: str) -> Network:
         m=_decode_array(doc, "", "m", (k, c)),
         rho=_decode_array(doc, "", "rho", (k, c)),
         b=_decode_array(doc, "", "b", (c,)),
-        seed=checked(doc["seed"], "seed", int),
+        seed=_field(doc, "", "seed", int),
     )

@@ -232,8 +232,9 @@ def _merge(defaults: dict, config: dict, args) -> dict:
 
 def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
     """Merge the subcommand's settings, check that the ``required`` ones are
-    set and that ``check(cfg)`` passes, then create ``--out`` and echo the
-    result to effective_config.json: a refused setting writes nothing.
+    set, that a ``seed`` setting is not negative and that ``check(cfg)``
+    passes, then create ``--out`` and echo the result to
+    effective_config.json: a refused setting writes nothing.
     Returns ``--out``, the settings and what ``check`` returned."""
     if not args.out:
         raise ValueError("an output directory is required (--out)")
@@ -243,6 +244,8 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
     for name in required:
         if not cfg[name]:
             raise ValueError(f"--{name} is required")
+    if cfg.get("seed", 0) < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"--seed must be a non-negative integer, got {cfg['seed']}")
     checked = check(cfg) if check else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,9 +363,10 @@ def _cmd_importance(args) -> int:
         ds = simgen.load_dataset_csv(cfg["data"])
         net = _load_network(cfg["model"])
     with _stage("effect-sizes"):
+        # effect_sizes.csv is written with the report, so a --class-index that
+        # precision refuses leaves no scoring output
         lp = bnn.logit_posterior(net, ds.X)
         effect = esa.covariance_esa(ds.X, lp, feature_names=ds.feature_names)
-        esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
     with _stage("precision"):
         pm = rate.build_precision(effect, class_index=cfg["class_index"])
     if pm.rank < pm.p:
@@ -377,12 +381,14 @@ def _cmd_importance(args) -> int:
         with _stage("group-importance"):
             report = rate.group_rate(pm, groups)
         with _stage("write-output"):
+            esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
             rate.report_to_json(report, out / "group_report.json")
             rate.report_to_csv(report, out / "group_report.csv")
     else:
         with _stage("importance"):
             report = rate.rate_scores(pm)
         with _stage("write-output"):
+            esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
             rate.report_to_json(report, out / "report.json")
             rate.report_to_csv(report, out / "report.csv")
     return 0
@@ -483,14 +489,20 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _check_reps(cfg: dict) -> None:
+def _check_collinearity(cfg: dict) -> None:
+    """Refuse the settings that ``simgen.collinear_regression`` or the
+    estimators would refuse in the first replicate."""
     if cfg["reps"] < 2:
         raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {cfg['reps']}")
+    if cfg["n"] < 2:
+        raise ValueError(f"n must be >= 2 for a sample covariance, got {cfg['n']}")
+    if not abs(cfg["rho"]) < 1:
+        raise ValueError(f"|rho| must be < 1, got {cfg['rho']}")
 
 
 def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
-        out, cfg, _ = _configure(args, check=_check_reps)
+        out, cfg, _ = _configure(args, check=_check_collinearity)
     with _stage("replicates"):
         rho, n, reps = cfg["rho"], cfg["n"], cfg["reps"]
         seeds = np.random.SeedSequence(cfg["seed"]).generate_state(reps)

@@ -1,5 +1,5 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
-code and its one relative rank bound, the default feature names, the two
+code and its one relative rank bound, the one rule for feature names, the two
 writers every CSV and JSON output goes through, so reruns write the same bytes,
 and the reader and type check every JSON input goes through (``model.json``
 is streamed by ``bnn.save_network_json`` and parsed by ``bnn.network_from_json``).
@@ -76,9 +76,15 @@ def gram(g) -> np.ndarray:
     return prod
 
 
-def default_names(p: int) -> tuple[str, ...]:
-    """f1, f2, ..., fp: the names of p unnamed features."""
-    return tuple(f"f{j + 1}" for j in range(p))
+def default_names(p: int, names=None) -> tuple[str, ...]:
+    """The names of p features: ``names`` as a tuple, or f1, f2, ..., fp
+    when it is empty or None. Names of another length raise ``ValueError``."""
+    if names is None or len(names) == 0:
+        return tuple(f"f{j + 1}" for j in range(p))
+    names = tuple(names)
+    if len(names) != p:
+        raise ValueError(f"feature_names has {len(names)} names, expected one per feature ({p})")
+    return names
 
 
 def write_csv(path, header, rows) -> None:

@@ -101,9 +101,7 @@ def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePoste
     n, p = x.shape
     if n != lp.n:
         raise ValueError(f"x has {n} rows but the logit posterior covers {lp.n}")
-    names = default_names(p) if feature_names is None else tuple(feature_names)
-    if len(names) != p:
-        raise ValueError("feature_names length does not match x")
+    names = default_names(p, feature_names)
     return EffectSizePosterior(
         mu=covariance_effect_sizes(x, lp.mean).T,
         projection=covariance_effect_sizes(x, lp.hidden),

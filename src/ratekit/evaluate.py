@@ -1,19 +1,6 @@
 """Scoring harness: ROC/AUC for importance rankings, shuffle-degradation
 curves, and the marginal correlation / t-test baselines.
 
-A shuffle-degradation pass needs each test row's predicted class, not its
-logits' last bits. So every pass runs the network in float32 and bounds, per
-row, how far the float32 logits can be from the exact ones
-(``bnn._Float32Classifier``, from the componentwise error bound of a matrix
-product). A row whose class that bound fixes provably gets the class the
-float64 route gives it; the rest (about 1% on a trained network) are rebuilt
-from the float64 input and run through the float64 route in batches
-gathered across passes: a batch goes once ``FALLBACK_ROWS`` rows wait, and
-the last after the final pass. The curves are thus those of all-float64
-passes, except where an undecided row's float64 logit, computed in its batch
-rather than with the rest of its pass, rounds differently in its last bits
-and sits that close to the decision boundary.
-
 The Student-t tail probability is evaluated in-repo through the regularized
 incomplete beta function (continued fraction), checked against a quadrature
 oracle in the tests.
@@ -28,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit import bnn
-from ratekit.bnn import Network, _check_labelled, _Float32Classifier
+from ratekit.bnn import Network, _check_labelled
 from ratekit.core import write_csv
 
 __all__ = [
@@ -123,6 +110,150 @@ def check_degradation_settings(fractions, repeats: int) -> np.ndarray:
     return fractions
 
 
+#: Unit roundoff of IEEE float32 (round to nearest).
+_U32 = 2.0**-24
+
+
+class _Float32Classifier:
+    """Counts the rows of ``x`` that the network classifies as their labels
+    ``y``, over passes that each permute some of the input columns: each
+    pass runs in float32, and the rows whose class a per-row error bound
+    leaves open run through the float64 route (``bnn._predict_classes``).
+
+    The hidden stack and the output mean run in float32, each layer's bias
+    folded into its product as one more weight row against a column of ones.
+    With the output layer as layer L+1 (weights m, bias b), w̄_{L+1} = I and
+    w̄_{l-1} = |W_l| w̄_l, the componentwise bound
+    |fl(AB) - AB| <= γ_n |A||B|, γ_n = n u / (1 - n u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, §3.5), carried through the
+    1-Lipschitz ReLU gives, per row and class,
+
+        |f̂ - f| <= E = 2 Σ_l γ_{k_{l-1}+3} (|â_{l-1}| w̄_{l-1} + |c_l| w̄_l)
+                       + 1e-12 (1 + |b|),
+
+    with â_0 the float32 input and â_l the float32 activations. The factor
+    2 covers the bound's own float32 arithmetic and the float64 route's
+    rounding; the floor covers the float64 bias add. (γ_n assumes no
+    underflow: a float32 result below 1.2e-38 is off by up to 2^-149
+    absolute, which the floor covers while the entries of w̄ stay below
+    about 1e25.) A row is decided when the bound fixes its class:
+    f̂_top - f̂_j > E_top + E_j for every j != top, a sigmoid net counting
+    as two classes whose first has the exact logit 0; a non-finite f̂
+    (float32 overflow, or an input beyond float32's range) never decides
+    one. A decided row gets the float64 route's class.
+
+    The undecided rows (about 1% on a trained network) are rebuilt from the
+    float64 input and classified in batches gathered across passes: a batch
+    goes once ``FALLBACK_ROWS`` rows wait, and the last when the counts are
+    read. So the counts are those of all-float64 passes, except where an
+    undecided row's float64 logit, computed in its batch rather than with
+    the rest of its pass, rounds differently in its last bits (BLAS blocks
+    the rows differently) and sits that close to the decision boundary.
+    """
+
+    def __init__(self, net: Network, x: np.ndarray, y: np.ndarray):
+        n, p = x.shape
+        layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
+        self._weights = []
+        for w, c in layers:
+            w32 = np.empty((w.shape[0] + 1, w.shape[1]), np.float32)
+            w32[:-1], w32[-1] = w, c
+            self._weights.append(w32)
+        # layer l's input with a trailing column of ones, which the ReLU keeps;
+        # each product writes the columns before it
+        self._inputs = [np.ones((n, w.shape[0]), np.float32) for w in self._weights]
+        logits = np.empty((n, net.config.n_classes), np.float32)
+        self._outputs = [a[:, :-1] for a in self._inputs[1:]] + [logits]
+        self._mask = np.empty((n, max(net.config.hidden_sizes) + 1), bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide no row
+            self._inputs[0][:, :p] = x
+            # layer l's term of E is |â_{l-1}, 1| (2 γ_{k_{l-1}+3} |W_l; c_l| w̄_l);
+            # the +3 covers rounding the input and [W_l; c_l] to float32 and
+            # the bias as one more term of the sum
+            wbar = np.eye(net.config.n_classes)
+            scaled = []
+            for w, c in reversed(layers):
+                gamma = (w.shape[0] + 3) * _U32 / (1.0 - (w.shape[0] + 3) * _U32)
+                # |W_l| w̄_l in row blocks, so no copy of |W_l| is made
+                wbar_c = np.abs(c) @ wbar
+                wbar = np.vstack([np.abs(w[i : i + 64]) @ wbar for i in range(0, len(w), 64)])
+                scaled.append((2.0 * gamma * np.vstack([wbar, wbar_c])).astype(np.float32))
+            self._floor = (1e-12 * (1.0 + np.abs(net.b))).astype(np.float32)
+        self._scaled = scaled[::-1]
+        #: The (n, p) float32 input rows, a view into the first layer's input.
+        self.inputs = self._inputs[0][:, :p]
+        self._net, self._x, self._y = net, x, y
+        self._correct = []  # per pass, the rows classified right so far
+        self._pending = []  # per pass with undecided rows: (pass, row indices, float64 rows)
+
+    def logits_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float32 posterior-mean logits f̂ of ``inputs`` and their bounds
+        E, both (n, c); f̂ is a buffer that the next call overwrites."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self._floor + np.abs(self._inputs[0]) @ self._scaled[0]
+            for l, (w, z) in enumerate(zip(self._weights, self._outputs)):
+                np.matmul(self._inputs[l], w, out=z)
+                if l + 1 < len(self._weights):
+                    # ReLU as a * (a > 0), not max(a, 0): a pre-activation that
+                    # overflowed to -inf becomes nan, which reaches f̂, where
+                    # max would leave a finite activation E does not cover
+                    a = self._inputs[l + 1]
+                    mask = self._mask[:, : a.shape[1]]
+                    np.greater(a, 0, out=mask)
+                    np.multiply(a, mask, out=a)
+                    bound += a @ self._scaled[l + 1]
+        return self._outputs[-1], bound
+
+    def predict_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class of each row of ``inputs``, as the float64 route gives
+        it, and the indices of the rows the bound leaves undecided, whose
+        entries hold the float32 guess."""
+        f, bound = self.logits_and_bounds()
+        if f.shape[1] == 1:
+            f = np.hstack([np.zeros_like(f), f])
+            bound = np.hstack([np.zeros_like(bound), bound])
+        pred = f.argmax(axis=1)
+        rows = np.arange(f.shape[0])
+        with np.errstate(invalid="ignore"):
+            upper = f + bound
+            upper[rows, pred] = -np.inf
+            decided = f[rows, pred] - bound[rows, pred] > upper.max(axis=1)
+        decided &= np.isfinite(f).all(axis=1)
+        return pred, np.flatnonzero(~decided)
+
+    def add_pass(self, top: np.ndarray, perms: np.ndarray) -> None:
+        """Count the rows classified right with column ``top[j]`` of ``x``
+        replaced by ``x[perms[j], top[j]]``."""
+        x32 = self.inputs
+        unshuffled = x32[:, top]
+        x32[:, top] = x32[perms, top[:, None]].T
+        pred, undecided = self.predict_classes()
+        x32[:, top] = unshuffled
+        hit = pred == self._y
+        hit[undecided] = False
+        self._correct.append(np.count_nonzero(hit))
+        if undecided.size:
+            rows = self._x[undecided]
+            rows[:, top] = self._x[perms[:, undecided], top[:, None]].T
+            self._pending.append((len(self._correct) - 1, undecided, rows))
+            if sum(len(i) for _, i, _ in self._pending) >= FALLBACK_ROWS:
+                self._settle()
+
+    def correct(self) -> np.ndarray:
+        """The rows each pass classified right, in the order of the passes."""
+        if self._pending:
+            self._settle()
+        return np.array(self._correct, np.intp)
+
+    def _settle(self) -> None:
+        """Classify the pending undecided rows in one float64 batch."""
+        passes, idx, rows = zip(*self._pending)
+        right = bnn._predict_classes(self._net, np.vstack(rows)) == self._y[np.concatenate(idx)]
+        for at, hits in zip(passes, np.split(right, np.cumsum([len(i) for i in idx[:-1]]))):
+            self._correct[at] += np.count_nonzero(hits)
+        self._pending.clear()
+
+
 def shuffle_degradation(
     net: Network,
     test,
@@ -139,8 +270,8 @@ def shuffle_degradation(
     repeated ``repeats`` times with independent permutations. ``fractions``
     must be non-empty and lie in [0, 1], and the test labels must be ones
     the network outputs (0/1 for the sigmoid, [0, c) for softmax). Each pass
-    runs in float32; the rows its error bound cannot decide are recomputed
-    in float64, batched across passes (see the module docstring).
+    runs in float32, and the rows its error bound leaves undecided run in
+    float64 (``_Float32Classifier``).
     """
     if net.config.link == "identity":
         raise ValueError("shuffle degradation requires a classification network")
@@ -156,37 +287,7 @@ def shuffle_degradation(
         raise ValueError("ranking must be a permutation of the feature indices")
     fractions = check_degradation_settings(fractions, repeats)
 
-    classifier = _Float32Classifier(net, x)
-    x32 = classifier.inputs  # a pass shuffles its top columns in place
-    # per pass, at i * repeats + r: the rows classified right, first those the
-    # float32 bound decides, then those recomputed in float64
-    correct = np.zeros(len(fractions) * repeats, np.intp)
-    pending = []  # per pass with undecided rows: (pass, row indices, float64 rows)
-
-    def settle():
-        """Classify the pending undecided rows in one float64 batch."""
-        passes, idx, rows = zip(*pending)
-        right = bnn._predict_classes(net, np.vstack(rows)) == y[np.concatenate(idx)]
-        np.add.at(correct, np.repeat(passes, [len(i) for i in idx]), right)
-        pending.clear()
-
-    def run_pass(at: int, perms: np.ndarray) -> None:
-        """Classify x with column ranking[j] replaced by x[perms[j], ranking[j]]."""
-        top = ranking[: perms.shape[0]]
-        unshuffled = x32[:, top]
-        x32[:, top] = x32[perms, top[:, None]].T
-        pred, undecided = classifier.predict_classes()
-        x32[:, top] = unshuffled
-        hit = pred == y
-        hit[undecided] = False
-        correct[at] = np.count_nonzero(hit)
-        if undecided.size:
-            rows = x[undecided]
-            rows[:, top] = x[perms[:, undecided], top[:, None]].T
-            pending.append((at, undecided, rows))
-            if sum(len(i) for _, i, _ in pending) >= FALLBACK_ROWS:
-                settle()
-
+    classifier = _Float32Classifier(net, x, y)
     n_cols = [int(math.ceil(frac * p)) for frac in fractions]
     # the unshuffled input draws no permutation, so its accuracy is the same
     # in every repeat: one pass serves them all
@@ -194,7 +295,8 @@ def shuffle_degradation(
         i * repeats + r for i, cols in enumerate(n_cols) if cols == 0 for r in range(repeats)
     ]
     if baseline:
-        run_pass(baseline[0], np.empty((0, n), dtype=np.intp))
+        classifier.add_pass(ranking[:0], np.empty((0, n), dtype=np.intp))
+    slots = baseline[:1]  # each pass's place in the curve, i * repeats + r
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
         for i, cols in enumerate(n_cols):
@@ -203,9 +305,10 @@ def shuffle_degradation(
                 # arrays, and the same generator state after, as cols
                 # rng.permutation(n)
                 perms = rng.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
-                run_pass(i * repeats + r, perms)
-    if pending:
-        settle()
+                classifier.add_pass(ranking[:cols], perms)
+                slots.append(i * repeats + r)
+    correct = np.empty(len(fractions) * repeats, np.intp)
+    correct[slots] = classifier.correct()
     if baseline:
         correct[baseline] = correct[baseline[0]]
     acc = (correct / n).reshape(len(fractions), repeats)

@@ -127,9 +127,7 @@ class PrecisionModel:
             )
         if np.any(self.eigvals <= 0):
             raise ValueError("eigvals must be positive")
-        self.feature_names = tuple(self.feature_names or default_names(self.p))
-        if len(self.feature_names) != self.p:
-            raise ValueError("feature_names length does not match mu")
+        self.feature_names = default_names(self.p, self.feature_names)
 
     @property
     def p(self) -> int:

@@ -91,6 +91,8 @@ class Dataset:
         self.y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
+        if self.y.ndim != 1:
+            raise ValueError(f"y must be 1-dimensional, got shape {self.y.shape}")
         if self.y.shape[0] != self.X.shape[0]:
             raise ValueError("X and y disagree on the number of rows")
         if self.causal_mask is not None:
@@ -100,8 +102,15 @@ class Dataset:
                     f"causal_mask must be 1-d with one entry per feature ({self.X.shape[1]}), "
                     f"got shape {self.causal_mask.shape}"
                 )
-        if not self.feature_names:
-            self.feature_names = default_names(self.X.shape[1])
+        self.feature_names = default_names(self.X.shape[1], self.feature_names)
+        if self.column_permutation is not None:
+            perm = np.asarray(self.column_permutation)
+            self.column_permutation = _permutation(perm, self.X.shape[1])
+        if self.seed is not None:
+            # a numpy integer is stored as the int the sidecar records
+            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+                raise ValueError(f"seed must be None or an integer, got {self.seed!r}")
+            self.seed = int(self.seed)
 
     @property
     def n(self) -> int:
@@ -191,6 +200,17 @@ def collinear_regression(n: int, rho: float, seed: int = 0) -> Dataset:
     )
 
 
+def _permutation(perm, p: int) -> np.ndarray:
+    """``perm`` (a JSON list or an array) as an int array, once it is
+    checked to be a permutation of range(p)."""
+    values = perm.tolist() if isinstance(perm, np.ndarray) else perm
+    if not (isinstance(values, list) and all(type(j) is int for j in values)
+            and sorted(values) == list(range(p))):
+        raise ValueError(f"column_permutation must be null or a permutation "
+                         f"of the {p} column indices 0, ..., {p - 1}")
+    return np.array(values, dtype=int)
+
+
 def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".mask.json")
 
@@ -212,7 +232,7 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     write_json(sidecar, {
         "causal_mask": None if ds.causal_mask is None else ds.causal_mask.astype(int).tolist(),
         "column_permutation": (
-            None if ds.column_permutation is None else np.asarray(ds.column_permutation).tolist()
+            None if ds.column_permutation is None else ds.column_permutation.tolist()
         ),
         "seed": ds.seed,
         "integer_labels": bool(integer_labels),
@@ -242,11 +262,7 @@ def read_sidecar(path, p: int) -> dict:
                                      f"got {json.dumps(entry)}")
             mask = np.array(mask, dtype=bool)
         if perm is not None:
-            if not (isinstance(perm, list) and all(type(j) is int for j in perm)
-                    and sorted(perm) == list(range(p))):
-                raise ValueError(f"column_permutation must be null or a permutation "
-                                 f"of the {p} column indices 0, ..., {p - 1}")
-            perm = np.array(perm, dtype=int)
+            perm = _permutation(perm, p)
         seed = checked(meta.get("seed"), "seed", None, int)
         if "integer_labels" in meta:
             checked(meta["integer_labels"], "integer_labels", bool)
@@ -337,7 +353,14 @@ def load_dataset_csv(csv_path) -> Dataset:
     if integer_labels is None:
         integer_labels = all("." not in v and "e" not in v.lower() for v in labels)
     if integer_labels:
-        y = np.array([int(v) for v in labels])
+        values = []
+        for row, text in enumerate(labels, 1):
+            try:
+                values.append(int(text))
+            except ValueError:
+                raise ValueError(f"{csv_path}: data row {row}, column 'y': {text!r} is not an "
+                                 "integer, as the sidecar's integer_labels says") from None
+        y = np.array(values)
     return Dataset(
         X=x,
         y=y,

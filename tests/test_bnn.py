@@ -271,9 +271,7 @@ class TestGradients:
         x = np.random.default_rng(3).standard_normal((6, 3))
         loss, expected = _elbo(net, x, y, 10, 4)
         flat = np.concatenate([p.ravel() for p in net.parameters()])
-        spoiled = bnn._network_with_parameters(
-            net, bnn._views(flat, [p.shape for p in net.parameters()])
-        )
+        spoiled = bnn._flat_network(net, flat)
         blocks = _elbo_blocks(spoiled, x, y, 10, 4)
         assert next(blocks) == loss
         seen = np.full(flat.size, np.nan)
@@ -633,8 +631,12 @@ class TestSerialization:
 
     def test_rejects_foreign_documents(self):
         # a JSON list used to raise AttributeError
-        for doc in ({"format": "something-else"}, [], [1, 0]):
-            with pytest.raises(ValueError, match="not a serialized network document"):
+        for doc, message in (
+            ({"format": "something-else"}, "not a serialized network document"),
+            ([], "the document must be an object, got a list"),
+            ([1, 0], "the document must be an object, got a list"),
+        ):
+            with pytest.raises(ValueError, match=message):
                 network_from_json(json.dumps(doc))
 
     def test_round_trip_keeps_special_bit_patterns(self):

@@ -293,6 +293,21 @@ class TestSettings:
         assert capsys.readouterr().err == f"ratekit: error [config]: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate",),
+        ("train", "--data", "d.csv"),
+        ("evaluate", "--report", "r.json", "--degradation", "--model", "m.json", "--data", "d.csv"),
+        ("demo-collinearity",),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv):
+        # each used to exit at the stage that first drew a random number,
+        # with numpy's "expected non-negative integer", after --out was made
+        out = tmp_path / "out"
+        assert run(*argv, "--seed", "-1", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "ratekit: error [config]: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_config_file_refusal_names_the_setting_as_a_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": "d.csv", "classes": 2}))
@@ -691,11 +706,14 @@ class TestPipeline:
             "--model", str(pipeline / "model" / "model.json"),
         )
         for command, extra in (("importance", ()), ("group-importance", ("--groups", str(groups)))):
-            for class_index in ("5", "-1"):
+            for class_index in ("5", "1", "-1"):
                 capsys.readouterr()
+                out = tmp_path / f"{command}{class_index}"
                 assert run(command, *common, *extra, f"--class-index={class_index}",
-                           "--out", str(tmp_path / command)) == 3
+                           "--out", str(out)) == 3
                 assert "error [precision]" in capsys.readouterr().err
+                # effect_sizes.csv is not written for a refused class
+                assert [p.name for p in out.iterdir()] == ["effective_config.json"]
 
     def test_invalid_training_settings_are_data_errors(self, pipeline, tmp_path, capsys):
         data = ("--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8")
@@ -820,7 +838,7 @@ class TestPipeline:
         ):
             capsys.readouterr()
             assert run(*argv, "--out", str(tmp_path / "out")) == 3
-            assert str(named) in capsys.readouterr().err
+            assert f"{named}: the document must be an object, got a list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("role, text", [
         ("config", '{"n": 40,'), ("config", "[]"), ("report", '{"items": [}'),
@@ -1153,6 +1171,20 @@ class TestDemoCollinearity:
             assert code == 3
             assert "error [config]: reps must be >= 2" in capsys.readouterr().err
             assert not (tmp_path / reps).exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--rho", "1"), "|rho| must be < 1, got 1.0"),
+        (("--rho", "-1.5"), "|rho| must be < 1, got -1.5"),
+        (("--n", "1"), "n must be >= 2 for a sample covariance, got 1"),
+    ])
+    def test_settings_a_replicate_would_refuse_are_config_errors(
+        self, tmp_path, capsys, argv, message
+    ):
+        # these used to exit 3 at [replicates], after --out was made
+        out = tmp_path / "out"
+        assert run("demo-collinearity", *argv, "--reps", "5", "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"ratekit: error [config]: {message}\n"
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):

@@ -82,6 +82,12 @@ class TestWriters:
         assert default_names(3) == ("f1", "f2", "f3")
         assert default_names(0) == ()
 
+    def test_given_names_are_kept_when_there_is_one_per_feature(self):
+        assert default_names(2, ["a", "b"]) == ("a", "b")
+        assert default_names(2, ()) == default_names(2, None) == ("f1", "f2")
+        with pytest.raises(ValueError, match=r"feature_names has 1 names, expected one per feature \(2\)"):
+            default_names(2, ("a",))
+
 
 class TestJsonInput:
     @pytest.mark.parametrize("value, kinds", [

@@ -285,14 +285,14 @@ class TestFloat32Route:
             net.b = scale * rng.standard_normal(net.b.shape)
             x = 3.0 * rng.standard_normal((80, 7))
             exact = penultimate_activations(net, x) @ net.m + net.b
-            f32, bound = bnn._Float32Classifier(net, x).logits_and_bounds()
+            f32, bound = evaluate._Float32Classifier(net, x, np.zeros(len(x))).logits_and_bounds()
             assert np.all(np.isfinite(bound))
             assert np.all(np.abs(f32 - exact) <= bound)
 
     @pytest.mark.parametrize("link", ["sigmoid", "softmax"])
     def test_undecided_rows_take_the_float64_class(self, link, fallback_rows):
         net, ds = exact_net(link), exact_inputs(60, seed=4)
-        f32, _ = bnn._Float32Classifier(net, ds.X).logits_and_bounds()
+        f32, _ = evaluate._Float32Classifier(net, ds.X, ds.y).logits_and_bounds()
         float32_class = f32.argmax(axis=1) if link == "softmax" else f32[:, 0] > 0
         # without the fallback some rows would get another class
         assert np.any(float32_class != bnn._predict_classes(net, ds.X))
@@ -351,7 +351,7 @@ class TestFloat32Route:
         link = "sigmoid" if classes == 1 else "softmax"
         cfg = NetworkConfig(w1.shape[0], (w1.shape[1],), link=link, n_classes=classes)
         net = bnn.Network(cfg, [w1], [np.zeros(w1.shape[1])], m, np.zeros_like(m), np.array(b))
-        pred, undecided = bnn._Float32Classifier(net, x).predict_classes()
+        pred, undecided = evaluate._Float32Classifier(net, x, np.zeros(len(x))).predict_classes()
         pred[undecided] = bnn._predict_classes(net, x[undecided])
         assert np.array_equal(pred, bnn._predict_classes(net, x))
 
@@ -367,7 +367,9 @@ class TestFloat32Route:
         logits = [0.0, -0.0, e, -e, up, -up, 1e-12, -1e-12, 1e-30, -3.0, np.nan, np.inf, -np.inf]
         bounds = [e, 1e-12, np.inf]
         f, bound = (np.array(a, np.float32)[:, None] for a in zip(*itertools.product(logits, bounds)))
-        classifier = bnn._Float32Classifier(exact_net("sigmoid"), np.zeros((len(f), 3)))
+        classifier = evaluate._Float32Classifier(
+            exact_net("sigmoid"), np.zeros((len(f), 3)), np.zeros(len(f))
+        )
         classifier.logits_and_bounds = lambda: (f.copy(), bound.copy())
         pred, undecided = classifier.predict_classes()
         expected_pred, expected_undecided = sign_rule(f, bound)

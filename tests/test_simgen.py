@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,13 +243,17 @@ class TestCsvParity:
             (["0.5", "1e3", "-2.25"], None, float),
             (["1", "2", "1E3"], None, float),
             (["0", "1", "1e3"], '{"integer_labels": true}', None),  # int() refuses 1e3
+            (["0", "1.0", "1"], '{"integer_labels": true}', None),  # and 1.0
         ],
     )
     def test_labels_parse_as_int_or_float_does(self, tmp_path, labels, sidecar, parse):
         rows = [row + [v] for row, v in zip(cell_grid(3, 2, seed=1), labels)]
         path = write_csv(tmp_path / "data.csv", ["a", "b"], rows, sidecar=sidecar)
         if parse is None:
-            with pytest.raises(ValueError, match="invalid literal for int"):
+            # the refusal names the file, the data row and the label
+            row = next(i for i, v in enumerate(labels, 1) if not v.isdigit())
+            message = f"data.csv: data row {row}, column 'y': '{labels[row - 1]}' is not an integer"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 load_dataset_csv(path)
             return
         ds = load_dataset_csv(path)
@@ -358,6 +363,33 @@ class TestDatasetValidation:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(X=np.ones((4, 2)), y=np.ones(5))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"feature_names": ("a", "b")}, r"feature_names has 2 names, expected one per feature \(3\)"),
+        ({"column_permutation": [0, 0, 0]}, "column_permutation must be null or a permutation"),
+        ({"column_permutation": np.array([0.0, 1.0, 2.0])}, "column_permutation must be null or a"),
+        ({"seed": 1.5}, "seed must be None or an integer, got 1.5"),
+        ({"seed": True}, "seed must be None or an integer, got True"),
+        ({"y": np.zeros((4, 1))}, r"y must be 1-dimensional, got shape \(4, 1\)"),
+    ])
+    def test_fields_the_loader_would_refuse_are_refused(self, fields, message):
+        # each of these used to be accepted, and then written by
+        # save_dataset_csv and refused by load_dataset_csv, or not written
+        fields = {"X": np.ones((4, 3)), "y": np.arange(4) % 2, **fields}
+        with pytest.raises(ValueError, match=message):
+            Dataset(**fields)
+
+    def test_every_accepted_dataset_round_trips(self, tmp_path):
+        # a numpy integer seed used to make save_dataset_csv raise TypeError
+        ds = Dataset(X=np.arange(12.0).reshape(4, 3), y=np.arange(4) % 2, feature_names=["a", "b", "c"],
+                     column_permutation=(2, 0, 1), seed=np.int64(3))
+        assert type(ds.seed) is int and ds.feature_names == ("a", "b", "c")
+        save_dataset_csv(ds, tmp_path / "data.csv")
+        back = load_dataset_csv(tmp_path / "data.csv")
+        assert back.seed == 3 and back.feature_names == ds.feature_names
+        assert back.column_permutation.tolist() == [2, 0, 1]
+        np.testing.assert_array_equal(back.X, ds.X)
+        np.testing.assert_array_equal(back.y, ds.y)
 
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
