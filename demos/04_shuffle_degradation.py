@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ratekit import bnn, esa, evaluate, rate, simgen
-from ratekit.cli import render_curve_svg
+from ratekit import bnn, esa, evaluate, rate, simgen, svg
+from ratekit.core import write_text
 
 
 def main(seed: int = 0) -> None:
@@ -48,15 +48,14 @@ def main(seed: int = 0) -> None:
     out_dir.mkdir(exist_ok=True)
     evaluate.degradation_curve_to_csv(by_rate, out_dir / "degradation_rate.csv")
     evaluate.degradation_curve_to_csv(by_random, out_dir / "degradation_random.csv")
-    svg = render_curve_svg(
+    write_text(out_dir / "degradation.svg", svg.curves(
         [
             ("rate-ranked", fractions, by_rate.mean_accuracy),
             ("random", fractions, by_random.mean_accuracy),
         ],
         "fraction of features shuffled",
         "test accuracy",
-    )
-    (out_dir / "degradation.svg").write_text(svg)
+    ))
     print(f"\nwrote curves to {out_dir}")
 
 

@@ -22,17 +22,17 @@ import dataclasses
 import json
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from ratekit import bnn, esa, evaluate, rate, simgen
-from ratekit.core import checked, in_file, read_json, write_csv, write_json
+from ratekit import bnn, esa, evaluate, rate, simgen, svg
+from ratekit.core import checked, in_file, read_json, text_file, write_csv, write_json, write_text
 
-__all__ = ["main", "dispatch", "render_curve_svg"]
+__all__ = ["main", "dispatch"]
 
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -57,80 +57,6 @@ def _stage(name: str):
         raise StageError(name, exc, EXIT_NUMERIC) from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StageError(name, exc, EXIT_DATA) from exc
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-
-
-def render_curve_svg(series, x_label: str, y_label: str) -> str:
-    """Minimal deterministic line plot: one polyline per (label, xs, ys) series.
-
-    Data ranges map linearly onto a fixed 640x480 viewport; callers get valid
-    standalone SVG text.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    parsed = []
-    for label, xs, ys in series:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError(f"series {label!r}: xs and ys must be 1-d and equal length")
-        if xs.size < 2:
-            raise ValueError(f"series {label!r}: need at least 2 points")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError(f"series {label!r}: points must be finite")
-        parsed.append((str(label), xs, ys))
-
-    width, height = 640, 480
-    ml, mr, mt, mb = 60, 20, 20, 45
-    x0, x1 = ml, width - mr
-    y0, y1 = height - mb, mt  # y axis points up
-
-    all_x = np.concatenate([xs for _, xs, _ in parsed])
-    all_y = np.concatenate([ys for _, _, ys in parsed])
-    xmin, xmax = float(all_x.min()), float(all_x.max())
-    ymin, ymax = float(all_y.min()), float(all_y.max())
-    xspan = xmax - xmin or 1.0
-    yspan = ymax - ymin or 1.0
-
-    def sx(v: float) -> float:
-        return x0 + (v - xmin) / xspan * (x1 - x0)
-
-    def sy(v: float) -> float:
-        return y0 + (v - ymin) / yspan * (y1 - y0)
-
-    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
-        f'<text x="{(x0 + x1) // 2}" y="{height - 8}" text-anchor="middle" '
-        f'font-size="14">{_xml_escape(x_label)}</text>',
-        f'<text x="14" y="{(y0 + y1) // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 14 {(y0 + y1) // 2})">{_xml_escape(y_label)}</text>',
-        f'<text x="{x0}" y="{y0 + 16}" text-anchor="middle" font-size="11">{xmin:.4g}</text>',
-        f'<text x="{x1}" y="{y0 + 16}" text-anchor="middle" font-size="11">{xmax:.4g}</text>',
-        f'<text x="{x0 - 6}" y="{y0}" text-anchor="end" font-size="11">{ymin:.4g}</text>',
-        f'<text x="{x0 - 6}" y="{y1 + 10}" text-anchor="end" font-size="11">{ymax:.4g}</text>',
-    ]
-    for i, (label, xs, ys) in enumerate(parsed):
-        color = palette[i % len(palette)]
-        points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(xs, ys))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        out.append(
-            f'<text x="{x1 - 2}" y="{mt + 16 * (i + 1)}" text-anchor="end" font-size="12" '
-            f'fill="{color}">{_xml_escape(label)}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _xml_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +181,8 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
 
 def _load_network(path) -> bnn.Network:
     """The network in model file ``path``; a refusal names the file first."""
-    with in_file(path):
-        return bnn.network_from_json(Path(path).read_text(encoding="utf-8"))
+    with in_file(path), text_file(path) as fh:
+        return bnn.network_from_json(fh.read())
 
 
 def _parse_list(flag: str, text: str, kind: type, noun: str) -> tuple:
@@ -370,11 +296,8 @@ def _cmd_importance(args) -> int:
     with _stage("precision"):
         pm = rate.build_precision(effect, class_index=cfg["class_index"])
     if pm.rank < pm.p:
-        print(
-            f"ratekit: warning: the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
-            "kld is its jitter-free limit and mi is undefined (null)",
-            file=sys.stderr,
-        )
+        warnings.warn(f"the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
+                      "kld is its jitter-free limit and mi is undefined (null)")
     if with_groups:
         with _stage("load-groups"), in_file(cfg["groups"]):
             groups = _read_group_csv(cfg["groups"], ds.feature_names)
@@ -397,7 +320,7 @@ def _cmd_importance(args) -> int:
 def _read_group_csv(path, feature_names) -> rate.GroupMap:
     """Rows of group_name,feature_name; a literal header row is skipped."""
     groups: dict[str, list[str]] = {}
-    with open(path, newline="") as fh:
+    with text_file(path) as fh:
         for row in csv.reader(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -454,12 +377,11 @@ def _cmd_evaluate(args) -> int:
                 raise ValueError(f"{cfg['mask']}: no causal mask recorded")
             curve = evaluate.roc_auc(scores, mask)
             evaluate.roc_curve_to_csv(curve, out / "roc.csv")
-            svg = render_curve_svg(
+            write_text(out / "roc.svg", svg.curves(
                 [(f"AUC={curve.auc:.4f}", curve.fpr, curve.tpr)],
                 "false positive rate",
                 "true positive rate",
-            )
-            (out / "roc.svg").write_text(svg)
+            ))
 
     if cfg["degradation"]:
         with _stage("degradation"):
@@ -480,12 +402,11 @@ def _cmd_evaluate(args) -> int:
                 seed=cfg["seed"],
             )
             evaluate.degradation_curve_to_csv(curve, out / "degradation.csv")
-            svg = render_curve_svg(
+            write_text(out / "degradation.svg", svg.curves(
                 [(f"ranking={cfg['ranking']}", curve.fractions, curve.mean_accuracy)],
                 "fraction of features shuffled",
                 "test accuracy",
-            )
-            (out / "degradation.svg").write_text(svg)
+            ))
     return 0
 
 
@@ -494,8 +415,8 @@ def _check_collinearity(cfg: dict) -> None:
     estimators would refuse in the first replicate."""
     if cfg["reps"] < 2:
         raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {cfg['reps']}")
-    if cfg["n"] < 2:
-        raise ValueError(f"n must be >= 2 for a sample covariance, got {cfg['n']}")
+    if cfg["n"] < 3:
+        raise ValueError(f"n must be >= 3 for least squares to fit 3 coefficients, got {cfg['n']}")
     if not abs(cfg["rho"]) < 1:
         raise ValueError(f"|rho| must be < 1, got {cfg['rho']}")
 
@@ -582,19 +503,28 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"ratekit: warning: {message}", file=sys.stderr)
+
+
 def dispatch(argv=None) -> int:
-    """Run one subcommand; returns the process exit code instead of exiting."""
+    """Run one subcommand; returns the process exit code instead of exiting.
+    Each distinct warning it raises is one ``ratekit: warning:`` line, on every
+    run; the caller's warning filters and handler are restored afterwards."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
-    except StageError as err:
-        print(f"ratekit: error [{err.stage_name}]: {err.cause}", file=sys.stderr)
-        return err.exit_code
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except StageError as err:
+            print(f"ratekit: error [{err.stage_name}]: {err.cause}", file=sys.stderr)
+            return err.exit_code
 
 
 def main() -> None:

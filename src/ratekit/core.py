@@ -1,8 +1,9 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
-code and its one relative rank bound, the one rule for feature names, the two
-writers every CSV and JSON output goes through, so reruns write the same bytes,
-and the reader and type check every JSON input goes through (``model.json``
-is streamed by ``bnn.save_network_json`` and parsed by ``bnn.network_from_json``).
+code and its one relative rank bound, the one rule for feature names, the text
+policy of every file ratekit reads or writes (``text_file``), the writers every
+CSV, JSON and SVG output goes through, so reruns write the same bytes, and the
+reader and type check every JSON input goes through (``model.json`` is streamed
+as ASCII by ``bnn.save_network_json`` and parsed by ``bnn.network_from_json``).
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ __all__ = [
     "gram",
     "in_file",
     "read_json",
+    "text_file",
     "write_csv",
     "write_json",
+    "write_text",
 ]
 
 #: An eigenvalue, or squared Cholesky pivot, of a symmetric positive
@@ -87,10 +90,27 @@ def default_names(p: int, names=None) -> tuple[str, ...]:
     return names
 
 
+#: The encoding of every text file ratekit reads or writes, whatever the locale.
+ENCODING = "utf-8"
+
+
+def text_file(path, mode: str = "r"):
+    """``path`` opened as text in ``mode``: UTF-8, with line ends never
+    translated, so a line written with "\\n" ends in "\\n" on every platform
+    and a reader (``csv`` among them) sees the line ends that are there."""
+    return open(path, mode, encoding=ENCODING, newline="")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` into ``path`` as it is."""
+    with text_file(path, "w") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and ``rows`` as CSV lines ended by "\\n". Cells are
     Python scalars: a float is written as its ``repr``, None as an empty cell."""
-    with open(path, "w", newline="") as fh:
+    with text_file(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -98,7 +118,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_json(path, doc) -> None:
     """Stream ``json.dumps(doc, sort_keys=True)`` and a newline into ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with text_file(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
@@ -132,8 +152,8 @@ def in_file(path):
 
 
 def read_json(path) -> dict:
-    """The JSON object in the UTF-8 file ``path``. A document that does not
-    parse (``json.JSONDecodeError`` is a ``ValueError``) or is not an object
-    raises a ``ValueError`` prefixed with ``path``."""
-    with in_file(path), open(path, encoding="utf-8") as fh:
+    """The JSON object in the file ``path``. A document that does not parse
+    (``json.JSONDecodeError`` is a ``ValueError``) or is not an object raises
+    a ``ValueError`` prefixed with ``path``."""
+    with in_file(path), text_file(path) as fh:
         return checked(json.load(fh), "the document", dict)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ratekit.core import checked, default_names, in_file, read_json, write_json
+from ratekit.core import ENCODING, checked, default_names, in_file, read_json, text_file, write_json
 
 __all__ = [
     "SynthSpec",
@@ -70,13 +70,14 @@ class SynthSpec:
         return int(round(self.frac_redundant * self.p))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Feature matrix with labels/responses and optional ground-truth mask.
 
     ``column_permutation`` maps output column i to its pre-shuffle block
     position; ``X[:, np.argsort(column_permutation)]`` restores the
-    causal | redundant | noise block order.
+    causal | redundant | noise block order. Frozen, so every field keeps
+    the checks ``__post_init__`` makes; ``dataclasses.replace`` checks anew.
     """
 
     X: np.ndarray
@@ -87,8 +88,8 @@ class Dataset:
     seed: int | None = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y)
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
+        object.__setattr__(self, "y", np.asarray(self.y))
         if self.X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if self.y.ndim != 1:
@@ -96,21 +97,22 @@ class Dataset:
         if self.y.shape[0] != self.X.shape[0]:
             raise ValueError("X and y disagree on the number of rows")
         if self.causal_mask is not None:
-            self.causal_mask = np.asarray(self.causal_mask, dtype=bool)
+            object.__setattr__(self, "causal_mask", np.asarray(self.causal_mask, dtype=bool))
             if self.causal_mask.shape != (self.X.shape[1],):
                 raise ValueError(
                     f"causal_mask must be 1-d with one entry per feature ({self.X.shape[1]}), "
                     f"got shape {self.causal_mask.shape}"
                 )
-        self.feature_names = default_names(self.X.shape[1], self.feature_names)
+        object.__setattr__(self, "feature_names",
+                           default_names(self.X.shape[1], self.feature_names))
         if self.column_permutation is not None:
             perm = np.asarray(self.column_permutation)
-            self.column_permutation = _permutation(perm, self.X.shape[1])
+            object.__setattr__(self, "column_permutation", _permutation(perm, self.X.shape[1]))
         if self.seed is not None:
             # a numpy integer is stored as the int the sidecar records
             if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
                 raise ValueError(f"seed must be None or an integer, got {self.seed!r}")
-            self.seed = int(self.seed)
+            object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
@@ -206,7 +208,7 @@ def _permutation(perm, p: int) -> np.ndarray:
     values = perm.tolist() if isinstance(perm, np.ndarray) else perm
     if not (isinstance(values, list) and all(type(j) is int for j in values)
             and sorted(values) == list(range(p))):
-        raise ValueError(f"column_permutation must be null or a permutation "
+        raise ValueError(f"column_permutation must be a permutation "
                          f"of the {p} column indices 0, ..., {p - 1}")
     return np.array(values, dtype=int)
 
@@ -224,7 +226,7 @@ def save_dataset_csv(ds: Dataset, csv_path) -> Path:
     csv_path = Path(csv_path)
     integer_labels = np.issubdtype(ds.y.dtype, np.integer)
     labels = [str(int(v)) if integer_labels else repr(float(v)) for v in ds.y.tolist()]
-    with open(csv_path, "w", newline="") as fh:
+    with text_file(csv_path, "w") as fh:
         csv.writer(fh, lineterminator="\n").writerow([*ds.feature_names, "y"])
         for row, label in zip(ds.X, labels):
             fh.write(",".join(map(repr, row.tolist())) + "," + label + "\n")
@@ -302,7 +304,7 @@ def load_dataset_csv(csv_path) -> Dataset:
     with an underscore such as ``1_0``) or a NaN or infinite cell raises
     ``ValueError`` naming the data row."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
+    with text_file(csv_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         header_lines = reader.line_num  # a quoted name may hold a line break
@@ -325,7 +327,7 @@ def load_dataset_csv(csv_path) -> Dataset:
             # keyed at p: numpy calls a converter keyed at -1 once more, with ''
             data = np.loadtxt(
                 csv_path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
-                ndmin=2, converters={p: label},
+                ndmin=2, converters={p: label}, encoding=ENCODING,
             )
         except ValueError as exc:
             raise _data_row_error(csv_path, header, exc) from exc

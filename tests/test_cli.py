@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,36 +18,11 @@ import numpy as np
 import pytest
 
 from ratekit import bnn, evaluate, simgen
-from ratekit.cli import SETTINGS, _configure, build_parser, dispatch, render_curve_svg
+from ratekit.cli import SETTINGS, _configure, build_parser, dispatch
 
 
 def run(*argv):
     return dispatch(list(argv))
-
-
-class TestRenderCurveSvg:
-    def test_two_points_hit_plot_corners(self):
-        svg = render_curve_svg([("d", [0.0, 1.0], [0.0, 1.0])], "x", "y")
-        assert 'points="60.00,435.00 620.00,20.00"' in svg
-
-    def test_deterministic(self):
-        series = [("a", [0, 1, 2], [1, 0, 2]), ("b", [0, 1, 2], [2, 2, 0])]
-        assert render_curve_svg(series, "x", "y") == render_curve_svg(series, "x", "y")
-
-    def test_well_formed_xml(self):
-        svg = render_curve_svg([("acc", [0, 0.5, 1], [0.9, 0.6, 0.5])], "frac", "acc")
-        root = ET.fromstring(svg)
-        assert root.tag.endswith("svg")
-        polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
-        assert len(polylines) == 1
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
-            render_curve_svg([("d", [0.0], [0.0])], "x", "y")
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            render_curve_svg([("d", [0.0, np.inf], [0.0, 1.0])], "x", "y")
 
 
 #: Runs the CLI chain the way ``python -m ratekit.cli`` does, in a process
@@ -132,13 +108,64 @@ class TestRuntimeDependencies:
         # policy change that every run makes alike: this pins the policy itself
         out, result = numpy_only_chain
         assert result.returncode == 0, result.stderr
-        written = sorted(p for p in out.glob("*/*") if p.suffix in (".csv", ".json"))
-        assert len(written) == 20, written  # every CSV and JSON file of the six stages
+        written = sorted(p for p in out.glob("*/*") if p.suffix in (".csv", ".json", ".svg"))
+        assert len(written) == 22, written  # every CSV, JSON and SVG file of the six stages
         for path in written:
             data = path.read_bytes()
+            data.decode("utf-8")  # raises unless the file is UTF-8
             assert data.endswith(b"\n") and b"\r" not in data, path
             if path.suffix == ".json":
                 assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode(), path
+            if path.suffix == ".svg":
+                assert ET.fromstring(data).tag == "{http://www.w3.org/2000/svg}svg", path
+
+
+#: Prints the locale's encoding, then runs train, importance and
+#: group-importance in the current directory, exiting with the first
+#: non-zero code.
+LOCALE_CHAIN = r"""
+import locale, sys
+from ratekit.cli import dispatch
+print(locale.getpreferredencoding(False))
+for argv in (
+    ["train", "--data", "data.csv", "--hidden", "8", "--epochs", "1", "--out", "model"],
+    ["importance", "--data", "data.csv", "--model", "model/model.json", "--out", "imp"],
+    ["group-importance", "--data", "data.csv", "--model", "model/model.json",
+     "--groups", "groups.csv", "--out", "groups"],
+):
+    code = dispatch(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+class TestTextPolicy:
+    def test_any_locale_reads_and_writes_the_same_bytes(self, tmp_path):
+        # a feature name that is not ASCII, in a dataset ratekit wrote, used to
+        # be refused at [load-data] under an ASCII locale
+        ds = simgen.synth_classification(simgen.SynthSpec(n=60, p=5, frac_causal=0.4, seed=4))
+        ds = dataclasses.replace(ds, feature_names=("größe", "f2", "f3", "f4", "f5"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        written = {}
+        for name, locale_env in (
+            ("ascii", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+            ("utf8", {"PYTHONUTF8": "1"}),
+        ):
+            chain = tmp_path / name
+            chain.mkdir()
+            simgen.save_dataset_csv(ds, chain / "data.csv")
+            (chain / "groups.csv").write_bytes("g1,größe\ng1,f2\ng2,f3\n".encode("utf-8"))
+            result = subprocess.run(
+                [sys.executable, "-c", LOCALE_CHAIN], cwd=chain, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, **locale_env},
+            )
+            assert result.returncode == 0, result.stderr
+            encoding = result.stdout.strip().lower().replace("-", "")
+            assert (encoding != "utf8") == (name == "ascii"), encoding  # the control
+            written[name] = {p.relative_to(chain): p.read_bytes() for p in chain.rglob("*.*")}
+        assert len(written["ascii"]) == 14, sorted(written["ascii"])
+        assert written["ascii"] == written["utf8"]
+        assert "größe".encode("utf-8") in written["ascii"][Path("groups/effect_sizes.csv")]
 
 
 class TestBlasThreadCount:
@@ -606,6 +633,25 @@ class TestPipeline:
         ) == 0
         assert capsys.readouterr() == ("", "")
 
+    def test_library_warning_is_one_ratekit_line(self, pipeline, tmp_path, capsys):
+        # the full-rank model of test_full_rank_covariance_does_not_warn: the
+        # overlap warning is the one line, on a second run in this process too,
+        # and the caller's handler is back afterwards
+        groups = tmp_path / "groups.csv"
+        groups.write_text("g1,f1\ng1,f2\ng2,f2\ng2,f3\n")
+        handler = warnings.showwarning
+        for out in ("a", "b"):
+            capsys.readouterr()
+            assert run(
+                "group-importance", "--data", str(pipeline / "sim" / "test.csv"),
+                "--model", str(pipeline / "model" / "model.json"),
+                "--groups", str(groups), "--out", str(tmp_path / out),
+            ) == 0
+            assert capsys.readouterr().err == (
+                "ratekit: warning: groups overlap; scores are normalized as provided\n"
+            )
+        assert warnings.showwarning is handler
+
     def test_group_importance(self, pipeline, tmp_path):
         groups = tmp_path / "groups.csv"
         groups.write_text("g1,f1\ng1,f2\ng1,f3\ng2,f4\ng2,f5\ng2,f6\n")
@@ -896,7 +942,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("key, value, message", [
         ("causal_mask", [1] * 15 + ["0"], 'causal_mask entry 15 must be 0, 1, true or false, got "0"'),
-        ("column_permutation", [5, 1], "column_permutation must be null or a permutation"),
+        ("column_permutation", [5, 1], "column_permutation must be a permutation"),
         ("seed", "abc", "seed must be null or an integer, got a string"),
         ("integer_labels", "no", "integer_labels must be true or false, got a string"),
     ])
@@ -1175,7 +1221,8 @@ class TestDemoCollinearity:
     @pytest.mark.parametrize("argv, message", [
         (("--rho", "1"), "|rho| must be < 1, got 1.0"),
         (("--rho", "-1.5"), "|rho| must be < 1, got -1.5"),
-        (("--n", "1"), "n must be >= 2 for a sample covariance, got 1"),
+        (("--n", "1"), "n must be >= 3 for least squares to fit 3 coefficients, got 1"),
+        (("--n", "2"), "n must be >= 3 for least squares to fit 3 coefficients, got 2"),
     ])
     def test_settings_a_replicate_would_refuse_are_config_errors(
         self, tmp_path, capsys, argv, message

@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators and the dataset CSV contract."""
 
 import csv
+import dataclasses
 import io
 import re
 import tracemalloc
@@ -366,8 +367,8 @@ class TestDatasetValidation:
 
     @pytest.mark.parametrize("fields, message", [
         ({"feature_names": ("a", "b")}, r"feature_names has 2 names, expected one per feature \(3\)"),
-        ({"column_permutation": [0, 0, 0]}, "column_permutation must be null or a permutation"),
-        ({"column_permutation": np.array([0.0, 1.0, 2.0])}, "column_permutation must be null or a"),
+        ({"column_permutation": [0, 0, 0]}, "column_permutation must be a permutation"),
+        ({"column_permutation": np.array([0.0, 1.0, 2.0])}, "column_permutation must be a"),
         ({"seed": 1.5}, "seed must be None or an integer, got 1.5"),
         ({"seed": True}, "seed must be None or an integer, got True"),
         ({"y": np.zeros((4, 1))}, r"y must be 1-dimensional, got shape \(4, 1\)"),
@@ -390,6 +391,15 @@ class TestDatasetValidation:
         assert back.column_permutation.tolist() == [2, 0, 1]
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)
+
+    def test_fields_cannot_change_after_the_checks(self):
+        # an assigned seed of 1.5 used to skip the checks and be written into
+        # a sidecar that load_dataset_csv refuses
+        ds = Dataset(X=np.ones((4, 3)), y=np.arange(4) % 2, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.seed = 1.5
+        with pytest.raises(ValueError, match="seed must be None or an integer, got 1.5"):
+            dataclasses.replace(ds, seed=1.5)
 
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
@@ -417,11 +427,11 @@ class TestDatasetValidation:
         ('{"causal_mask": [1, 0, 1.0]}', r"causal_mask entry 2 .* got 1.0"),
         ('{"causal_mask": [null, 0, 1]}', r"causal_mask entry 0 .* got null"),
         ('{"causal_mask": [[1], 0, 1]}', r"causal_mask entry 0 .* got \[1\]"),
-        ('{"column_permutation": [5, 1]}', "column_permutation must be null or a permutation"),
-        ('{"column_permutation": [0, 1, 1]}', "column_permutation must be null or a permutation"),
-        ('{"column_permutation": [0, 1, 2.0]}', "column_permutation must be null or a permutation"),
-        ('{"column_permutation": [0, true, 2]}', "column_permutation must be null or a perm"),
-        ('{"column_permutation": 3}', "column_permutation must be null or a permutation"),
+        ('{"column_permutation": [5, 1]}', "column_permutation must be a permutation"),
+        ('{"column_permutation": [0, 1, 1]}', "column_permutation must be a permutation"),
+        ('{"column_permutation": [0, 1, 2.0]}', "column_permutation must be a permutation"),
+        ('{"column_permutation": [0, true, 2]}', "column_permutation must be a perm"),
+        ('{"column_permutation": 3}', "column_permutation must be a permutation"),
         ('{"seed": "abc"}', "seed must be null or an integer, got a string"),
         ('{"seed": true}', "seed must be null or an integer, got true or false"),
         ('{"seed": 1.5}', "seed must be null or an integer, got a number"),
