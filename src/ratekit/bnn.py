@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import checked
+from ratekit.core import checked, in_file, text_file
 
 __all__ = [
     "NetworkConfig",
@@ -46,6 +46,7 @@ __all__ = [
     "network_to_json",
     "save_network_json",
     "network_from_json",
+    "load_network_json",
 ]
 
 LINKS = ("sigmoid", "identity", "softmax")
@@ -698,6 +699,12 @@ def save_network_json(net: Network, path) -> None:
     with open(path, "wb") as fh:
         _write_network(net, fh.write)
         fh.write(b"\n")
+
+
+def load_network_json(path) -> Network:
+    """The network in the model file ``path``; a refusal names the file first."""
+    with in_file(path), text_file(path) as fh:
+        return network_from_json(fh.read())
 
 
 def network_from_json(text: str) -> Network:

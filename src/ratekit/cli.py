@@ -17,7 +17,6 @@ declared there, and the subcommand builds that type from the settings in its
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import re
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ratekit import bnn, esa, evaluate, rate, simgen, svg
-from ratekit.core import checked, in_file, read_json, text_file, write_csv, write_json, write_text
+from ratekit.core import checked, in_file, read_json, write_csv, write_json, write_text
 
 __all__ = ["main", "dispatch"]
 
@@ -179,12 +178,6 @@ def _configure(args, *required: str, check=None) -> tuple[Path, dict, object]:
     return out, cfg, checked
 
 
-def _load_network(path) -> bnn.Network:
-    """The network in model file ``path``; a refusal names the file first."""
-    with in_file(path), text_file(path) as fh:
-        return bnn.network_from_json(fh.read())
-
-
 def _parse_list(flag: str, text: str, kind: type, noun: str) -> tuple:
     """The non-blank comma-separated entries of a list flag as ``kind``; an
     entry that does not parse names the flag and the entry."""
@@ -287,7 +280,7 @@ def _cmd_importance(args) -> int:
         out, cfg, _ = _configure(args, *required)
     with _stage("load-data"):
         ds = simgen.load_dataset_csv(cfg["data"])
-        net = _load_network(cfg["model"])
+        net = bnn.load_network_json(cfg["model"])
     with _stage("effect-sizes"):
         # effect_sizes.csv is written with the report, so a --class-index that
         # precision refuses leaves no scoring output
@@ -299,58 +292,19 @@ def _cmd_importance(args) -> int:
         warnings.warn(f"the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
                       "kld is its jitter-free limit and mi is undefined (null)")
     if with_groups:
-        with _stage("load-groups"), in_file(cfg["groups"]):
-            groups = _read_group_csv(cfg["groups"], ds.feature_names)
+        with _stage("load-groups"):
+            groups = rate.GroupMap.from_csv(cfg["groups"], ds.feature_names)
         with _stage("group-importance"):
             report = rate.group_rate(pm, groups)
-        with _stage("write-output"):
-            esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
-            rate.report_to_json(report, out / "group_report.json")
-            rate.report_to_csv(report, out / "group_report.csv")
     else:
         with _stage("importance"):
             report = rate.rate_scores(pm)
-        with _stage("write-output"):
-            esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
-            rate.report_to_json(report, out / "report.json")
-            rate.report_to_csv(report, out / "report.csv")
+    with _stage("write-output"):
+        stem = "group_report" if with_groups else "report"
+        esa.effect_sizes_to_csv(effect, out / "effect_sizes.csv")
+        rate.report_to_json(report, out / f"{stem}.json")
+        rate.report_to_csv(report, out / f"{stem}.csv")
     return 0
-
-
-def _read_group_csv(path, feature_names) -> rate.GroupMap:
-    """Rows of group_name,feature_name; a literal header row is skipped."""
-    groups: dict[str, list[str]] = {}
-    with text_file(path) as fh:
-        for row in csv.reader(fh):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"group file row must be group_name,feature_name: {row!r}")
-            name, feat = row[0].strip(), row[1].strip()
-            if (name, feat) in (("group_name", "feature_name"), ("group", "feature")):
-                continue
-            groups.setdefault(name, []).append(feat)
-    if not groups:
-        raise ValueError("no groups found")
-    return rate.GroupMap.from_names(groups, feature_names)
-
-
-def _read_report(path) -> tuple[list[str], np.ndarray]:
-    """The feature names and rates of the importance report ``path``; an item
-    without either key, a name or rate of another JSON type, or a rate that
-    is not finite is refused, naming the file, the item and the key."""
-    items = read_json(path).get("items")
-    with in_file(path):
-        for i, item in enumerate(checked(items, "items", list)):
-            checked(item, f"items[{i}]", dict)
-            for key, kind in (("name", str), ("rate", float)):
-                if key not in item:
-                    raise ValueError(f"report item {i} has no {key!r} key")
-                checked(item[key], f"items[{i}].{key}", kind)
-            if not abs(item["rate"]) <= sys.float_info.max:
-                raise ValueError(f"report item {i} has a 'rate' that is not a finite "
-                                 f"number: {json.dumps(item['rate'])}")
-    return [item["name"] for item in items], np.array([item["rate"] for item in items])
 
 
 def _evaluate_settings(cfg: dict) -> tuple[float, ...] | None:
@@ -368,7 +322,7 @@ def _cmd_evaluate(args) -> int:
     with _stage("config"):
         out, cfg, fractions = _configure(args, "report", check=_evaluate_settings)
     with _stage("load-report"):
-        names, scores = _read_report(cfg["report"])
+        names, scores = rate.read_report(cfg["report"])
 
     if cfg["mask"]:
         with _stage("roc"):
@@ -385,10 +339,15 @@ def _cmd_evaluate(args) -> int:
 
     if cfg["degradation"]:
         with _stage("degradation"):
-            net = _load_network(cfg["model"])
+            net = bnn.load_network_json(cfg["model"])
             ds = simgen.load_dataset_csv(cfg["data"])
-            if list(ds.feature_names) != names:
-                raise ValueError("report features do not match the dataset")
+            if len(names) != ds.p:
+                raise ValueError(f"report {cfg['report']} scores {len(names)} features, "
+                                 f"dataset {cfg['data']} has {ds.p}")
+            for j, (name, data_name) in enumerate(zip(names, ds.feature_names), 1):
+                if name != data_name:
+                    raise ValueError(f"report {cfg['report']} names feature {j} {name!r}, "
+                                     f"dataset {cfg['data']} names it {data_name!r}")
             if cfg["ranking"] == "rate":
                 ranking = np.argsort(-scores, kind="stable")
             else:

@@ -2,8 +2,8 @@
 code and its one relative rank bound, the one rule for feature names, the text
 policy of every file ratekit reads or writes (``text_file``), the writers every
 CSV, JSON and SVG output goes through, so reruns write the same bytes, and the
-reader and type check every JSON input goes through (``model.json`` is streamed
-as ASCII by ``bnn.save_network_json`` and parsed by ``bnn.network_from_json``).
+reader, type check and refusal rule (``in_file``) of every input. ``bnn``,
+``rate`` and ``simgen`` each read the formats they own with these.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ ENCODING = "utf-8"
 def text_file(path, mode: str = "r"):
     """``path`` opened as text in ``mode``: UTF-8, with line ends never
     translated, so a line written with "\\n" ends in "\\n" on every platform
-    and a reader (``csv`` among them) sees the line ends that are there."""
-    return open(path, mode, encoding=ENCODING, newline="")
+    and a reader (``csv`` among them) sees the line ends that are there. A
+    reader skips a byte order mark at the start; a writer writes none."""
+    return open(path, mode, encoding="utf-8-sig" if mode == "r" else ENCODING, newline="")
 
 
 def write_text(path, text: str) -> None:

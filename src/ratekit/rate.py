@@ -60,14 +60,17 @@ everywhere.
 
 from __future__ import annotations
 
+import csv
+import json
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ratekit.core import (
-    RANK_RTOL, NotPositiveDefiniteError, checked_symmetric, default_names, gram, write_csv,
-    write_json,
+    RANK_RTOL, NotPositiveDefiniteError, checked, checked_symmetric, default_names, gram, in_file,
+    read_json, text_file, write_csv, write_json,
 )
 from ratekit.esa import EffectSizePosterior
 
@@ -87,6 +90,7 @@ __all__ = [
     "mutual_info",
     "report_to_json",
     "report_to_csv",
+    "read_report",
 ]
 
 #: Round-off allowed on the identities a_i >= 1 (dense) and P_J >= 0 (rank-deficient).
@@ -186,6 +190,26 @@ class GroupMap:
                 idx.append(positions[feat])
             resolved[gname] = idx
         return GroupMap.from_indices(resolved, len(feature_names))
+
+    @staticmethod
+    def from_csv(path, feature_names) -> "GroupMap":
+        """The groups in the CSV file ``path``, rows of group_name,feature_name
+        resolved by ``from_names``; a literal header row is skipped. A refusal
+        names the file first."""
+        groups: dict[str, list[str]] = {}
+        with in_file(path), text_file(path) as fh:
+            for row in csv.reader(fh):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"group file row must be group_name,feature_name: {row!r}")
+                name, feat = row[0].strip(), row[1].strip()
+                if (name, feat) in (("group_name", "feature_name"), ("group", "feature")):
+                    continue
+                groups.setdefault(name, []).append(feat)
+            if not groups:
+                raise ValueError("no groups found")
+            return GroupMap.from_names(groups, feature_names)
 
 
 @dataclass(frozen=True)
@@ -557,3 +581,21 @@ def report_to_csv(report: ImportanceReport, path) -> None:
         for row, it in zip(rows, report.items):
             row.append(None if it.members is None else ";".join(it.members))
     write_csv(path, header, rows)
+
+
+def read_report(path) -> tuple[list[str], np.ndarray]:
+    """The names and rates of the items of the report ``path``, which need no
+    other key; an item without either key, a name or rate of another JSON type,
+    or a rate that is not finite is refused, naming the file, item and key."""
+    items = read_json(path).get("items")
+    with in_file(path):
+        for i, item in enumerate(checked(items, "items", list)):
+            checked(item, f"items[{i}]", dict)
+            for key, kind in (("name", str), ("rate", float)):
+                if key not in item:
+                    raise ValueError(f"report item {i} has no {key!r} key")
+                checked(item[key], f"items[{i}].{key}", kind)
+            if not abs(item["rate"]) <= sys.float_info.max:
+                raise ValueError(f"report item {i} has a 'rate' that is not a finite "
+                                 f"number: {json.dumps(item['rate'])}")
+    return [item["name"] for item in items], np.array([item["rate"] for item in items])

@@ -272,7 +272,7 @@ def read_sidecar(path, p: int) -> dict:
             "integer_labels": meta.get("integer_labels")}
 
 
-def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
+def _data_row_error(header: list[str], exc: ValueError) -> ValueError:
     """``np.loadtxt``'s error, naming the data row (from 1, blank lines not
     counted) and the column; numpy counts a cell's row from 0 and a
     column-count change's from 1."""
@@ -280,17 +280,17 @@ def _data_row_error(csv_path, header: list[str], exc: ValueError) -> ValueError:
     cell = re.search(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)", text)
     if cell:
         row, name = int(cell[2]) + 1, header[int(cell[3]) - 1]
-        return ValueError(f"{csv_path}: data row {row}, column {name!r}: {cell[1]} is not a number")
+        return ValueError(f"data row {row}, column {name!r}: {cell[1]} is not a number")
     count = re.search(r"number of columns changed from (\d+) to (\d+) at row (\d+)", text)
     if count:
         first, cells, row = int(count[1]), int(count[2]), int(count[3])
         if first != len(header):  # the first data row was already wrong
             row, cells = 1, first
-        return ValueError(f"{csv_path}: data row {row} has {cells} cells, expected {len(header)}")
+        return ValueError(f"data row {row} has {cells} cells, expected {len(header)}")
     short = re.search(r"invalid for the number of fields (\d+)", text)  # no label cell
     if short:
-        return ValueError(f"{csv_path}: data row 1 has {short[1]} cells, expected {len(header)}")
-    return ValueError(f"{csv_path}: {text}")
+        return ValueError(f"data row 1 has {short[1]} cells, expected {len(header)}")
+    return ValueError(text)
 
 
 def load_dataset_csv(csv_path) -> Dataset:
@@ -302,15 +302,8 @@ def load_dataset_csv(csv_path) -> Dataset:
     sidecar says, or else when none has a '.' or an 'e') and with ``float``
     otherwise. A ragged row, a cell that is not a number (empty, or spelt
     with an underscore such as ``1_0``) or a NaN or infinite cell raises
-    ``ValueError`` naming the data row."""
+    ``ValueError`` naming the data row; every refusal names the file first."""
     csv_path = Path(csv_path)
-    with text_file(csv_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        header_lines = reader.line_num  # a quoted name may hold a line break
-    if not header or header[-1] != "y":
-        raise ValueError(f"{csv_path}: expected feature columns followed by 'y'")
-    p = len(header) - 1
     labels: list[str] = []
 
     def label(text: str) -> float:
@@ -321,26 +314,34 @@ def load_dataset_csv(csv_path) -> Dataset:
         labels.append(text)
         return float(text)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data rows is refused below
-        try:
-            # keyed at p: numpy calls a converter keyed at -1 once more, with ''
-            data = np.loadtxt(
-                csv_path, delimiter=",", comments=None, quotechar='"', skiprows=header_lines,
-                ndmin=2, converters={p: label}, encoding=ENCODING,
-            )
-        except ValueError as exc:
-            raise _data_row_error(csv_path, header, exc) from exc
-    n = data.shape[0]
-    if n == 0:
-        raise ValueError(f"{csv_path}: no data rows")
-    if data.shape[1] != p + 1:
-        raise ValueError(f"{csv_path}: data row 1 has {data.shape[1]} cells, expected {p + 1}")
-    if len(labels) != n:
-        raise RuntimeError(f"{csv_path}: numpy passed {len(labels)} labels for {n} data rows")
-    if not np.isfinite(data).all():
-        row, col = np.argwhere(~np.isfinite(data))[0]
-        raise ValueError(f"{csv_path}: data row {row + 1}, column {header[col]!r} is not finite")
+    with in_file(csv_path):
+        with text_file(csv_path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            header_lines = reader.line_num  # a quoted name may hold a line break
+        if not header or header[-1] != "y":
+            raise ValueError("expected feature columns followed by 'y'")
+        p = len(header) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows is refused below
+            try:
+                # keyed at p: numpy calls a converter keyed at -1 once more, with ''
+                data = np.loadtxt(
+                    csv_path, delimiter=",", comments=None, quotechar='"',
+                    skiprows=header_lines, ndmin=2, converters={p: label}, encoding=ENCODING,
+                )
+            except ValueError as exc:
+                raise _data_row_error(header, exc) from exc
+        n = data.shape[0]
+        if n == 0:
+            raise ValueError("no data rows")
+        if data.shape[1] != p + 1:
+            raise ValueError(f"data row 1 has {data.shape[1]} cells, expected {p + 1}")
+        if len(labels) != n:
+            raise RuntimeError(f"{csv_path}: numpy passed {len(labels)} labels for {n} data rows")
+        if not np.isfinite(data).all():
+            row, col = np.argwhere(~np.isfinite(data))[0]
+            raise ValueError(f"data row {row + 1}, column {header[col]!r} is not finite")
     y = data[:, p].copy()  # float() of each label, before X overwrites the column
     # drop the label column in place, so X is C-contiguous without a second
     # n x p buffer: row i moves from offset i (p + 1) to i p

@@ -28,6 +28,7 @@ from ratekit.bnn import (
     build_network,
     elbo_loss,
     kl_q_prior,
+    load_network_json,
     logit_posterior,
     network_from_json,
     network_to_json,
@@ -722,6 +723,29 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak <= 2**20
         assert (tmp_path / "model.json").read_text() == text + "\n"
+
+    def test_loader_reads_what_the_writer_wrote(self, tmp_path):
+        net = small_net(link="softmax", n_classes=3, hidden=(5, 3), seed=8)
+        net.m[0, 0] = -0.0
+        path = tmp_path / "model.json"
+        save_network_json(net, path)
+        back = load_network_json(path)
+        assert back.config == net.config and back.seed == net.seed
+        for pa, pb in zip(net.parameters(), back.parameters()):
+            assert pa.tobytes() == pb.tobytes()
+        assert network_to_json(back) == network_to_json(net)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[]", "the document must be an object, got a list"),
+        (b'{"format": "ratekit-network", "version": 2', "Expecting"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_loader_refusal_names_the_file_first(self, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_network_json(path)
+        assert str(info.value).startswith(f"{path}: {message}"), info.value
 
     def test_links_constant_is_exported(self):
         assert LINKS == ("sigmoid", "identity", "softmax")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and its determinism."""
 
 import base64
+import codecs
 import dataclasses
 import inspect
 import json
@@ -26,9 +27,10 @@ def run(*argv):
 
 
 #: Runs the CLI chain the way ``python -m ratekit.cli`` does, in a process
-#: where importing scipy, or any scipy submodule, raises.
+#: where importing scipy, or any scipy submodule, raises, and where opening a
+#: text file without naming its encoding raises ``EncodingWarning``.
 NUMPY_ONLY_CHAIN = r"""
-import runpy, sys
+import os, runpy, sys
 
 class RefuseScipy:
     refused = []  # every scipy import tried, also one whose ImportError is caught
@@ -47,6 +49,12 @@ except ModuleNotFoundError as exc:
 else:
     sys.exit("the finder let scipy import")
 RefuseScipy.refused.clear()
+try:
+    open(os.devnull).close()  # the control: an open() without an encoding must fail
+except EncodingWarning:
+    pass
+else:
+    sys.exit("an open() without an encoding raised no EncodingWarning")
 d = sys.argv[1]
 for argv in (
     ["simulate", "--config", f"{d}/simulate.json", "--seed", "1", "--out", f"{d}/sim"],
@@ -81,7 +89,8 @@ class TestRuntimeDependencies:
         (out / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f3\n")
         (out / "simulate.json").write_text('{"n": 200, "p": 20}')
         result = subprocess.run(
-            [sys.executable, "-c", NUMPY_ONLY_CHAIN, str(out)],
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", NUMPY_ONLY_CHAIN, str(out)],
             env=env, capture_output=True, text=True,
         )
         return out, result
@@ -92,6 +101,14 @@ class TestRuntimeDependencies:
         _, result = numpy_only_chain
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["blocked: scipy", "[]"]
+
+    def test_every_text_file_is_opened_with_its_encoding(self, numpy_only_chain):
+        # an open() without an encoding warns in this process (the control line
+        # shows it is fatal outside a subcommand); a subcommand prints each
+        # warning as a "ratekit: warning:" line, so none may be that one
+        _, result = numpy_only_chain
+        assert result.returncode == 0, result.stderr
+        assert "'encoding' argument not specified" not in result.stderr, result.stderr
 
     def test_module_entry_point_runs_cli(self, numpy_only_chain):
         # every stage ran through runpy.run_module("ratekit.cli", run_name="__main__"),
@@ -113,6 +130,7 @@ class TestRuntimeDependencies:
         for path in written:
             data = path.read_bytes()
             data.decode("utf-8")  # raises unless the file is UTF-8
+            assert not data.startswith(codecs.BOM_UTF8), path
             assert data.endswith(b"\n") and b"\r" not in data, path
             if path.suffix == ".json":
                 assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode(), path
@@ -1068,6 +1086,69 @@ class TestPipeline:
         assert (tmp_path / "imp" / "report.json").read_bytes() == (
             pipeline / "imp" / "report.json"
         ).read_bytes()
+
+    def test_byte_order_mark_in_the_dataset_keeps_the_report_bytes(self, pipeline, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; it used to become
+        # part of the first feature's name ('\ufefff1')
+        data = tmp_path / "bom.csv"
+        data.write_bytes(codecs.BOM_UTF8 + (pipeline / "sim" / "test.csv").read_bytes())
+        shutil.copyfile(pipeline / "sim" / "test.mask.json", tmp_path / "bom.mask.json")
+        assert run("importance", "--data", str(data), "--model",
+                   str(pipeline / "model" / "model.json"), "--out", str(tmp_path / "imp")) == 0
+        for name in ("report.json", "report.csv", "effect_sizes.csv"):
+            assert (tmp_path / "imp" / name).read_bytes() == (
+                pipeline / "imp" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("marked", ["groups", "config"])
+    def test_byte_order_mark_in_a_group_or_config_file_is_skipped(
+        self, pipeline, tmp_path, marked
+    ):
+        # a group file's header row and a config file used to be refused
+        reports = []
+        for bom in (b"", codecs.BOM_UTF8):
+            out = tmp_path / f"bom{len(bom)}"
+            out.mkdir()
+            files = {"groups": b"group_name,feature_name\ng1,f1\ng1,f2\ng2,f3\n",
+                     "config": b'{"class_index": 0}'}
+            for name, content in files.items():
+                (out / name).write_bytes(bom + content if name == marked else content)
+            assert run("group-importance", "--data", str(pipeline / "sim" / "test.csv"),
+                       "--model", str(pipeline / "model" / "model.json"),
+                       "--groups", str(out / "groups"), "--config", str(out / "config"),
+                       "--out", str(out)) == 0
+            reports.append((out / "group_report.json").read_bytes())
+        assert reports[1] == reports[0]
+
+    def test_dataset_that_is_not_utf8_names_the_file(self, pipeline, tmp_path, capsys):
+        # it used to print only the codec's message, naming neither file
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"gr\xf6\xdfe," + (pipeline / "sim" / "test.csv").read_bytes()[3:])
+        assert run("importance", "--data", str(data), "--model",
+                   str(pipeline / "model" / "model.json"), "--out", str(tmp_path / "out")) == 3
+        assert (f"error [load-data]: {data}: 'utf-8' codec can't decode byte 0xf6 in position 2"
+                in capsys.readouterr().err)
+
+    def test_degradation_names_the_first_feature_the_report_does_not_share(
+        self, pipeline, tmp_path, capsys
+    ):
+        # it used to print only "report features do not match the dataset"
+        text = (pipeline / "imp" / "report.json").read_text()
+        data = pipeline / "sim" / "test.csv"
+        renamed, missing = json.loads(text), json.loads(text)
+        renamed["items"][2]["name"] = "zz"
+        del missing["items"][5]
+        for doc, message in (
+            (renamed, "names feature 3 'zz', dataset {data} names it 'f3'"),
+            (missing, "scores 15 features, dataset {data} has 16"),
+        ):
+            report = tmp_path / "report.json"
+            report.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("evaluate", "--report", str(report), "--degradation",
+                       "--model", str(pipeline / "model" / "model.json"), "--data", str(data),
+                       "--out", str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert f"error [degradation]: report {report} {message.format(data=data)}\n" in err
 
     def test_inputs_not_mutated(self, pipeline, tmp_path):
         data = pipeline / "sim" / "test.csv"

@@ -8,7 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from ratekit.core import checked, default_names, gram, read_json, write_csv, write_json
+from ratekit.core import (
+    checked, default_names, gram, read_json, text_file, write_csv, write_json, write_text,
+)
 
 
 class TestGram:
@@ -78,6 +80,14 @@ class TestWriters:
         write_json(path, doc)
         assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
 
+    def test_a_byte_order_mark_is_skipped_on_read_and_never_written(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_bytes(b"\xef\xbb\xbfname,\xc3\xa9\n")
+        with text_file(path) as fh:
+            assert fh.read() == "name,\u00e9\n"
+        write_text(path, "name,\u00e9\n")
+        assert path.read_bytes() == b"name,\xc3\xa9\n"
+
     def test_default_names(self):
         assert default_names(3) == ("f1", "f2", "f3")
         assert default_names(0) == ()
@@ -116,6 +126,11 @@ class TestJsonInput:
         path = tmp_path / "doc.json"
         path.write_text('{"a": [1, 2.5, null, "\u00e9"]}', encoding="utf-8")
         assert read_json(path) == {"a": [1, 2.5, None, "\u00e9"]}
+
+    def test_read_json_accepts_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'\xef\xbb\xbf{"a": 1}')
+        assert read_json(path) == {"a": 1}
 
     @pytest.mark.parametrize("data, message", [
         (b'{"a": 1,', "Expecting property name enclosed in double quotes"),

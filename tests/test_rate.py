@@ -30,6 +30,7 @@ from ratekit.rate import (
     mutual_info,
     precision_from_covariance,
     rate_scores,
+    read_report,
     report_to_csv,
     report_to_json,
 )
@@ -762,6 +763,28 @@ class TestGroupMap:
         with pytest.raises(ValueError, match="feature 'a', which appears more than once"):
             GroupMap.from_names({"g1": ["a"]}, feature_names=("a", "a", "b"))
 
+    def test_csv_reader_resolves_rows_as_from_names(self, tmp_path):
+        # blank rows and a literal header row are skipped; cells are stripped
+        path = tmp_path / "groups.csv"
+        path.write_text("group_name,feature_name\na, z\n\nb,y\na,x\n", encoding="utf-8")
+        names = ("x", "y", "z", "w")
+        assert GroupMap.from_csv(path, names) == GroupMap.from_names(
+            {"a": ["z", "x"], "b": ["y"]}, names)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,x,extra\n", "group file row must be group_name,feature_name: ['a', 'x', 'extra']"),
+        (b"group,feature\n\n", "no groups found"),
+        (b"a,zzz\n", "group 'a' names unknown feature 'zzz'"),
+        (b"a,x\na,y\na,z\n", "group 'a' has an empty complement"),
+        (b"a,\xf6\n", "'utf-8' codec can't decode byte 0xf6"),
+    ])
+    def test_csv_refusal_names_the_file_first(self, tmp_path, content, message):
+        path = tmp_path / "groups.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            GroupMap.from_csv(path, ("x", "y", "z"))
+        assert str(info.value).startswith(f"{path}: {message}"), info.value
+
 
 class TestMutualInfo:
     def test_diagonal_covariance_gives_zero(self):
@@ -820,3 +843,31 @@ class TestReportExports:
             assert row[0] == item.name
             assert float(row[1]) == item.kld
             assert float(row[2]) == item.rate
+
+    def test_reader_gives_the_names_and_rates_written(self, tmp_path):
+        report = rate_scores(random_model(6, seed=26))
+        report_to_json(report, tmp_path / "report.json")
+        names, rates = read_report(tmp_path / "report.json")
+        assert names == [it.name for it in report.items]
+        assert rates.dtype == np.float64 and rates.tobytes() == report.rates().tobytes()
+
+    def test_reader_needs_only_names_and_rates(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"items": [{"name": "a", "rate": 1}, {"name": "b", "rate": 0.5}]}')
+        names, rates = read_report(path)
+        assert names == ["a", "b"] and rates.tolist() == [1.0, 0.5]
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"items": {}}', "items must be a list, got an object"),
+        ('{"items": [{"name": "a"}]}', "report item 0 has no 'rate' key"),
+        ('{"items": [{"name": 1, "rate": 0.5}]}', "items[0].name must be a string, got an integer"),
+        ('{"items": [{"name": "a", "rate": NaN}]}',
+         "report item 0 has a 'rate' that is not a finite number: NaN"),
+        ("[]", "the document must be an object, got a list"),
+    ])
+    def test_reader_refusal_names_the_file_first(self, tmp_path, content, message):
+        path = tmp_path / "report.json"
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            read_report(path)
+        assert str(info.value).startswith(f"{path}: {message}"), info.value

@@ -288,6 +288,26 @@ class TestCsvParity:
         with pytest.raises(ValueError, match="data\\.csv: data row 1 has 3 cells, expected 4$"):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize("content, message", [
+        # the header case used to print only the codec's message, naming no file
+        (b"a\xf6,y\n1.5,0\n", "'utf-8' codec can't decode byte 0xf6 in position 1"),
+        # past the text the header is read from, so numpy's reader meets it
+        (b"a,y\n" + b"1.5,0\n" * 4000 + b"2\xf6,1\n", "'utf-8' codec can't decode byte 0xf6"),
+    ], ids=["header", "data-row"])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_dataset_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}"), info.value
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,y\n1.5,2.5,1\n")
+        ds = load_dataset_csv(path)
+        assert ds.feature_names == ("a", "b")
+        assert ds.X.tolist() == [[1.5, 2.5]] and ds.y.tolist() == [1]
+
     def test_the_file_is_parsed_once(self, tmp_path, monkeypatch):
         # the labels used to be read in a second loadtxt pass over every cell
         path = tmp_path / "data.csv"
