@@ -18,24 +18,21 @@ def main(seed: int = 0) -> None:
 
     # hold out an evaluation split; scores are computed there, not on the
     # training rows
-    order = np.random.default_rng(seed).permutation(ds.n)
-    test_idx, train_idx = order[:400], order[400:]
+    train, test = simgen.train_test_split(ds, 0.4, seed)
 
     print("\n=== training ===")
     net = bnn.build_network(
         bnn.NetworkConfig(input_dim=ds.p, hidden_sizes=(512, 512)), seed=seed
     )
-    trained, history = bnn.train(
-        net, (ds.X[train_idx], ds.y[train_idx]), bnn.TrainConfig(seed=seed)
-    )
+    trained, history = bnn.train(net, train, bnn.TrainConfig(seed=seed))
     print(f"epochs run: {len(history['train_loss'])}, best epoch: {history['best_epoch']}")
-    probs = bnn.predict_proba(trained, ds.X[test_idx])
-    acc = np.mean((probs[:, 0] > 0.5).astype(int) == ds.y[test_idx])
+    probs = bnn.predict_proba(trained, test.X)
+    acc = np.mean((probs[:, 0] > 0.5).astype(int) == test.y)
     print(f"held-out accuracy: {acc:.3f}")
 
     print("\n=== importance ===")
-    lp = bnn.logit_posterior(trained, ds.X[test_idx])
-    effect = esa.covariance_esa(ds.X[test_idx], lp, feature_names=ds.feature_names)
+    lp = bnn.logit_posterior(trained, test.X)
+    effect = esa.covariance_esa(test.X, lp, feature_names=test.feature_names)
     pm = rate.build_precision(effect)
     report = rate.rate_scores(pm, path="fast")
     print(f"{'feature':>8} {'rate':>9} {'kld':>12} {'mi':>8} sign significant")
@@ -53,7 +50,7 @@ def main(seed: int = 0) -> None:
 
     print("\n=== recovery ===")
     curve = evaluate.roc_auc(report.rates(), ds.causal_mask)
-    corr = np.abs(evaluate.marginal_correlation(ds.X[test_idx], ds.y[test_idx].astype(float)))
+    corr = np.abs(evaluate.marginal_correlation(test.X, test.y.astype(float)))
     corr_curve = evaluate.roc_auc(corr, ds.causal_mask)
     print(f"RATE AUC: {curve.auc:.3f}   marginal-correlation AUC: {corr_curve.auc:.3f}")
 

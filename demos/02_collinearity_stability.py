@@ -4,26 +4,19 @@ for collinear inputs.
 With y = 2 x1 - 2 x2 + noise and corr(x1, x2) = 0.999, the total linear
 effect nearly cancels. Least squares tries to resolve the individual
 coefficients and becomes wildly unstable; the covariance projection
-estimates the (near-zero) net effect with a tiny spread.
+estimates the (near-zero) net effect with a tiny spread. The study is
+``ratekit demo-collinearity``'s, with its default replicates and rows.
 """
 
-import numpy as np
-
-from ratekit.esa import covariance_effect_sizes, ols_effect_size
-from ratekit.simgen import collinear_regression
+from ratekit import evaluate
 
 
-def summarize(rho: float, replicates: int = 100, n: int = 5000) -> None:
-    cov_est, ols_est = [], []
-    for rep in range(replicates):
-        ds = collinear_regression(n, rho, seed=rep)
-        cov_est.append(covariance_effect_sizes(ds.X, ds.y))
-        ols_est.append(ols_effect_size(ds.X, ds.y))
-    cov_est = np.asarray(cov_est)
-    ols_est = np.asarray(ols_est)
-    print(f"\nrho = {rho} ({replicates} replicates, n = {n})")
+def summarize(rho: float) -> None:
+    study = evaluate.CollinearityStudy(rho=rho)
+    estimates = evaluate.collinearity_study(study)
+    print(f"\nrho = {rho} ({study.reps} replicates, n = {study.n})")
     print(f"{'estimator':>12} {'mean(b1)':>10} {'std(b1)':>9} {'mean(b2)':>10} {'std(b2)':>9}")
-    for label, block in (("covariance", cov_est), ("ols", ols_est)):
+    for label, block in (("covariance", estimates[:, :2]), ("ols", estimates[:, 2:])):
         print(
             f"{label:>12} {block[:, 0].mean():10.4f} {block[:, 0].std(ddof=1):9.4f}"
             f" {block[:, 1].mean():10.4f} {block[:, 1].std(ddof=1):9.4f}"

@@ -17,20 +17,18 @@ from ratekit.core import write_text
 
 def main(seed: int = 0) -> None:
     ds = simgen.synth_classification(simgen.SynthSpec(n=1000, p=50, seed=seed))
-    order = np.random.default_rng(seed).permutation(ds.n)
-    test_idx, train_idx = order[:300], order[300:]
-    test = simgen.Dataset(X=ds.X[test_idx], y=ds.y[test_idx])
+    train, test = simgen.train_test_split(ds, 0.3, seed)
 
     net = bnn.build_network(
         bnn.NetworkConfig(input_dim=ds.p, hidden_sizes=(128, 128)), seed=seed
     )
-    trained, _ = bnn.train(net, (ds.X[train_idx], ds.y[train_idx]), bnn.TrainConfig(seed=seed))
+    trained, _ = bnn.train(net, train, bnn.TrainConfig(seed=seed))
 
     lp = bnn.logit_posterior(trained, test.X)
     pm = rate.build_precision(esa.covariance_esa(test.X, lp))
     report = rate.rate_scores(pm)
-    ranking = np.argsort(-report.rates(), kind="stable")
-    random_ranking = np.random.default_rng(seed + 1).permutation(ds.p)
+    ranking = evaluate.rank_features("rate", report.rates())
+    random_ranking = evaluate.rank_features("random", report.rates(), seed + 1)
 
     fractions = np.round(np.arange(0.0, 0.51, 0.05), 2)
     by_rate = evaluate.shuffle_degradation(

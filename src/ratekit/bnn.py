@@ -92,6 +92,8 @@ class NetworkConfig:
             raise ValueError(f"{self.link} link requires n_classes == 1")
         if not self.prior_scale > 0:
             raise ValueError("prior_scale must be positive")
+        if not math.isfinite(self.prior_scale):
+            raise ValueError(f"prior_scale must be finite, got {self.prior_scale}")
 
     @property
     def penultimate_dim(self) -> int:
@@ -537,8 +539,8 @@ def train(net: Network, dataset, config: TrainConfig):
     # The initial arrays are not needed past this point. Dropping this frame's
     # reference frees them before the moments are allocated when the caller
     # passed a temporary, ``train(build_network(...), ...)``, so training then
-    # holds three parameter-sized buffers instead of four. (From CPython 3.11
-    # a call keeps no caller-side reference to its arguments.)
+    # holds three parameter-sized buffers instead of four: a call keeps no
+    # caller-side reference to its arguments.
     del net
     moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
     scratch = np.empty(min(_ADAM_BLOCK, flat.size))
@@ -678,7 +680,7 @@ def _write_network(net: Network, write) -> None:
     escapes no base64 character, so this is the text of the whole document,
     and no string of it, or of a whole array, is built."""
     doc, arrays = _network_document(net)
-    parts = re.split(r'(?<="data": ")(\d+)(?=")', json.dumps(doc, sort_keys=True))
+    parts = re.split(r'(?<="data": ")(\d+)(?=")', json.dumps(doc, sort_keys=True, allow_nan=False))
     for text, index in zip(parts[::2], [*parts[1::2], None]):
         write(text.encode("ascii"))
         if index is not None:

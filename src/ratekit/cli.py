@@ -9,9 +9,9 @@ failed.
 Each subcommand's settings are listed in ``SETTINGS``; the flags, their types
 and the accepted config-file keys all come from that table, and ``ratekit
 <subcommand> --help`` lists them. A setting the library takes (``SynthSpec``,
-``NetworkConfig``, ``TrainConfig``, the degradation curve) has the default
-declared there, and the subcommand builds that type from the settings in its
-``config`` stage, before anything is written.
+``NetworkConfig``, ``TrainConfig``, ``CollinearityStudy``, the degradation
+curve) has the default declared there, and the subcommand builds that type
+from the settings in its ``config`` stage, before anything is written.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ SETTINGS: dict[str, dict] = {
         "ranking": "rate", "fractions": ",".join(f"{v:g}" for v in evaluate.DEGRADATION_FRACTIONS),
         "repeats": evaluate.DEGRADATION_REPEATS, "seed": 0,
     },
-    "demo-collinearity": {"rho": 0.999, "n": 5000, "reps": 100, "seed": 0},
+    "demo-collinearity": _library_defaults(evaluate.CollinearityStudy),
 }
 
-_CHOICES = {"link": bnn.LINKS, "ranking": ("rate", "random")}
+_CHOICES = {"link": bnn.LINKS, "ranking": evaluate.RANKINGS}
 
 _FLAG_HELP = {
     ("train", "hidden"): "comma-separated hidden widths",
@@ -214,32 +214,23 @@ def _parse_fractions(cfg: dict) -> tuple[float, ...]:
 # Subcommands
 
 
-def _simulate_settings(cfg: dict) -> tuple[simgen.SynthSpec, int]:
-    """The dataset spec and the number of test rows the settings ask for."""
+def _simulate_settings(cfg: dict) -> simgen.SynthSpec:
+    """The dataset spec the settings ask for, their test fraction checked."""
     spec = _from_settings(simgen.SynthSpec, cfg, n=cfg["n"], p=cfg["p"])
-    test_fraction = cfg["test_fraction"]
-    n_test = int(round(test_fraction * spec.n)) if 0 < test_fraction < 1 else 0
-    if test_fraction != 0 and not 0 < n_test < spec.n:
-        raise ValueError(
-            f"test_fraction {test_fraction} must be 0 (no split) or leave both the "
-            f"train and test parts of n = {spec.n} rows non-empty"
-        )
-    return spec, n_test
+    simgen.held_out_rows(spec.n, cfg["test_fraction"])
+    return spec
 
 
 def _cmd_simulate(args) -> int:
     with _stage("config"):
-        out, _, (spec, n_test) = _configure(args, check=_simulate_settings)
+        out, cfg, spec = _configure(args, check=_simulate_settings)
     with _stage("simulate"):
         ds = simgen.synth_classification(spec)
     with _stage("write-output"):
-        if n_test:
-            split_rng = np.random.default_rng(spec.seed)
-            order = split_rng.permutation(ds.n)
-            test_idx, train_idx = order[:n_test], order[n_test:]
-            for name, idx in (("train", train_idx), ("test", test_idx)):
-                part = dataclasses.replace(ds, X=ds.X[idx], y=ds.y[idx])
-                simgen.save_dataset_csv(part, out / f"{name}.csv")
+        if cfg["test_fraction"]:
+            train, test = simgen.train_test_split(ds, cfg["test_fraction"], spec.seed)
+            simgen.save_dataset_csv(train, out / "train.csv")
+            simgen.save_dataset_csv(test, out / "test.csv")
         else:
             simgen.save_dataset_csv(ds, out / "dataset.csv")
     return 0
@@ -348,18 +339,9 @@ def _cmd_evaluate(args) -> int:
                 if name != data_name:
                     raise ValueError(f"report {cfg['report']} names feature {j} {name!r}, "
                                      f"dataset {cfg['data']} names it {data_name!r}")
-            if cfg["ranking"] == "rate":
-                ranking = np.argsort(-scores, kind="stable")
-            else:
-                ranking = np.random.default_rng(cfg["seed"]).permutation(len(scores))
-            curve = evaluate.shuffle_degradation(
-                net,
-                ds,
-                ranking,
-                fractions=fractions,
-                repeats=cfg["repeats"],
-                seed=cfg["seed"],
-            )
+            ranking = evaluate.rank_features(cfg["ranking"], scores, cfg["seed"])
+            curve = evaluate.shuffle_degradation(net, ds, ranking, fractions=fractions,
+                                                 repeats=cfg["repeats"], seed=cfg["seed"])
             evaluate.degradation_curve_to_csv(curve, out / "degradation.csv")
             write_text(out / "degradation.svg", svg.curves(
                 [(f"ranking={cfg['ranking']}", curve.fractions, curve.mean_accuracy)],
@@ -369,40 +351,22 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _check_collinearity(cfg: dict) -> None:
-    """Refuse the settings that ``simgen.collinear_regression`` or the
-    estimators would refuse in the first replicate."""
-    if cfg["reps"] < 2:
-        raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {cfg['reps']}")
-    if cfg["n"] < 3:
-        raise ValueError(f"n must be >= 3 for least squares to fit 3 coefficients, got {cfg['n']}")
-    if not abs(cfg["rho"]) < 1:
-        raise ValueError(f"|rho| must be < 1, got {cfg['rho']}")
-
-
 def _cmd_demo_collinearity(args) -> int:
     with _stage("config"):
-        out, cfg, _ = _configure(args, check=_check_collinearity)
+        out, _, study = _configure(
+            args, check=lambda cfg: _from_settings(evaluate.CollinearityStudy, cfg)
+        )
     with _stage("replicates"):
-        rho, n, reps = cfg["rho"], cfg["n"], cfg["reps"]
-        seeds = np.random.SeedSequence(cfg["seed"]).generate_state(reps)
-        rows = []
-        for r in range(reps):
-            ds = simgen.collinear_regression(n, rho, seed=int(seeds[r]))
-            cov_est = esa.covariance_effect_sizes(ds.X, ds.y).tolist()
-            rows.append([r, *cov_est, *esa.ols_effect_size(ds.X, ds.y).tolist()])
+        estimates = evaluate.collinearity_study(study)
     with _stage("write-output"):
         header = ["replicate", "covariance_f1", "covariance_f2", "ols_f1", "ols_f2"]
-        write_csv(out / "estimates.csv", header, rows)
+        write_csv(out / "estimates.csv", header,
+                  ([r, *row] for r, row in enumerate(estimates.tolist())))
         # one summary row per estimate column, named by its estimator and coefficient
-        write_csv(
-            out / "collinearity_summary.csv",
-            ["estimator", "coefficient", "mean", "std"],
-            (
-                [*name.split("_"), float(column.mean()), float(column.std(ddof=1))]
-                for name, column in zip(header[1:], np.array(rows)[:, 1:].T)
-            ),
-        )
+        summary = ([*name.split("_"), float(column.mean()), float(column.std(ddof=1))]
+                   for name, column in zip(header[1:], estimates.T))
+        write_csv(out / "collinearity_summary.csv", ["estimator", "coefficient", "mean", "std"],
+                  summary)
     return 0
 
 
@@ -469,7 +433,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit code instead of exiting.
     Each distinct warning it raises is one ``ratekit: warning:`` line, on every
-    run; the caller's warning filters and handler are restored afterwards."""
+    run, unless the caller's warning filters (which come first: ``-W error``
+    makes it an exception) say otherwise; they and the caller's handler are
+    restored afterwards."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -477,7 +443,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     with warnings.catch_warnings():
-        warnings.simplefilter("default")
+        warnings.simplefilter("default", append=True)
         warnings.showwarning = _print_warning
         try:
             return args.func(args)

@@ -1,5 +1,6 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
-code and its one relative rank bound, the one rule for feature names, the text
+code and its one relative rank bound, the one rule for feature names and the
+one for a permutation of feature indices (``permutation``), the text
 policy of every file ratekit reads or writes (``text_file``), the writers every
 CSV, JSON and SVG output goes through, so reruns write the same bytes, and the
 reader, type check and refusal rule (``in_file``) of every input. ``bnn``,
@@ -21,6 +22,7 @@ __all__ = [
     "default_names",
     "gram",
     "in_file",
+    "permutation",
     "read_json",
     "text_file",
     "write_csv",
@@ -79,6 +81,18 @@ def gram(g) -> np.ndarray:
     return prod
 
 
+def permutation(values, p: int, name: str) -> np.ndarray:
+    """``values`` (a list, a tuple or an array) as an int array, once it is checked to
+    be a permutation of range(p) whose entries are integers (Python or numpy, not
+    bools or floats); else a ``ValueError`` naming ``name``."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not (isinstance(values, (list, tuple))
+            and all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in values)
+            and sorted(values) == list(range(p))):
+        raise ValueError(f"{name} must be a permutation of the {p} indices 0, ..., {p - 1}")
+    return np.array(values, dtype=int)
+
+
 def default_names(p: int, names=None) -> tuple[str, ...]:
     """The names of p features: ``names`` as a tuple, or f1, f2, ..., fp
     when it is empty or None. Names of another length raise ``ValueError``."""
@@ -118,9 +132,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, doc) -> None:
-    """Stream ``json.dumps(doc, sort_keys=True)`` and a newline into ``path``."""
+    """Stream ``json.dumps(doc, sort_keys=True)`` and a newline into ``path``; a NaN
+    or infinite float, which standard JSON cannot hold, raises ``ValueError``."""
     with text_file(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,5 +1,6 @@
 """Scoring harness: ROC/AUC for importance rankings, shuffle-degradation
-curves, and the marginal correlation / t-test baselines.
+curves and the feature rankings they compare, the collinearity study of the
+effect-size estimators, and the marginal correlation / t-test baselines.
 
 The Student-t tail probability is evaluated in-repo through the regularized
 incomplete beta function (continued fraction), checked against a quadrature
@@ -14,16 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit import bnn
+from ratekit import bnn, esa, simgen
 from ratekit.bnn import Network, _check_labelled
-from ratekit.core import write_csv
+from ratekit.core import permutation, write_csv
 
 __all__ = [
     "RocCurve",
     "DegradationCurve",
+    "CollinearityStudy",
+    "RANKINGS",
     "roc_auc",
+    "rank_features",
     "shuffle_degradation",
     "check_degradation_settings",
+    "collinearity_study",
     "marginal_correlation",
     "ttest_stats",
     "student_t_sf_two_sided",
@@ -42,6 +47,9 @@ FALLBACK_ROWS = 64
 #: 0, 0.05, ..., 0.5 of the features shuffled, ``DEGRADATION_REPEATS`` times each.
 DEGRADATION_FRACTIONS = tuple(np.round(np.arange(0.0, 0.5001, 0.05), 10).tolist())
 DEGRADATION_REPEATS = 10
+
+#: The feature orders ``rank_features`` makes for a degradation curve.
+RANKINGS = ("rate", "random")
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,18 @@ def roc_auc(scores, mask) -> RocCurve:
     thresholds = np.r_[np.inf, sorted_scores[distinct]]
     auc = float(np.trapezoid(tpr, fpr))
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc)
+
+
+def rank_features(ranking: str, scores, seed: int = 0) -> np.ndarray:
+    """The feature indices in the order ``shuffle_degradation`` shuffles them:
+    by decreasing score, ties in feature order, for ``"rate"``; that of
+    ``default_rng(seed).permutation(p)``, whatever the scores, for ``"random"``."""
+    if ranking == "rate":
+        return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    if ranking == "random":
+        return np.random.default_rng(seed).permutation(len(scores))
+    choices = ", ".join(map(repr, RANKINGS))
+    raise ValueError(f"ranking must be one of {choices}, got {ranking!r}")
 
 
 def check_degradation_settings(fractions, repeats: int) -> np.ndarray:
@@ -282,9 +302,7 @@ def shuffle_degradation(
     n, p = x.shape
     if n == 0:
         raise ValueError("test set is empty")
-    ranking = np.asarray(ranking, dtype=int)
-    if sorted(ranking.tolist()) != list(range(p)):
-        raise ValueError("ranking must be a permutation of the feature indices")
+    ranking = permutation(ranking, p, "ranking")
     fractions = check_degradation_settings(fractions, repeats)
 
     classifier = _Float32Classifier(net, x, y)
@@ -324,6 +342,41 @@ def shuffle_degradation(
         std_accuracy=std,
         repeats=repeats,
     )
+
+
+@dataclass(frozen=True)
+class CollinearityStudy:
+    """The settings of ``collinearity_study``: ``reps`` replicates of
+    ``simgen.collinear_regression(n, rho)``, seeded from ``seed``. Settings that
+    a replicate would refuse, or that give no standard deviation, raise ``ValueError``."""
+
+    rho: float = 0.999
+    n: int = 5000
+    reps: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.reps < 2:
+            raise ValueError(f"reps must be >= 2 to estimate a standard deviation, got {self.reps}")
+        if self.n < 3:
+            raise ValueError(
+                f"n must be >= 3 for least squares to fit 3 coefficients, got {self.n}"
+            )
+        if not abs(self.rho) < 1:
+            raise ValueError(f"|rho| must be < 1, got {self.rho}")
+
+
+def collinearity_study(study: CollinearityStudy) -> np.ndarray:
+    """The (reps, 4) effect sizes of the study's replicates: the covariance
+    estimates of the two features, then the least-squares ones. Replicate r
+    draws its data with seed r of ``SeedSequence(seed).generate_state(reps)``."""
+    seeds = np.random.SeedSequence(study.seed).generate_state(study.reps)
+    estimates = np.empty((study.reps, 4))
+    for r, seed in enumerate(seeds.tolist()):
+        ds = simgen.collinear_regression(study.n, study.rho, seed=seed)
+        estimates[r, :2] = esa.covariance_effect_sizes(ds.X, ds.y)
+        estimates[r, 2:] = esa.ols_effect_size(ds.X, ds.y)
+    return estimates
 
 
 def marginal_correlation(x, y) -> np.ndarray:

@@ -112,10 +112,10 @@ class PrecisionModel:
     Omega = U diag(lambda) U^T (see the module docstring).
 
     Row j of ``basis`` (U, p x r with orthonormal columns) belongs to
-    variable j, and ``eigvals`` holds the r eigenvalues lambda > 0. At r = p,
-    Lambda = Omega^{-1} = U diag(1/lambda) U^T. At r < p Lambda does not
-    exist: scores come from the tau -> 0 limit and the mutual information
-    and the naive route are undefined.
+    variable j, and ``eigvals`` holds the r eigenvalues lambda > 0; all three
+    arrays are finite. At r = p, Lambda = Omega^{-1} = U diag(1/lambda) U^T. At
+    r < p Lambda does not exist: scores come from the tau -> 0 limit and the
+    mutual information and the naive route are undefined.
     """
 
     mu: np.ndarray  # (p,)
@@ -131,6 +131,10 @@ class PrecisionModel:
             )
         if np.any(self.eigvals <= 0):
             raise ValueError("eigvals must be positive")
+        # a min and a max over U find a non-finite entry without a p x r temporary
+        for name, values in (("mu", self.mu), ("eigvals", self.eigvals), ("basis", self.basis)):
+            if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+                raise ValueError(f"{name} must be finite")
         self.feature_names = default_names(self.p, self.feature_names)
 
     @property

@@ -4,7 +4,7 @@ Two generators: a binary classification benchmark where a chosen fraction of
 features carries the class signal (Gaussian clusters on hypercube vertices,
 optional redundant linear combinations, the rest pure noise), and a tiny
 two-feature regression pair with tunable collinearity for stress-testing
-effect-size estimators.
+effect-size estimators; ``train_test_split`` holds out the evaluation rows.
 """
 
 from __future__ import annotations
@@ -14,18 +14,21 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ratekit.core import ENCODING, checked, default_names, in_file, read_json, text_file, write_json
+from ratekit.core import ENCODING, checked, default_names, in_file, permutation, read_json
+from ratekit.core import text_file, write_json
 
 __all__ = [
     "SynthSpec",
     "Dataset",
     "synth_classification",
     "collinear_regression",
+    "held_out_rows",
+    "train_test_split",
     "save_dataset_csv",
     "load_dataset_csv",
     "read_sidecar",
@@ -106,8 +109,8 @@ class Dataset:
         object.__setattr__(self, "feature_names",
                            default_names(self.X.shape[1], self.feature_names))
         if self.column_permutation is not None:
-            perm = np.asarray(self.column_permutation)
-            object.__setattr__(self, "column_permutation", _permutation(perm, self.X.shape[1]))
+            object.__setattr__(self, "column_permutation", permutation(
+                self.column_permutation, self.X.shape[1], "column_permutation"))
         if self.seed is not None:
             # a numpy integer is stored as the int the sidecar records
             if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
@@ -202,15 +205,27 @@ def collinear_regression(n: int, rho: float, seed: int = 0) -> Dataset:
     )
 
 
-def _permutation(perm, p: int) -> np.ndarray:
-    """``perm`` (a JSON list or an array) as an int array, once it is
-    checked to be a permutation of range(p)."""
-    values = perm.tolist() if isinstance(perm, np.ndarray) else perm
-    if not (isinstance(values, list) and all(type(j) is int for j in values)
-            and sorted(values) == list(range(p))):
-        raise ValueError(f"column_permutation must be a permutation "
-                         f"of the {p} column indices 0, ..., {p - 1}")
-    return np.array(values, dtype=int)
+def held_out_rows(n: int, test_fraction: float) -> int:
+    """The number of n rows a ``test_fraction`` split holds out, round(test_fraction * n),
+    or 0 for a fraction of 0: no split. One leaving a part empty raises ``ValueError``."""
+    n_test = int(round(test_fraction * n)) if 0 < test_fraction < 1 else 0
+    if test_fraction != 0 and not 0 < n_test < n:
+        raise ValueError(
+            f"test_fraction {test_fraction} must be 0 (no split) or leave both the "
+            f"train and test parts of n = {n} rows non-empty"
+        )
+    return n_test
+
+
+def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """The train and held-out test parts of ``ds``, the first ``held_out_rows(ds.n,
+    test_fraction)`` rows of ``default_rng(seed).permutation(ds.n)`` held out, each part
+    in that order and keeping the mask, names, column permutation and seed of ``ds``."""
+    n_test = held_out_rows(ds.n, test_fraction)
+    if n_test == 0:
+        raise ValueError(f"test_fraction {test_fraction} holds out no rows")
+    order = np.random.default_rng(seed).permutation(ds.n)
+    return tuple(replace(ds, X=ds.X[idx], y=ds.y[idx]) for idx in (order[n_test:], order[:n_test]))
 
 
 def _sidecar_path(csv_path) -> Path:
@@ -264,7 +279,7 @@ def read_sidecar(path, p: int) -> dict:
                                      f"got {json.dumps(entry)}")
             mask = np.array(mask, dtype=bool)
         if perm is not None:
-            perm = _permutation(perm, p)
+            perm = permutation(perm, p, "column_permutation")
         seed = checked(meta.get("seed"), "seed", None, int)
         if "integer_labels" in meta:
             checked(meta["integer_labels"], "integer_labels", bool)

@@ -28,19 +28,17 @@ def _record(number: int, description: str) -> None:
 # shared simulation study (criterion 6, reused by 3 and 8)
 
 STUDY_SEEDS = range(10)
-STUDY_N, STUDY_P, STUDY_N_TEST = 1000, 100, 400
+STUDY_N, STUDY_P, STUDY_TEST_FRACTION = 1000, 100, 0.4
 STUDY_HIDDEN = (512, 512)
 
 
 def _run_study_seed(seed: int):
     ds = simgen.synth_classification(simgen.SynthSpec(n=STUDY_N, p=STUDY_P, seed=seed))
-    order = np.random.default_rng(seed).permutation(ds.n)
-    test_idx, train_idx = order[:STUDY_N_TEST], order[STUDY_N_TEST:]
+    train_part, test = simgen.train_test_split(ds, STUDY_TEST_FRACTION, seed)
     net = build_network(
         NetworkConfig(input_dim=STUDY_P, hidden_sizes=STUDY_HIDDEN), seed=seed
     )
-    trained, _ = train(net, (ds.X[train_idx], ds.y[train_idx]), TrainConfig(seed=seed))
-    test = simgen.Dataset(X=ds.X[test_idx], y=ds.y[test_idx])
+    trained, _ = train(net, train_part, TrainConfig(seed=seed))
     lp = bnn.logit_posterior(trained, test.X)
     pm = rate.build_precision(esa.covariance_esa(test.X, lp))
     report = rate.rate_scores(pm, path="fast")
@@ -230,8 +228,8 @@ def test_criterion_7_collinearity_demo(tmp_path):
 
 def test_criterion_8_shuffle_degradation_gap(study):
     entry = study[0]
-    rate_ranking = np.argsort(-entry["report"].rates(), kind="stable")
-    random_ranking = np.random.default_rng(123).permutation(STUDY_P)
+    rate_ranking = evaluate.rank_features("rate", entry["report"].rates())
+    random_ranking = evaluate.rank_features("random", entry["report"].rates(), seed=123)
     by_rate = evaluate.shuffle_degradation(
         entry["net"], entry["test"], rate_ranking, fractions=[0.1], repeats=10, seed=8
     )

@@ -7,7 +7,6 @@ is checked against central differences of the loss at fixed sampling noise.
 import base64
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -66,6 +65,16 @@ class TestBuildNetwork:
     def test_zero_width_layer_rejected(self):
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=2, hidden_sizes=(0,))
+
+    @pytest.mark.parametrize("scale, message", [
+        (0.0, "prior_scale must be positive"),
+        (-1.0, "prior_scale must be positive"),
+        (math.nan, "prior_scale must be positive"),
+        (math.inf, "prior_scale must be finite, got inf"),
+    ])
+    def test_prior_scale_must_be_positive_and_finite(self, scale, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(input_dim=2, hidden_sizes=(3,), prior_scale=scale)
 
     def test_link_class_consistency(self):
         with pytest.raises(ValueError):
@@ -386,11 +395,6 @@ class TestTrain:
         assert acc > 0.95
         assert all(np.isfinite(loss) for loss in history["train_loss"])
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="CPython 3.10 keeps the caller's reference to a call argument until the call "
-        "returns, so the initial network passed as a temporary stays alive through training",
-    )
     def test_traced_peak_is_three_parameter_buffers(self):
         # Parameters and two Adam moments, at paper scale: the initial network,
         # passed as a temporary, is freed once copied, and the gradient comes

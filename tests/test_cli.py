@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratekit import bnn, evaluate, simgen
+from ratekit import bnn, cli, evaluate, simgen
 from ratekit.cli import SETTINGS, _configure, build_parser, dispatch
 
 
@@ -327,6 +327,9 @@ class TestSettings:
         (("train", "--data", "d.csv", "--prior-scale", "0"), "prior_scale must be positive"),
         (("train", "--data", "d.csv", "--epochs", "0"), "epochs must be >= 1"),
         (("train", "--data", "d.csv", "--val-fraction", "1"), "val_fraction must be in [0, 1)"),
+        # inf used to be echoed as the non-standard JSON Infinity, then exit 4 at [train]
+        (("train", "--data", "d.csv", "--prior-scale", "inf"),
+         "prior_scale must be finite, got inf"),
     ])
     def test_library_type_refusal_is_config_error_naming_the_flag(self, tmp_path, capsys, argv,
                                                                   message):
@@ -636,6 +639,38 @@ class TestPipeline:
         members = {item["name"]: len(item["members"]) for item in doc["items"]}
         assert members == {"g1": 10, "g2": 2} and members["g1"] > 8 >= rank
         assert all(math.isfinite(item["kld"]) and item["kld"] > 0 for item in doc["items"])
+
+    def test_caller_error_filter_makes_the_warning_fatal(self, pipeline, tmp_path):
+        # under -W error the rank-deficiency warning stops the run before the
+        # report is written; it used to print as a warning line and exit 0
+        model = tmp_path / "narrow"
+        assert run(
+            "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
+            "--epochs", "1", "--seed", "11", "--out", str(model),
+        ) == 0
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ratekit.cli", "importance",
+             "--data", str(pipeline / "sim" / "test.csv"), "--model", str(model / "model.json"),
+             "--out", str(tmp_path / "imp")],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True,
+        )
+        assert result.returncode != 0
+        assert "UserWarning: the effect-size covariance has rank" in result.stderr
+        assert not (tmp_path / "imp" / "report.json").exists()
+
+    def test_model_with_a_nan_parameter_is_refused_at_precision(self, pipeline, tmp_path, capsys):
+        # a NaN output bias used to be scored as "kld": NaN and a sign of -2**63
+        net = bnn.load_network_json(pipeline / "model" / "model.json")
+        net.b[:] = np.nan
+        bnn.save_network_json(net, tmp_path / "model.json")
+        capsys.readouterr()
+        assert run(
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "imp"),
+        ) == 3
+        assert capsys.readouterr().err == "ratekit: error [precision]: mu must be finite\n"
+        assert not (tmp_path / "imp" / "report.json").exists()
 
     def test_full_rank_covariance_does_not_warn(self, pipeline, tmp_path, capsys):
         # hidden 32,16 at p = 16: k = p and Omega has full rank; neither
@@ -1238,6 +1273,22 @@ class TestLibraryDefaults:
         defaults = inspect.signature(evaluate.shuffle_degradation).parameters
         assert defaults["fractions"].default is evaluate.DEGRADATION_FRACTIONS
         assert defaults["repeats"].default is evaluate.DEGRADATION_REPEATS
+
+    def test_ranking_choices_are_the_library_rankings(self):
+        assert cli._CHOICES["ranking"] is evaluate.RANKINGS
+
+    def test_bare_demo_collinearity_runs_the_default_study(self, tmp_path, monkeypatch):
+        seen = []
+        real_study = evaluate.collinearity_study
+
+        def spy(study):
+            seen.append(study)
+            return real_study(study)
+
+        monkeypatch.setattr(evaluate, "collinearity_study", spy)
+        assert run("demo-collinearity", "--out", str(tmp_path)) == 0
+        assert_same_json(echoed_settings(tmp_path), library_settings(evaluate.CollinearityStudy()))
+        assert seen == [evaluate.CollinearityStudy()]
 
     def test_default_fractions_are_the_rounded_range(self):
         # perfbench's paper check reads the curve at these exact keys

@@ -3,13 +3,15 @@ kernel, the CSV and JSON writers, and the JSON reader and type check."""
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from ratekit.core import (
-    checked, default_names, gram, read_json, text_file, write_csv, write_json, write_text,
+    checked, default_names, gram, permutation, read_json, text_file, write_csv, write_json,
+    write_text,
 )
 
 
@@ -80,6 +82,11 @@ class TestWriters:
         write_json(path, doc)
         assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode("ascii")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_a_value_standard_json_cannot_hold(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_json(tmp_path / "doc.json", {"kld": bad})
+
     def test_a_byte_order_mark_is_skipped_on_read_and_never_written(self, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_bytes(b"\xef\xbb\xbfname,\xc3\xa9\n")
@@ -97,6 +104,33 @@ class TestWriters:
         assert default_names(2, ()) == default_names(2, None) == ("f1", "f2")
         with pytest.raises(ValueError, match=r"feature_names has 1 names, expected one per feature \(2\)"):
             default_names(2, ("a",))
+
+
+class TestPermutation:
+    @pytest.mark.parametrize("values", [
+        [2, 0, 1], (2, 0, 1), np.array([2, 0, 1]), [np.int64(2), np.int32(0), 1],
+    ])
+    def test_integer_entries_are_an_int_array(self, values):
+        perm = permutation(values, 3, "ranking")
+        assert perm.dtype == int
+        assert perm.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("values", [
+        [0.7, 1.2, 2.9],  # floats that truncate to 0, 1, 2
+        [0.0, 1.0, 2.0],
+        np.array([0.0, 1.0, 2.0]),
+        [True, False, 2],  # bools that count as 1 and 0
+        [0, 1, 1],
+        [0, 1, 3],
+        [0, 1],
+        [[0, 1, 2]],
+        3,
+        "012",
+    ])
+    def test_anything_else_is_refused_naming_what_was_checked(self, values):
+        with pytest.raises(ValueError) as err:
+            permutation(values, 3, "ranking")
+        assert str(err.value) == "ranking must be a permutation of the 3 indices 0, ..., 2"
 
 
 class TestJsonInput:

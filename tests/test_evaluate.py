@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ratekit import bnn, evaluate
+from ratekit import bnn, esa, evaluate, simgen
+from ratekit.cli import dispatch
 from ratekit.bnn import (
     NetworkConfig,
     TrainConfig,
@@ -194,6 +195,68 @@ class TestShuffleDegradation:
         net, ds = trained_blob_net
         with pytest.raises(ValueError, match="permutation"):
             shuffle_degradation(net, ds, [0, 0], repeats=2, seed=0)
+
+    @pytest.mark.parametrize("ranking", [[0.7, 1.2], [1.0, 0.0], [False, 1]])
+    def test_ranking_entries_must_be_integers(self, trained_blob_net, ranking):
+        # each used to be cast to a permutation of [0, 1] and accepted
+        net, ds = trained_blob_net
+        with pytest.raises(ValueError, match=r"ranking must be a permutation of the 2 indices"):
+            shuffle_degradation(net, ds, ranking, repeats=2, seed=0)
+
+
+class TestRankFeatures:
+    def test_rate_ranks_by_decreasing_score_ties_in_feature_order(self):
+        scores = [0.1, 0.3, 0.1, 0.3, 0.2]
+        assert evaluate.rank_features("rate", scores).tolist() == [1, 3, 4, 0, 2]
+
+    def test_random_is_the_seeded_permutation_whatever_the_scores(self):
+        for seed in (0, 5):
+            want = np.random.default_rng(seed).permutation(7)
+            for scores in (np.zeros(7), np.arange(7.0)):
+                np.testing.assert_array_equal(evaluate.rank_features("random", scores, seed), want)
+
+    def test_unknown_ranking_is_refused(self):
+        with pytest.raises(ValueError, match="ranking must be one of 'rate', 'random', got 'best'"):
+            evaluate.rank_features("best", [0.5, 0.5])
+
+    def test_every_ranking_is_a_permutation(self):
+        for name in evaluate.RANKINGS:
+            assert sorted(evaluate.rank_features(name, [3.0, 1.0, 2.0]).tolist()) == [0, 1, 2]
+
+
+class TestCollinearityStudy:
+    def test_replicates_are_the_seeded_regressions(self):
+        study = evaluate.CollinearityStudy(rho=0.9, n=50, reps=3, seed=4)
+        estimates = evaluate.collinearity_study(study)
+        seeds = np.random.SeedSequence(4).generate_state(3)
+        for row, seed in zip(estimates, seeds):
+            ds = simgen.collinear_regression(50, 0.9, seed=int(seed))
+            np.testing.assert_array_equal(row[:2], esa.covariance_effect_sizes(ds.X, ds.y))
+            np.testing.assert_array_equal(row[2:], esa.ols_effect_size(ds.X, ds.y))
+
+    def test_rows_are_the_numbers_in_estimates_csv(self, tmp_path):
+        study = evaluate.CollinearityStudy(rho=0.5, n=80, reps=4, seed=2)
+        assert dispatch([
+            "demo-collinearity", "--rho", "0.5", "--n", "80", "--reps", "4", "--seed", "2",
+            "--out", str(tmp_path),
+        ]) == 0
+        with open(tmp_path / "estimates.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["replicate", "covariance_f1", "covariance_f2", "ols_f1", "ols_f2"]
+        assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+        got = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        np.testing.assert_array_equal(got, evaluate.collinearity_study(study))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"reps": 1}, "reps must be >= 2 to estimate a standard deviation, got 1"),
+        ({"n": 2}, "n must be >= 3 for least squares to fit 3 coefficients, got 2"),
+        ({"rho": 1.0}, r"\|rho\| must be < 1, got 1.0"),
+        ({"rho": -1.5}, r"\|rho\| must be < 1, got -1.5"),
+        ({"rho": float("nan")}, r"\|rho\| must be < 1, got nan"),
+    ])
+    def test_settings_without_a_study_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate.CollinearityStudy(**fields)
 
 
 def trained_net(link, depth):

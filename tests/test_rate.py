@@ -130,6 +130,20 @@ class TestBuildPrecision:
         np.testing.assert_array_equal(pm.omega, np.eye(4))
         np.testing.assert_allclose(pm.lam, np.eye(4), atol=1e-14)
 
+    @pytest.mark.parametrize("field", ["mu", "eigvals", "basis"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_is_refused(self, field, bad):
+        # a NaN mu used to be scored as kld NaN, with a sign of -2**63
+        arrays = {"mu": np.array([1.0, 0.3]), "basis": np.eye(2), "eigvals": np.array([1.0, 2.0])}
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[-1] = bad
+        if field == "eigvals" and bad < 0:
+            message = "eigvals must be positive"
+        else:
+            message = f"{field} must be finite"
+        with pytest.raises(ValueError, match=message):
+            PrecisionModel(**arrays)
+
     def test_rank_deficient_takes_limit_route(self):
         # p=3, k=1: h_j = g_j^2 / 14 and kld_j = 0.5 (1 - h_j)(g_j^2 + mu_j^2)
         g = np.array([[1.0], [2.0], [3.0]])

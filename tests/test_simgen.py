@@ -14,9 +14,11 @@ from ratekit.simgen import (
     Dataset,
     SynthSpec,
     collinear_regression,
+    held_out_rows,
     load_dataset_csv,
     save_dataset_csv,
     synth_classification,
+    train_test_split,
 )
 
 
@@ -114,6 +116,43 @@ class TestCollinearRegression:
     def test_rejects_unit_rho(self):
         with pytest.raises(ValueError):
             collinear_regression(100, 1.0)
+
+
+class TestTrainTestSplit:
+    def test_rows_are_those_of_the_seeded_permutation(self):
+        ds = synth_classification(SynthSpec(n=50, p=6, frac_causal=0.5, seed=3))
+        train, test = train_test_split(ds, 0.3, seed=9)
+        order = np.random.default_rng(9).permutation(50)
+        assert held_out_rows(50, 0.3) == 15
+        np.testing.assert_array_equal(test.X, ds.X[order[:15]])
+        np.testing.assert_array_equal(test.y, ds.y[order[:15]])
+        np.testing.assert_array_equal(train.X, ds.X[order[15:]])
+        np.testing.assert_array_equal(train.y, ds.y[order[15:]])
+
+    def test_both_parts_keep_what_describes_the_features(self):
+        ds = synth_classification(SynthSpec(n=40, p=5, frac_causal=0.4, seed=2))
+        ds = dataclasses.replace(ds, feature_names=tuple("abcde"))
+        for part in train_test_split(ds, 0.25, seed=0):
+            np.testing.assert_array_equal(part.causal_mask, ds.causal_mask)
+            np.testing.assert_array_equal(part.column_permutation, ds.column_permutation)
+            assert part.feature_names == tuple("abcde")
+            assert part.seed == 2
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.0001, -0.5, 1.5, float("nan")])
+    def test_a_fraction_leaving_a_part_empty_is_refused(self, fraction):
+        ds = synth_classification(SynthSpec(n=1000, p=8, frac_causal=0.25))
+        message = (f"test_fraction {fraction} must be 0 (no split) or leave both the "
+                   "train and test parts of n = 1000 rows non-empty")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            held_out_rows(1000, fraction)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_test_split(ds, fraction, seed=0)
+
+    def test_a_fraction_of_zero_holds_out_no_rows(self):
+        assert held_out_rows(1000, 0.0) == 0
+        ds = synth_classification(SynthSpec(n=20, p=4, frac_causal=0.5))
+        with pytest.raises(ValueError, match="test_fraction 0.0 holds out no rows"):
+            train_test_split(ds, 0.0, seed=0)
 
 
 class TestCsvRoundTrip:
