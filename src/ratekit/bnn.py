@@ -350,7 +350,8 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     h = activations[-1]
     v = net.v
     mean = h @ net.m + net.b
-    var = (h**2) @ v
+    h2 = h**2  # serves the forward variance and the backward drho
+    var = h2 @ v
     sd = np.sqrt(var)
 
     z = np.random.default_rng(seed).standard_normal(size=mean.shape)
@@ -370,7 +371,8 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     s2 = cfg.prior_scale**2
     np.matmul(h.T, g, out=dm)
     dm += kl_scale * net.m / s2
-    np.matmul((h**2).T, q, out=drho)
+    np.matmul(h2.T, q, out=drho)
+    del h2
     drho *= v
     drho += kl_scale * 0.5 * (v / s2 - 1.0)
     np.sum(g, axis=0, out=db)
@@ -468,36 +470,41 @@ def _flat_network(net: Network, flat: np.ndarray) -> Network:
                    *views[2 * n_hidden :], seed=net.seed)
 
 
-def _adam_step(p, g, ma, va, scratch, step: int, lr: float) -> None:
-    """One Adam update (Kingma & Ba, arXiv 1412.6980) of the flat array ``p``.
+def _adam_step(p, g, mu, nu, step: int, lr: float) -> None:
+    """One Adam update (Kingma & Ba, arXiv 1412.6980) of the flat array ``p``,
+    in the ordering of their section 2 that folds both bias corrections into
+    two per-step scalars. The moments are kept unnormalised,
 
-        ma += (1 - beta1) (g - ma);  va += (1 - beta2) (g g - va)
-        p  -= lr mhat / (sqrt(vhat) + eps)
+        mu <- beta1 mu + g;  nu <- beta2 nu + g g
+        p  <- p - mu / (sqrt(nu) + eps_t) lr_t
 
-    with mhat, vhat the bias-corrected moments. Each operation is one
-    in-place pass, in the order the expressions above evaluate, so the
+    with r = sqrt((1 - beta2^t) / (1 - beta2)), lr_t = lr (1 - beta1) r /
+    (1 - beta1^t) and eps_t = eps r: Algorithm 1's update, as mu and nu are
+    its moments divided by 1 - beta1 and 1 - beta2. Each operation is one of
+    ten in-place passes, in the order the expressions above evaluate, so the
     result is bit-identical to evaluating them with temporaries. ``g`` is
-    overwritten and ``scratch`` is a work array of the same size.
+    overwritten.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    np.subtract(g, ma, out=scratch)
-    scratch *= 1 - beta1
-    ma += scratch
-    np.multiply(g, g, out=g)
-    g -= va
-    g *= 1 - beta2
-    va += g
-    np.divide(va, 1 - beta2**step, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    np.divide(ma, 1 - beta1**step, out=scratch)
-    scratch *= lr
-    scratch /= g
-    p -= scratch
+    r = math.sqrt((1 - beta2**step) / (1 - beta2))
+    mu *= beta1
+    mu += g
+    nu *= beta2
+    g *= g
+    nu += g
+    np.sqrt(nu, out=g)
+    g += eps * r
+    np.divide(mu, g, out=g)
+    g *= lr * (1 - beta1) / (1 - beta1**step) * r
+    p -= g
 
 
 def train(net: Network, dataset, config: TrainConfig):
     """Adam-train the network with early stopping.
+
+    Each minibatch step updates one flat buffer of the parameters in place,
+    a gradient block at a time (``_adam_step``); training holds that buffer
+    and Adam's two unnormalised moments, and no scratch buffer.
 
     Early stopping watches ``history["metric_name"]``: ``val_accuracy`` for
     a classification link with a validation split, else the posterior-mean
@@ -531,9 +538,9 @@ def train(net: Network, dataset, config: TrainConfig):
     # the model is views into the first. No gradient buffer exists:
     # _elbo_blocks hands the gradient over a block at a time, once the
     # backward pass is done with the block's parameters, and Adam updates
-    # that block of the three buffers at once. A block of all five arrays
-    # (with the gradient and one shared block-sized scratch, 5 x 256 KiB)
-    # stays in a core's L2 cache through the update's 14 passes.
+    # that block of the three buffers at once, in place. A block of the four
+    # arrays (with the gradient) stays in a core's L2 cache through the
+    # update's ten passes.
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
     model = _flat_network(net, flat)
     # The initial arrays are not needed past this point. Dropping this frame's
@@ -543,7 +550,6 @@ def train(net: Network, dataset, config: TrainConfig):
     # caller-side reference to its arguments.
     del net
     moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat)
-    scratch = np.empty(min(_ADAM_BLOCK, flat.size))
     step = 0
 
     n_train = len(train_idx)
@@ -570,8 +576,8 @@ def train(net: Network, dataset, config: TrainConfig):
             step += 1
             for offset, grad in blocks:
                 block = slice(offset, offset + grad.size)
-                _adam_step(flat[block], grad, moment1[block], moment2[block],
-                           scratch[: grad.size], step, config.learning_rate)
+                _adam_step(flat[block], grad, moment1[block], moment2[block], step,
+                           config.learning_rate)
 
         metric = metric_fn(model, x_eval, y_eval)
         history["train_loss"].append(float(np.mean(epoch_losses)))

@@ -54,7 +54,8 @@ def _stage(name: str):
         raise
     except _NUMERIC_ERRORS as exc:
         raise StageError(name, exc, EXIT_NUMERIC) from exc
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    # a Warning is raised only where the caller's filters made it an error
+    except (OSError, ValueError, KeyError, TypeError, Warning) as exc:
         raise StageError(name, exc, EXIT_DATA) from exc
 
 
@@ -279,9 +280,9 @@ def _cmd_importance(args) -> int:
         effect = esa.covariance_esa(ds.X, lp, feature_names=ds.feature_names)
     with _stage("precision"):
         pm = rate.build_precision(effect, class_index=cfg["class_index"])
-    if pm.rank < pm.p:
-        warnings.warn(f"the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
-                      "kld is its jitter-free limit and mi is undefined (null)")
+        if pm.rank < pm.p:
+            warnings.warn(f"the effect-size covariance has rank {pm.rank} < p = {pm.p}; "
+                          "kld is its jitter-free limit and mi is undefined (null)")
     if with_groups:
         with _stage("load-groups"):
             groups = rate.GroupMap.from_csv(cfg["groups"], ds.feature_names)
@@ -433,8 +434,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit code instead of exiting.
     Each distinct warning it raises is one ``ratekit: warning:`` line, on every
-    run, unless the caller's warning filters (which come first: ``-W error``
-    makes it an exception) say otherwise; they and the caller's handler are
+    run, unless the caller's warning filters (which come first) say otherwise:
+    one that ``-W error`` makes an exception ends the run as an error of the
+    stage that raised it (exit 3). The filters and the caller's handler are
     restored afterwards."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)

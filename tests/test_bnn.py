@@ -345,29 +345,81 @@ class TestLikelihood:
         assert nll == pytest.approx(plain_nll, rel=1e-12)
 
 
+def textbook_adam(p, g, m, v, step, lr):
+    """Kingma & Ba's Algorithm 1, the bias-corrected moments with temporaries;
+    ``m`` and ``v`` are its (normalised) moments."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m[...] = beta1 * m + (1 - beta1) * g
+    v[...] = beta2 * v + (1 - beta2) * g * g
+    p -= lr * (m / (1 - beta1**step)) / (np.sqrt(v / (1 - beta2**step)) + eps)
+
+
 class TestAdamStep:
     def test_matches_per_array_update_bit_for_bit(self):
         rng = np.random.default_rng(0)
         shapes = [(5, 7), (7,), (3, 1)]
         params = [rng.standard_normal(s) for s in shapes]
-        ref_m = [np.zeros(s) for s in shapes]
-        ref_v = [np.zeros(s) for s in shapes]
+        ref_mu = [np.zeros(s) for s in shapes]
+        ref_nu = [np.zeros(s) for s in shapes]
         flat = np.concatenate([p.ravel() for p in params])
-        ma, va, scratch = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
+        mu, nu = np.zeros_like(flat), np.zeros_like(flat)
         lr = 1e-3
         for step in range(1, 6):
             grads = [rng.standard_normal(s) for s in shapes]
-            for p, g, m, v in zip(params, grads, ref_m, ref_v):
-                m += (1 - 0.9) * (g - m)
-                v += (1 - 0.999) * (g * g - v)
-                mhat = m / (1 - 0.9**step)
-                vhat = v / (1 - 0.999**step)
-                p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            # the unnormalised update, written per array with temporaries
+            r = math.sqrt((1 - 0.999**step) / (1 - 0.999))
+            lr_t = lr * (1 - 0.9) / (1 - 0.9**step) * r
+            for p, g, m, v in zip(params, grads, ref_mu, ref_nu):
+                m[...] = 0.9 * m + g
+                v[...] = 0.999 * v + g * g
+                p -= m / (np.sqrt(v) + 1e-8 * r) * lr_t
             g_flat = np.concatenate([g.ravel() for g in grads])
             # uneven blocks, as train runs the update block by block
             for b in (slice(0, 20), slice(20, None)):
-                _adam_step(flat[b], g_flat[b], ma[b], va[b], scratch[b], step, lr)
+                _adam_step(flat[b], g_flat[b], mu[b], nu[b], step, lr)
             assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+
+    def test_tracks_kingma_ba_algorithm_1(self):
+        # each step's update, against Algorithm 1's, over 1000 steps: gradient
+        # magnitudes from 1e-12 (where eps dominates the denominator) to 1e2,
+        # random signs, and exact zeros (the last column never sees another)
+        rng = np.random.default_rng(1)
+        shape, lr = (50, 8), 1e-3
+        mu, nu, m, v = (np.zeros(shape) for _ in range(4))
+        for step in range(1, 1001):
+            g = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12, 2, shape)
+            g[rng.random(shape) < 0.2] = 0.0
+            g[:, -1] = 0.0
+            update, expected = np.zeros(shape), np.zeros(shape)
+            textbook_adam(expected, g, m, v, step, lr)
+            _adam_step(update, g.copy(), mu, nu, step, lr)
+            assert np.all(np.abs(update - expected) <= 1e-10 * np.abs(expected))
+        assert np.all(update[:, -1] == 0.0) and np.all(update[:, :-1] != 0.0)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_train_follows_the_textbook_update(self, monkeypatch, link):
+        # the same training with Algorithm 1 in place of _adam_step stops at
+        # the same epoch, on the same metrics, with the same parameters
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((80, 3))
+        scores = x @ rng.standard_normal((3, 3))
+        n_classes = 3 if link == "softmax" else 1
+        y = {
+            "sigmoid": (scores[:, 0] > 0).astype(int),
+            "softmax": scores.argmax(axis=1),
+            "identity": scores[:, 0] + 0.1 * rng.standard_normal(80),
+        }[link]
+        cfg = NetworkConfig(input_dim=3, hidden_sizes=(8, 6), link=link, n_classes=n_classes)
+        tcfg = TrainConfig(epochs=8, learning_rate=1e-2, batch_size=16, seed=4)
+        runs = [train(build_network(cfg, seed=2), (x, y), tcfg)]
+        monkeypatch.setattr(bnn, "_adam_step", textbook_adam)
+        runs.append(train(build_network(cfg, seed=2), (x, y), tcfg))
+        (net, history), (ref_net, ref_history) = runs
+        for key in ("stopped_epoch", "best_epoch", "metric_name"):
+            assert history[key] == ref_history[key]
+        assert history["val_metric"] == pytest.approx(ref_history["val_metric"], rel=1e-9)
+        for p, ref in zip(net.parameters(), ref_net.parameters()):
+            np.testing.assert_allclose(p, ref, rtol=1e-9, atol=0)
 
 
 def blob_dataset(n=500, seed=0):
@@ -398,10 +450,10 @@ class TestTrain:
     def test_traced_peak_is_three_parameter_buffers(self):
         # Parameters and two Adam moments, at paper scale: the initial network,
         # passed as a temporary, is freed once copied, and the gradient comes
-        # to Adam a block at a time. The 1 MiB of slack covers Adam's 256 KiB
-        # scratch, the 256 KiB gradient block and the ELBO's batch-sized
-        # activations (32 rows of width 512); a parameter-sized gradient
-        # buffer adds 2.4 MiB.
+        # to Adam a block at a time. The 1 MiB of slack covers the 256 KiB
+        # gradient block, which Adam updates in place, and the ELBO's
+        # batch-sized activations (32 rows of width 512); a parameter-sized
+        # gradient buffer adds 2.4 MiB.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 100))
         y = (x[:, 0] > 0).astype(int)

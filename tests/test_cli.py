@@ -26,6 +26,15 @@ def run(*argv):
     return dispatch(list(argv))
 
 
+def run_escalating_warnings(*argv):
+    """``python -W error -m ratekit.cli *argv``: every warning is an exception."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ratekit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True,
+    )
+
+
 #: Runs the CLI chain the way ``python -m ratekit.cli`` does, in a process
 #: where importing scipy, or any scipy submodule, raises, and where opening a
 #: text file without naming its encoding raises ``EncodingWarning``.
@@ -463,6 +472,39 @@ def pipeline(tmp_path_factory):
     return root
 
 
+class TestEscalatedWarnings:
+    # a warning that the caller's -W error makes an exception ends the run as
+    # an error of the stage that raised it, not with a traceback
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("escalated")
+        assert run("simulate", "--n", "200", "--p", "20", "--seed", "3",
+                   "--out", str(root / "sim")) == 0
+        for hidden in ("16", "32"):  # narrower than p, and full rank
+            assert run("train", "--data", str(root / "sim" / "dataset.csv"), "--hidden", hidden,
+                       "--epochs", "1", "--seed", "3", "--out", str(root / hidden)) == 0
+        (root / "groups.csv").write_text("g1,f1\ng1,f2\ng2,f2\ng2,f3\n")
+        return root
+
+    @pytest.mark.parametrize("command, hidden, stage, message", [
+        ("importance", "16", "precision", "the effect-size covariance has rank "),
+        ("group-importance", "32", "group-importance",
+         "groups overlap; scores are normalized as provided"),
+    ], ids=["importance", "group-importance"])
+    def test_warning_made_an_error_exits_3_at_its_stage(self, chain, tmp_path, command, hidden,
+                                                         stage, message):
+        groups = ("--groups", str(chain / "groups.csv")) if command == "group-importance" else ()
+        result = run_escalating_warnings(
+            command, "--data", str(chain / "sim" / "dataset.csv"),
+            "--model", str(chain / hidden / "model.json"), *groups, "--out", str(tmp_path),
+        )
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"ratekit: error [{stage}]: {message}")
+        assert "Traceback" not in result.stderr
+        assert not any(tmp_path.glob("*report*"))
+
+
 class TestPipeline:
     def test_report_normalized(self, pipeline):
         doc = json.loads((pipeline / "imp" / "report.json").read_text())
@@ -648,15 +690,14 @@ class TestPipeline:
             "train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
             "--epochs", "1", "--seed", "11", "--out", str(model),
         ) == 0
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "ratekit.cli", "importance",
-             "--data", str(pipeline / "sim" / "test.csv"), "--model", str(model / "model.json"),
-             "--out", str(tmp_path / "imp")],
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-            capture_output=True, text=True,
+        result = run_escalating_warnings(
+            "importance", "--data", str(pipeline / "sim" / "test.csv"),
+            "--model", str(model / "model.json"), "--out", str(tmp_path / "imp"),
         )
-        assert result.returncode != 0
-        assert "UserWarning: the effect-size covariance has rank" in result.stderr
+        assert result.returncode == 3
+        assert result.stderr.startswith(
+            "ratekit: error [precision]: the effect-size covariance has rank"
+        )
         assert not (tmp_path / "imp" / "report.json").exists()
 
     def test_model_with_a_nan_parameter_is_refused_at_precision(self, pipeline, tmp_path, capsys):
