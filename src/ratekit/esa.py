@@ -76,16 +76,26 @@ def covariance_effect_sizes(x, f) -> np.ndarray:
     (n-1) of shape (p,) or (p, m). Centering f instead of x is the same in
     exact arithmetic and copies n*m values instead of the n*p data.
     """
+    return _centered_cross(_checked_x(x), f)
+
+
+def _checked_x(x) -> np.ndarray:
+    """``x`` as a float64 array, refused unless it is 2-dimensional, has at
+    least 2 rows and is finite."""
     x = np.asarray(x, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be 2-dimensional, got shape {x.shape}")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least 2 observations for a sample covariance")
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite entries")
-    return x.T @ (f - f.mean(axis=0)) / (n - 1)
+    return x
+
+
+def _centered_cross(x: np.ndarray, f) -> np.ndarray:
+    """``covariance_effect_sizes`` of an ``x`` that ``_checked_x`` has passed."""
+    f = np.asarray(f, dtype=np.float64)
+    return x.T @ (f - f.mean(axis=0)) / (x.shape[0] - 1)
 
 
 def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePosterior:
@@ -95,16 +105,14 @@ def covariance_esa(x, lp: LogitPosterior, feature_names=None) -> EffectSizePoste
     cross-product, so any constant shift of the logits (the trained bias in
     particular) drops out exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-dimensional, got shape {x.shape}")
+    x = _checked_x(x)
     n, p = x.shape
     if n != lp.n:
         raise ValueError(f"x has {n} rows but the logit posterior covers {lp.n}")
     names = default_names(p, feature_names)
     return EffectSizePosterior(
-        mu=covariance_effect_sizes(x, lp.mean).T,
-        projection=covariance_effect_sizes(x, lp.hidden),
+        mu=_centered_cross(x, lp.mean).T,
+        projection=_centered_cross(x, lp.hidden),
         scales=np.sqrt(lp.variances).T,
         n_used=n,
         feature_names=names,

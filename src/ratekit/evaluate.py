@@ -380,8 +380,8 @@ def collinearity_study(study: CollinearityStudy) -> np.ndarray:
 
 
 def marginal_correlation(x, y) -> np.ndarray:
-    """Pearson correlation of every feature column with y; constant columns
-    score 0 (with a warning)."""
+    """Pearson correlation of every feature column with y; constant columns,
+    or every column when y is constant, score 0 (with a warning)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
@@ -393,7 +393,9 @@ def marginal_correlation(x, y) -> np.ndarray:
     sy = math.sqrt(float(np.sum(yc**2)))
     denom = sx * sy
     bad = denom == 0
-    if np.any(bad):
+    if sy == 0:
+        warnings.warn("zero-variance response y; every correlation set to 0", stacklevel=2)
+    elif np.any(bad):
         warnings.warn("zero-variance column(s) encountered; correlation set to 0", stacklevel=2)
     return np.divide(xc.T @ yc, denom, out=np.zeros(x.shape[1]), where=~bad)
 

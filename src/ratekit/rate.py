@@ -476,25 +476,18 @@ def mutual_info(pm: PrecisionModel, j: int) -> float:
 
 
 def _normalize(names, klds, signs, mis, members=None):
+    """The report over ``names``; ``.tolist()`` turns each column into Python
+    floats, ints and bools at once, and an absent ``mis`` or ``members``
+    column is None per item."""
     klds = np.asarray(klds, dtype=np.float64)
     total = float(klds.sum())
-    n_items = len(klds)
-    threshold = 1.0 / n_items
+    threshold = 1.0 / len(klds)
     degenerate = total <= 0.0
-    rates = np.full(n_items, threshold) if degenerate else klds / total
-    items = []
-    for i, name in enumerate(names):
-        items.append(
-            ImportanceItem(
-                name=name,
-                kld=float(klds[i]),
-                rate=float(rates[i]),
-                sign=int(signs[i]),
-                significant=bool(rates[i] > threshold),
-                mi=None if mis is None else float(mis[i]),
-                members=None if members is None else tuple(members[i]),
-            )
-        )
+    rates = np.full(len(klds), threshold) if degenerate else klds / total
+    absent = [None] * len(klds)
+    items = map(ImportanceItem, names, klds.tolist(), rates.tolist(), np.asarray(signs).tolist(),
+                (rates > threshold).tolist(), absent if mis is None else mis.tolist(),
+                absent if members is None else members)
     return ImportanceReport(items=tuple(items), threshold=threshold, degenerate=degenerate)
 
 
@@ -530,11 +523,7 @@ def kld_group(pm: PrecisionModel, indices) -> float:
           + mu_J^T Delta_J mu_J ],
     Delta_J = Lambda_{J,-J} Lambda_-J^{-1} Lambda_{-J,J}.
     """
-    return _group_kl(pm, _index_set(indices, pm.p, "group"))
-
-
-def _group_kl(pm: PrecisionModel, members: tuple[int, ...]) -> float:
-    """``kld_group`` of an index set ``_index_set`` has already checked."""
+    members = _index_set(indices, pm.p, "group")
     return float(_block_kl(pm, np.array([members]))[0][0])
 
 
@@ -557,13 +546,11 @@ def group_rate(pm: PrecisionModel, groups: GroupMap) -> ImportanceReport:
     if overlapping:
         warnings.warn("groups overlap; scores are normalized as provided", stacklevel=2)
 
-    names = list(groups.groups)
-    klds = [_group_kl(pm, groups.groups[name]) for name in names]
-    signs = [int(np.sign(np.sum(pm.mu[list(groups.groups[name])]))) for name in names]
-    members = [
-        tuple(pm.feature_names[j] for j in groups.groups[name]) for name in names
-    ]
-    return _normalize(names, klds, signs, mis=None, members=members)
+    index_sets = groups.groups.values()
+    klds = [_block_kl(pm, np.array([m]))[0][0] for m in index_sets]
+    signs = [int(np.sign(np.sum(pm.mu[list(m)]))) for m in index_sets]
+    members = [tuple(pm.feature_names[j] for j in m) for m in index_sets]
+    return _normalize(list(groups.groups), klds, signs, mis=None, members=members)
 
 
 def report_to_json(report: ImportanceReport, path) -> None:

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from ratekit import esa as esa_module
 from ratekit.bnn import LogitPosterior
 from ratekit.esa import (
     EffectSizePosterior,
@@ -99,6 +100,20 @@ class TestCovarianceEsa:
         x[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             covariance_esa(x, deterministic_lp(np.arange(6.0)))
+
+    def test_x_is_checked_once_for_both_products(self, monkeypatch):
+        # the check scans all n*p cells; the mean and the projection share it
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((8, 5))
+        lp = LogitPosterior(mean=rng.standard_normal((8, 2)), hidden=rng.standard_normal((8, 3)),
+                            variances=np.ones((3, 2)))
+        calls = []
+        check = esa_module._checked_x
+        monkeypatch.setattr(esa_module, "_checked_x", lambda x: calls.append(x) or check(x))
+        got = covariance_esa(x, lp)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got.mu, covariance_effect_sizes(x, lp.mean).T)
+        np.testing.assert_array_equal(got.projection, covariance_effect_sizes(x, lp.hidden))
 
     def test_multiclass_one_block_per_output_node(self):
         rng = np.random.default_rng(14)

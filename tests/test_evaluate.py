@@ -484,6 +484,16 @@ class TestMarginalCorrelation:
         with pytest.raises(ValueError):
             marginal_correlation(np.ones((2, 1)), np.ones(2))
 
+    def test_constant_response_is_named_in_the_warning(self):
+        x = np.random.default_rng(7).standard_normal((12, 3))
+        with pytest.warns(UserWarning, match="zero-variance response y") as record:
+            t, pvals = ttest_stats(x, np.full(12, 2.5))
+        assert all("column" not in str(w.message) for w in record)
+        np.testing.assert_array_equal(t, 0.0)
+        np.testing.assert_array_equal(pvals, 1.0)
+        with pytest.warns(UserWarning, match="zero-variance response y"):
+            np.testing.assert_array_equal(marginal_correlation(x, np.full(12, 2.5)), 0.0)
+
 
 def t_density(x: float, df: int) -> float:
     log_norm = (

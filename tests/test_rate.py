@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from ratekit.esa import EffectSizePosterior, covariance_esa
 from ratekit.rate import (
     GATHER_ELEMENTS,
     GroupMap,
+    ImportanceItem,
+    ImportanceReport,
     InconsistentPrecisionError,
     PrecisionModel,
     build_precision,
@@ -622,6 +625,39 @@ class TestRateScores:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             rate_scores(two_by_two(), path="magic")
+
+    @pytest.mark.parametrize("route", ["dense", "naive", "limit", "group"])
+    def test_item_fields_are_python_values(self, route):
+        # reports are compared with == and written as JSON and CSV, so no
+        # numpy scalar may stand in for a field
+        pm = build_precision(factor_esa(31, p=12, k=5 if route == "limit" else 20))
+        if route == "group":
+            report = group_rate(pm, GroupMap.from_indices({"a": [0, 3], "b": [1], "c": [4, 5]}, 12))
+        else:
+            report = rate_scores(pm, path="naive" if route == "naive" else "fast")
+        kinds = {"name": str, "kld": float, "rate": float, "sign": int, "significant": bool,
+                 "mi": float if route in ("dense", "naive") else type(None),
+                 "members": tuple if route == "group" else type(None)}
+        for item in report.items:
+            assert {field: type(value) for field, value in vars(item).items()} == kinds
+            assert all(type(name) is str for name in item.members or ())
+        assert type(report.threshold) is float and type(report.degenerate) is bool
+
+
+def test_ranked_orders_by_rate_with_ties_in_feature_order():
+    rates = [0.1, 0.3, 0.1, 0.3, 0.2]
+    items = tuple(ImportanceItem(f"f{j}", r, r, 1, r > 0.2) for j, r in enumerate(rates))
+    report = ImportanceReport(items=items, threshold=0.2)
+    assert [item.name for item in report.ranked()] == ["f1", "f3", "f4", "f0", "f2"]
+    assert report.items == items  # ranking leaves the report in feature order
+
+
+def test_readme_quickstart_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library in five lines", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("[ImportanceItem(name='f") and printed.count("ImportanceItem(") == 5
 
 
 class TestKldGroup:
