@@ -316,6 +316,16 @@ def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
 _ADAM_BLOCK = 32768
 
 
+def _row_bounds(n: int, size: int) -> list[int]:
+    """Bounds of consecutive pieces of ``n`` rows, ``max(2, size)`` rows each
+    but the last. numpy hands a one-row product to gemv, which rounds unlike
+    gemm, so a last single row joins the piece before it."""
+    cuts = list(range(0, n, max(2, size)))
+    if len(cuts) > 1 and n - cuts[-1] == 1:
+        cuts.pop()
+    return [*cuts, n]
+
+
 def _blocks(start: int, grad: np.ndarray):
     """``(offset, values)`` pieces of at most ``_ADAM_BLOCK`` values of
     ``grad``, the flat gradient's values from offset ``start`` on."""
@@ -385,18 +395,11 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     yield from _blocks(starts[-4], tail)
 
     # A weight gradient is formed a block of whole rows, about _ADAM_BLOCK
-    # values, at a time, in one buffer that every block reuses. numpy hands a
-    # one-row product to gemv, which rounds unlike gemm, so a last single row
-    # joins the block before it. (With OpenBLAS 0.3.31 a block's rows then
-    # have the bits of the whole product's where the layer's width is a
-    # multiple of 8; at other widths the last columns can differ in the last
-    # bit.)
-    row_bounds = []
-    for w in net.hidden_weights:
-        cuts = list(range(0, len(w), max(2, _ADAM_BLOCK // w.shape[1])))
-        if len(cuts) > 1 and len(w) - cuts[-1] == 1:
-            cuts.pop()
-        row_bounds.append([*cuts, len(w)])
+    # values, at a time, in one buffer that every block reuses. (With
+    # OpenBLAS 0.3.31 a block's rows have the bits of the whole product's
+    # where the layer's width is a multiple of 8; at other widths the last
+    # columns can differ in the last bit.)
+    row_bounds = [_row_bounds(len(w), _ADAM_BLOCK // w.shape[1]) for w in net.hidden_weights]
     buffer = np.empty(max(
         max(np.diff(bounds)) * w.shape[1] for bounds, w in zip(row_bounds, net.hidden_weights)
     ))
@@ -436,13 +439,6 @@ def _posterior_mean(net: Network, x) -> np.ndarray:
     return _inverse_link(net.config.link, logit_posterior(net, x).mean)
 
 
-def _mean_squared_error(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """Squared error of the posterior-mean prediction against the prepared
-    labels (the Brier score for classification links)."""
-    mean = _posterior_mean(net, x)
-    return float(np.mean((mean - _target(y, net.config.n_classes)) ** 2))
-
-
 def _predict_classes(net: Network, x: np.ndarray) -> np.ndarray:
     """Posterior-mean classes: 1 where the sigmoid's logit is positive (its
     float64 mean rounds to 0.5 up to 1.1e-16), else 0; softmax's argmax."""
@@ -452,9 +448,27 @@ def _predict_classes(net: Network, x: np.ndarray) -> np.ndarray:
     return f.argmax(axis=1)
 
 
-def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """Accuracy of the posterior-mean prediction."""
-    return float(np.mean(_predict_classes(net, x) == y.astype(int)))
+def _metric(net: Network, x: np.ndarray, y: np.ndarray, rows: np.ndarray, chunk: int,
+            accuracy: bool) -> float:
+    """The accuracy of the posterior-mean prediction on rows ``rows`` of
+    ``x`` and the prepared labels ``y`` when ``accuracy`` is set, else its
+    squared error (the Brier score for classification links).
+
+    The rows are gathered and predicted about ``chunk`` at a time
+    (``_row_bounds``), so neither a copy of them nor an activation of all of
+    them is held. The per-row hits or squared errors are reduced once, in
+    row order, as one pass over all the rows would reduce them."""
+    c = net.config.n_classes
+    per_row = np.empty(len(rows), dtype=bool) if accuracy else np.empty((len(rows), c))
+    bounds = _row_bounds(len(rows), chunk)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        part, out = rows[r0:r1], per_row[r0:r1]
+        if accuracy:
+            np.equal(_predict_classes(net, x[part]), y[part], out=out)
+        else:
+            np.subtract(_posterior_mean(net, x[part]), _target(y[part], c), out=out)
+            np.square(out, out=out)
+    return float(np.mean(per_row))
 
 
 def _flat_network(net: Network, flat: np.ndarray) -> Network:
@@ -503,8 +517,12 @@ def train(net: Network, dataset, config: TrainConfig):
     """Adam-train the network with early stopping.
 
     Each minibatch step updates one flat buffer of the parameters in place,
-    a gradient block at a time (``_adam_step``); training holds that buffer
-    and Adam's two unnormalised moments, and no scratch buffer.
+    a gradient block at a time (``_adam_step``), and each epoch's metric is
+    computed a batch of rows at a time (``_metric``). So training holds
+    three parameter-sized buffers (the parameters and Adam's two
+    unnormalised moments) plus one batch's activations, whatever the number
+    of rows, and no scratch buffer; only its row orders and the metric's
+    per-row results grow with the rows, by a few values per row.
 
     Early stopping watches ``history["metric_name"]``: ``val_accuracy`` for
     a classification link with a validation split, else the posterior-mean
@@ -525,14 +543,14 @@ def train(net: Network, dataset, config: TrainConfig):
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:
         raise ValueError("validation split leaves no training data")
-    # batches gather their rows from x, so no copy of the training rows is held
+    # batches and the metric's chunks gather their rows from x, so no copy of
+    # the training or evaluation rows is held
     eval_idx = val_idx if n_val else train_idx
-    x_eval, y_eval = x[eval_idx], y[eval_idx]
-    if n_val and net.config.link != "identity":
-        metric_name, metric_fn, sign = "val_accuracy", _accuracy, 1.0
+    accuracy = bool(n_val) and net.config.link != "identity"
+    if accuracy:
+        metric_name, sign = "val_accuracy", 1.0
     else:
-        metric_name = "val_mse" if n_val else "train_mse"
-        metric_fn, sign = _mean_squared_error, -1.0
+        metric_name, sign = ("val_mse" if n_val else "train_mse"), -1.0
 
     # The parameters and Adam's two moments each live in one flat buffer, and
     # the model is views into the first. No gradient buffer exists:
@@ -579,7 +597,7 @@ def train(net: Network, dataset, config: TrainConfig):
                 _adam_step(flat[block], grad, moment1[block], moment2[block], step,
                            config.learning_rate)
 
-        metric = metric_fn(model, x_eval, y_eval)
+        metric = _metric(model, x, y, eval_idx, batch_size, accuracy)
         history["train_loss"].append(float(np.mean(epoch_losses)))
         history["val_metric"].append(metric)
         if sign * metric > best:

@@ -87,8 +87,10 @@ def _checked_x(x) -> np.ndarray:
         raise ValueError(f"x must be 2-dimensional, got shape {x.shape}")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations for a sample covariance")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite entries")
+    # min and max reach nan and +-inf without an n x p temporary
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"x contains non-finite entries; row {i}, column {j} is {float(x[i, j])}")
     return x
 
 

@@ -467,6 +467,27 @@ class TestTrain:
         buffer = sum(p.nbytes for p in trained.parameters())
         assert peak <= 3 * buffer + 2**20
 
+    @pytest.mark.parametrize("val_fraction", [0.2, 0.0])
+    def test_traced_peak_does_not_grow_with_rows(self, val_fraction):
+        # the epoch's metric gathers and predicts its rows a batch at a time,
+        # so 15.6 times the rows add only their index and per-row arrays to
+        # the peak (0.2-0.3 MiB); one pass over a copy of all of them added
+        # 3.5 MiB with a 20% split and 16.6 MiB on the training rows
+        rng = np.random.default_rng(0)
+        cfg = NetworkConfig(input_dim=100, hidden_sizes=(64, 64))
+        peaks = []
+        for n in (640, 10_000):
+            x = rng.standard_normal((n, 100))
+            y = (x[:, 0] > 0).astype(int)
+            tracemalloc.start()
+            try:
+                train(build_network(cfg, seed=0), (x, y),
+                      TrainConfig(epochs=1, val_fraction=val_fraction))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**19
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -527,11 +548,17 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(net, (x, y), TrainConfig(epochs=20, learning_rate=1e18, seed=0))
 
-    @pytest.mark.parametrize("val_fraction", [0.2, 0.0])
+    @pytest.mark.parametrize(
+        "val_fraction, batch_size",
+        [(0.2, 32), (0.0, 32), (0.2, 7), (0.0, 7)],
+        ids=["0.2", "0.0", "0.2-batch7", "0.0-batch7"],
+    )
     @pytest.mark.parametrize("link", ["sigmoid", "softmax", "identity"])
-    def test_metric_follows_link_and_split(self, link, val_fraction):
+    def test_metric_follows_link_and_split(self, link, val_fraction, batch_size):
         # each epoch's metric is recomputed plainly from the network trained
-        # for that many epochs, on the split train evaluates
+        # for that many epochs, on the split train evaluates; train computes
+        # it a batch at a time, and 7 rows split both the 12 validation rows
+        # and the 60 training rows into chunks with a ragged last one
         rng = np.random.default_rng(8)
         n, epochs = 60, 3
         x = rng.standard_normal((n, 3))
@@ -547,7 +574,8 @@ class TestTrain:
 
         runs = []
         for e in range(1, epochs + 1):
-            tcfg = TrainConfig(epochs=e, patience=epochs, val_fraction=val_fraction, seed=5)
+            tcfg = TrainConfig(epochs=e, patience=epochs, val_fraction=val_fraction,
+                               batch_size=batch_size, seed=5)
             runs.append(train(net, (x, y), tcfg))
         history = runs[-1][1]
         n_val = int(round(val_fraction * n))

@@ -1,6 +1,7 @@
 """Tests for the covariance effect-size projection and the OLS baseline."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ class TestCovarianceEsa:
         x[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             covariance_esa(x, deterministic_lp(np.arange(6.0)))
+
+    def test_non_finite_x_names_its_first_cell(self):
+        x = np.zeros((5, 4))
+        x[3, 0], x[1, 2] = -np.inf, np.nan
+        with pytest.raises(ValueError, match="non-finite entries; row 1, column 2 is nan"):
+            covariance_effect_sizes(x, np.arange(5.0))
+
+    def test_finite_check_holds_no_mask_of_x(self):
+        # min and max find a bad cell; np.isfinite(x) held an n x p mask
+        x = np.random.default_rng(17).standard_normal((1000, 200))
+        tracemalloc.start()
+        try:
+            esa_module._checked_x(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size // 8
 
     def test_x_is_checked_once_for_both_products(self, monkeypatch):
         # the check scans all n*p cells; the mean and the projection share it

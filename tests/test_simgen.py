@@ -76,6 +76,12 @@ class TestSynthClassification:
         coef, *_ = np.linalg.lstsq(causal, redundant, rcond=None)
         np.testing.assert_allclose(causal @ coef, redundant, atol=1e-10)
 
+    def test_x_rows_are_contiguous_as_loaded_ones_are(self):
+        # the layout load_dataset_csv gives X, so a product over X rounds the
+        # same whether the data were simulated in-process or read from CSV
+        ds = synth_classification(SynthSpec(n=50, p=30, seed=5))
+        assert ds.X.flags["C_CONTIGUOUS"]
+
     def test_everything_finite(self):
         ds = synth_classification(SynthSpec(n=200, p=25, seed=4))
         assert np.all(np.isfinite(ds.X))
