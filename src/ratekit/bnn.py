@@ -528,7 +528,9 @@ def train(net: Network, dataset, config: TrainConfig):
     a classification link with a validation split, else the posterior-mean
     squared error (Brier score for classification) on the validation split
     (``val_mse``) or, at ``val_fraction == 0``, on the training data
-    (``train_mse``). The last epoch's weights are returned, whichever epoch
+    (``train_mse``). A ``val_fraction`` above 0 must hold out at least one
+    row, round(val_fraction * n) >= 1, and leave one to train on; else
+    ``ValueError``. The last epoch's weights are returned, whichever epoch
     ``history["best_epoch"]`` names. Returns ``(trained_network, history)``;
     the input network is not modified.
 
@@ -539,6 +541,9 @@ def train(net: Network, dataset, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
     n_val = int(round(config.val_fraction * n))
+    if config.val_fraction and not n_val:
+        raise ValueError(f"val_fraction {config.val_fraction} holds out no row of n = {n}: "
+                         "use 0 to stop early on the training data")
     order = rng.permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) == 0:

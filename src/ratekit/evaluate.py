@@ -162,16 +162,18 @@ class _Float32Classifier:
     (float32 overflow, or an input beyond float32's range) never decides
     one. A decided row gets the float64 route's class.
 
-    The undecided rows (about 1% on a trained network) are rebuilt from the
-    float64 input and classified in batches gathered across passes: a batch
-    goes once ``FALLBACK_ROWS`` rows wait, and the last when the counts are
-    read. So the counts are those of all-float64 passes, except where an
-    undecided row's float64 logit, computed in its batch rather than with
-    the rest of its pass, rounds differently in its last bits (BLAS blocks
-    the rows differently) and sits that close to the decision boundary.
+    Each pass adds its hits to its cells of ``correct``, one count per
+    (fraction, repeat). The undecided rows (about 1% on a trained network)
+    are rebuilt from the float64 input and classified in batches gathered
+    across passes, each hit going to its pass's cells: a batch goes once
+    ``FALLBACK_ROWS`` rows wait, and the last at ``settle()``. So the
+    counts are those of all-float64 passes, except where an undecided
+    row's float64 logit, computed in its batch rather than with the rest
+    of its pass, rounds differently in its last bits (BLAS blocks the rows
+    differently) and sits that close to the decision boundary.
     """
 
-    def __init__(self, net: Network, x: np.ndarray, y: np.ndarray):
+    def __init__(self, net: Network, x: np.ndarray, y: np.ndarray, cells=(1, 1)):
         n, p = x.shape
         layers = [*zip(net.hidden_weights, net.hidden_biases), (net.m, net.b)]
         self._weights = []
@@ -203,8 +205,8 @@ class _Float32Classifier:
         #: The (n, p) float32 input rows, a view into the first layer's input.
         self.inputs = self._inputs[0][:, :p]
         self._net, self._x, self._y = net, x, y
-        self._correct = []  # per pass, the rows classified right so far
-        self._pending = []  # per pass with undecided rows: (pass, row indices, float64 rows)
+        self.correct = np.zeros(cells, np.intp)  # complete once settle() has run
+        self._pending = []  # per pass with undecided rows: (cell, row indices, float64 rows)
 
     def logits_and_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The float32 posterior-mean logits f̂ of ``inputs`` and their bounds
@@ -241,9 +243,9 @@ class _Float32Classifier:
         decided &= np.isfinite(f).all(axis=1)
         return pred, np.flatnonzero(~decided)
 
-    def add_pass(self, top: np.ndarray, perms: np.ndarray) -> None:
-        """Count the rows classified right with column ``top[j]`` of ``x``
-        replaced by ``x[perms[j], top[j]]``."""
+    def add_pass(self, top: np.ndarray, perms: np.ndarray, cell) -> None:
+        """Add to ``correct[cell]`` the rows classified right with column
+        ``top[j]`` of ``x`` replaced by ``x[perms[j], top[j]]``."""
         x32 = self.inputs
         unshuffled = x32[:, top]
         x32[:, top] = x32[perms, top[:, None]].T
@@ -251,26 +253,22 @@ class _Float32Classifier:
         x32[:, top] = unshuffled
         hit = pred == self._y
         hit[undecided] = False
-        self._correct.append(np.count_nonzero(hit))
+        self.correct[cell] += np.count_nonzero(hit)
         if undecided.size:
             rows = self._x[undecided]
             rows[:, top] = self._x[perms[:, undecided], top[:, None]].T
-            self._pending.append((len(self._correct) - 1, undecided, rows))
+            self._pending.append((cell, undecided, rows))
             if sum(len(i) for _, i, _ in self._pending) >= FALLBACK_ROWS:
-                self._settle()
+                self.settle()
 
-    def correct(self) -> np.ndarray:
-        """The rows each pass classified right, in the order of the passes."""
-        if self._pending:
-            self._settle()
-        return np.array(self._correct, np.intp)
-
-    def _settle(self) -> None:
+    def settle(self) -> None:
         """Classify the pending undecided rows in one float64 batch."""
-        passes, idx, rows = zip(*self._pending)
+        if not self._pending:
+            return
+        cells, idx, rows = zip(*self._pending)
         right = bnn._predict_classes(self._net, np.vstack(rows)) == self._y[np.concatenate(idx)]
-        for at, hits in zip(passes, np.split(right, np.cumsum([len(i) for i in idx[:-1]]))):
-            self._correct[at] += np.count_nonzero(hits)
+        for cell, hits in zip(cells, np.split(right, np.cumsum([len(i) for i in idx[:-1]]))):
+            self.correct[cell] += np.count_nonzero(hits)
         self._pending.clear()
 
 
@@ -305,16 +303,13 @@ def shuffle_degradation(
     ranking = permutation(ranking, p, "ranking")
     fractions = check_degradation_settings(fractions, repeats)
 
-    classifier = _Float32Classifier(net, x, y)
+    classifier = _Float32Classifier(net, x, y, (len(fractions), repeats))
     n_cols = [int(math.ceil(frac * p)) for frac in fractions]
     # the unshuffled input draws no permutation, so its accuracy is the same
     # in every repeat: one pass serves them all
-    baseline = [
-        i * repeats + r for i, cols in enumerate(n_cols) if cols == 0 for r in range(repeats)
-    ]
-    if baseline:
-        classifier.add_pass(ranking[:0], np.empty((0, n), dtype=np.intp))
-    slots = baseline[:1]  # each pass's place in the curve, i * repeats + r
+    unshuffled = [i for i, cols in enumerate(n_cols) if cols == 0]
+    if unshuffled:
+        classifier.add_pass(ranking[:0], np.empty((0, n), np.intp), (unshuffled, slice(None)))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(child)
         for i, cols in enumerate(n_cols):
@@ -323,13 +318,9 @@ def shuffle_degradation(
                 # arrays, and the same generator state after, as cols
                 # rng.permutation(n)
                 perms = rng.permuted(np.broadcast_to(np.arange(n), (cols, n)), axis=1)
-                classifier.add_pass(ranking[:cols], perms)
-                slots.append(i * repeats + r)
-    correct = np.empty(len(fractions) * repeats, np.intp)
-    correct[slots] = classifier.correct()
-    if baseline:
-        correct[baseline] = correct[baseline[0]]
-    acc = (correct / n).reshape(len(fractions), repeats)
+                classifier.add_pass(ranking[:cols], perms, (i, r))
+    classifier.settle()
+    acc = classifier.correct / n
     if repeats > 1:
         std = acc.std(axis=1, ddof=1)
         # identical repeats (e.g. fraction 0) must report exactly zero spread

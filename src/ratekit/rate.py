@@ -115,7 +115,8 @@ class PrecisionModel:
     variable j, and ``eigvals`` holds the r eigenvalues lambda > 0; all three
     arrays are finite. At r = p, Lambda = Omega^{-1} = U diag(1/lambda) U^T. At
     r < p Lambda does not exist: scores come from the tau -> 0 limit and the
-    mutual information and the naive route are undefined.
+    mutual information and the naive route are undefined. A model needs
+    p >= 2 variables: each is scored against the rest.
     """
 
     mu: np.ndarray  # (p,)
@@ -124,6 +125,9 @@ class PrecisionModel:
     feature_names: tuple[str, ...] = ()  # f1, f2, ... when empty or None
 
     def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"need at least 2 variables, got p = {self.p}: "
+                             "each variable is scored against the rest")
         if self.eigvals.ndim != 1 or self.basis.shape != (self.p, self.rank) or self.rank > self.p:
             raise ValueError(
                 f"basis {self.basis.shape} and eigvals {self.eigvals.shape} must have "
@@ -257,8 +261,6 @@ def precision_from_covariance(mu, omega, feature_names=None) -> PrecisionModel:
     """Build the model from raw moments; a singular or indefinite ``omega``
     raises ``NotPositiveDefiniteError``."""
     mu = np.asarray(mu, dtype=np.float64).ravel()
-    if mu.shape[0] < 2:
-        raise ValueError("need at least 2 variables")
     omega = checked_symmetric(omega, "Omega")
     eigvals, basis = _eigen_form(omega)
     if eigvals.shape[0] < omega.shape[0]:
@@ -333,8 +335,6 @@ def kld_variable_naive(pm: PrecisionModel, j: int) -> float:
     Omega and Lambda, so it is the reference, not a route for large p; a
     rank-deficient model has no Lambda and raises ``ValueError``.
     """
-    if pm.p < 2:
-        raise ValueError("need at least 2 variables")
     _check_index(pm, j)
     lam = pm.lam
     return _kld_naive(pm.mu, pm.omega, lam, j)

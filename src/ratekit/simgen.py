@@ -59,6 +59,10 @@ class SynthSpec:
             raise ValueError("spec yields no causal features")
         if self.n_clusters_per_class < 1:
             raise ValueError("n_clusters_per_class must be >= 1")
+        if 2 * self.n_clusters_per_class > 2**self.n_causal:
+            raise ValueError(f"n_clusters_per_class {self.n_clusters_per_class} needs "
+                             f"{2 * self.n_clusters_per_class} cluster centers, more than the "
+                             f"{2**self.n_causal} vertices of the causal features' cube")
         if not 0 <= self.flip_y < 1:
             raise ValueError("flip_y must lie in [0, 1)")
         if not (math.isfinite(self.class_sep) and self.class_sep > 0):
@@ -127,10 +131,6 @@ class Dataset:
 
 
 def _distinct_vertices(rng, n_clusters: int, dim: int) -> np.ndarray:
-    if dim < 31 and n_clusters > 2**dim:
-        raise ValueError(
-            f"cannot place {n_clusters} distinct cluster centers on a {dim}-cube"
-        )
     seen: set[tuple[int, ...]] = set()
     vertices = []
     while len(vertices) < n_clusters:

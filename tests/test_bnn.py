@@ -598,6 +598,22 @@ class TestTrain:
                 target = _plain_target(link, y[rows], n_classes)
                 assert value == pytest.approx(np.mean((mean - target) ** 2), rel=1e-12)
 
+    @pytest.mark.parametrize("val_fraction", [0.001, 1 / 600])
+    def test_validation_split_holding_out_no_row_is_refused(self, val_fraction):
+        # round(val_fraction * 300) is 0: this used to stop early on the
+        # training rows, as train_mse
+        x, y = blob_dataset(300)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(4,)), seed=0)
+        message = f"val_fraction {val_fraction} holds out no row of n = 300"
+        with pytest.raises(ValueError, match=message):
+            train(net, (x, y), TrainConfig(epochs=1, val_fraction=val_fraction))
+
+    def test_validation_split_of_one_row_is_kept(self):
+        x, y = blob_dataset(300)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(4,)), seed=0)
+        _, history = train(net, (x, y), TrainConfig(epochs=1, val_fraction=0.002))
+        assert history["metric_name"] == "val_accuracy"
+
     def test_regression_fallback_metric(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((80, 3))

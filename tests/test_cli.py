@@ -275,6 +275,20 @@ class TestSimulate:
             assert "error [config]: class_sep must be finite and > 0" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--p", "20", "--clusters-per-class", "3"),
+         "--clusters-per-class 3 needs 6 cluster centers, more than the 4 vertices"),
+        (("--p", "1", "--frac-causal", "1"),
+         "--clusters-per-class 2 needs 4 cluster centers, more than the 2 vertices"),
+    ], ids=["p20-3-clusters", "p1-all-causal"])
+    def test_more_clusters_than_causal_cube_vertices_is_config_error(self, tmp_path, capsys,
+                                                                      argv, message):
+        # these used to exit 3 at [simulate], after --out was made
+        out = tmp_path / "bad"
+        assert run("simulate", "--n", "200", *argv, "--out", str(out)) == 3
+        assert f"ratekit: error [config]: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_spec_is_data_error(self, tmp_path):
         # frac_causal 0 yields no causal features
         code = run(
@@ -854,6 +868,35 @@ class TestPipeline:
                 assert "error [precision]" in capsys.readouterr().err
                 # effect_sizes.csv is not written for a refused class
                 assert [p.name for p in out.iterdir()] == ["effective_config.json"]
+
+    def test_validation_split_holding_out_no_row_is_refused_at_train(self, pipeline, tmp_path,
+                                                                     capsys):
+        # 0.001 of train.csv's 300 rows rounds to 0; this used to stop early
+        # on the training rows
+        capsys.readouterr()
+        assert run("train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
+                   "--val-fraction", "0.001", "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "ratekit: error [train]: val_fraction 0.001 holds out no row of n = 300: "
+            "use 0 to stop early on the training data\n"
+        )
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_one_feature_dataset_is_refused_at_precision(self, tmp_path, capsys):
+        # this used to exit 0 with a report of one item, kld 0 and rate 1
+        sim, model = tmp_path / "sim", tmp_path / "model"
+        assert run("simulate", "--n", "200", "--p", "1", "--frac-causal", "1",
+                   "--clusters-per-class", "1", "--out", str(sim)) == 0
+        assert run("train", "--data", str(sim / "dataset.csv"), "--hidden", "8", "--epochs", "1",
+                   "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("importance", "--data", str(sim / "dataset.csv"),
+                   "--model", str(model / "model.json"), "--out", str(tmp_path / "imp")) == 3
+        assert capsys.readouterr().err == (
+            "ratekit: error [precision]: need at least 2 variables, got p = 1: "
+            "each variable is scored against the rest\n"
+        )
+        assert not (tmp_path / "imp" / "report.json").exists()
 
     def test_invalid_training_settings_are_data_errors(self, pipeline, tmp_path, capsys):
         data = ("--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8")

@@ -367,6 +367,32 @@ class TestFloat32Route:
         assert np.array_equal(curve.mean_accuracy, mean)
         assert np.array_equal(curve.std_accuracy, std)
 
+    @pytest.mark.parametrize("link", ["sigmoid", "softmax"])
+    def test_each_pass_is_tallied_into_its_own_cells(self, link, fallback_rows):
+        net, ds = exact_net(link), exact_inputs(200, seed=3)
+        classifier = evaluate._Float32Classifier(net, ds.X, ds.y, (3, 4))
+        rng = np.random.default_rng(8)
+        # the unshuffled pass credits every repeat of fractions 0 and 2, and
+        # each shuffled pass one cell of fraction 1, out of repeat order
+        passes = [(np.array([], np.intp), ([0, 2], slice(None)))]
+        for cols, r in [(1, 2), (3, 0), (2, 3), (1, 1)]:
+            passes.append((rng.permutation(3)[:cols], (1, r)))
+        expected = np.zeros((3, 4), np.intp)
+        n = len(ds.y)
+        for top, cell in passes:
+            perms = rng.permuted(np.broadcast_to(np.arange(n), (len(top), n)), axis=1)
+            classifier.add_pass(top, perms, cell)
+            x = ds.X.copy()
+            x[:, top] = ds.X[perms, top[:, None]].T
+            expected[cell] += np.count_nonzero(bnn._predict_classes(net, x) == ds.y)
+        classifier.settle()
+        for cell in np.ndindex(expected.shape):
+            assert classifier.correct[cell] == expected[cell], cell
+        # the undecided rows of the passes crossed a FALLBACK_ROWS settle
+        # before the last; the float64 passes above are counted too
+        float64_batches = fallback_rows[1] - len(passes)
+        assert float64_batches >= 2
+
     @pytest.mark.parametrize("overflow", ["weights", "inputs"])
     def test_float32_overflow_falls_back(self, trained_blob_net, overflow, fallback_rows):
         net, ds = trained_blob_net

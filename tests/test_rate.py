@@ -120,6 +120,12 @@ def jittered_model(esa, tau):
 
 
 class TestBuildPrecision:
+    def test_one_variable_is_refused(self):
+        # with one feature there is no rest to condition on; this used to be
+        # scored as kld 0, rate 1
+        with pytest.raises(ValueError, match="need at least 2 variables, got p = 1"):
+            build_precision(factor_esa(0, p=1, k=4))
+
     def test_identity_factor(self):
         esa = EffectSizePosterior(
             mu=np.zeros((1, 4)),

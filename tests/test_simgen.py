@@ -38,6 +38,20 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(n=5, p=20)
 
+    @pytest.mark.parametrize("fields, message", [
+        # 2 causal features: 4 vertices for 6 clusters
+        ({"p": 20, "n_clusters_per_class": 3}, "needs 6 cluster centers, more than the 4 vertices"),
+        # 1 causal feature: 2 vertices for the default 4 clusters
+        ({"p": 1, "frac_causal": 1.0}, "needs 4 cluster centers, more than the 2 vertices"),
+    ], ids=["p20-3-clusters", "p1-all-causal"])
+    def test_rejects_more_clusters_than_causal_cube_vertices(self, fields, message):
+        with pytest.raises(ValueError, match=f"n_clusters_per_class .* {message}"):
+            SynthSpec(n=200, **fields)
+
+    def test_clusters_may_fill_every_causal_cube_vertex(self):
+        ds = synth_classification(SynthSpec(n=200, p=20, n_clusters_per_class=2, seed=1))
+        assert ds.causal_mask.sum() == 2
+
 
 class TestSynthClassification:
     def test_mask_count_exact(self):
