@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratekit.core import checked, in_file, text_file
+from ratekit.core import checked, first_non_finite, in_file, text_file
 
 __all__ = [
     "NetworkConfig",
@@ -59,11 +59,11 @@ SERIAL_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when a training step fails numerically (see ``train``)."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int, message: str):
         self.epoch = epoch
-        super().__init__(message or f"training loss became non-finite at epoch {epoch}")
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,9 @@ class NetworkConfig:
             raise ValueError("prior_scale must be positive")
         if not math.isfinite(self.prior_scale):
             raise ValueError(f"prior_scale must be finite, got {self.prior_scale}")
+        if not np.finfo(np.float64).tiny <= self.prior_scale * self.prior_scale < math.inf:
+            raise ValueError("prior_scale must square to a normal float (from about 1.5e-154 "
+                             f"to 1.3e154), got {self.prior_scale}")
 
     @property
     def penultimate_dim(self) -> int:
@@ -214,10 +217,8 @@ def _check_labelled(net: Network, dataset) -> tuple[np.ndarray, np.ndarray]:
     y = _prepare_labels(net.config.link, net.config.n_classes, y)
     if y.shape[0] != x.shape[0]:
         raise ValueError("inputs and labels disagree on length")
-    # min and max reach nan and +-inf without an n x p temporary
-    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"inputs must be finite; row {i}, column {j} is {float(x[i, j])}")
+    if (at := first_non_finite(x)) is not None:
+        raise ValueError(f"inputs must be finite; row {at[0]}, column {at[1]} is {float(x[at])}")
     return x, y
 
 
@@ -359,6 +360,8 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     activations = [x, *_predict_hidden(net, x)]
     h = activations[-1]
     v = net.v
+    if not v.all():  # numpy reports no error for exp(rho) that underflows to 0
+        raise FloatingPointError("underflow encountered in exp: an output-layer variance is 0")
     mean = h @ net.m + net.b
     h2 = h**2  # serves the forward variance and the backward drho
     var = h2 @ v
@@ -534,7 +537,9 @@ def train(net: Network, dataset, config: TrainConfig):
     ``history["best_epoch"]`` names. Returns ``(trained_network, history)``;
     the input network is not modified.
 
-    Raises ``TrainingDivergedError`` if the loss becomes non-finite.
+    Numpy's floating-point errors in an epoch, underflow aside, and an output-layer
+    variance exp(rho) underflowed to 0 raise ``TrainingDivergedError``, whatever the
+    warning filters. The inputs and initial parameters must be finite (else ``ValueError``).
     """
     x, y = _check_labelled(net, dataset)
 
@@ -565,6 +570,8 @@ def train(net: Network, dataset, config: TrainConfig):
     # arrays (with the gradient) stays in a core's L2 cache through the
     # update's ten passes.
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
+    if (at := first_non_finite(flat)) is not None:
+        raise ValueError(f"network parameters must be finite; flat parameter {at[0]} is {flat[at]}")
     model = _flat_network(net, flat)
     # The initial arrays are not needed past this point. Dropping this frame's
     # reference frees them before the moments are allocated when the caller
@@ -580,37 +587,33 @@ def train(net: Network, dataset, config: TrainConfig):
     history = {"train_loss": [], "val_metric": [], "metric_name": metric_name}
     best, best_epoch, stale = -np.inf, -1, 0  # best: the largest sign * metric yet
 
-    for epoch in range(config.epochs):
-        epoch_rows = train_idx[rng.permutation(n_train)]
-        epoch_losses = []
-        for start in range(0, n_train, batch_size):
-            rows = epoch_rows[start : start + batch_size]
-            batch_seed = int(rng.integers(0, 2**63 - 1))
-            blocks = _elbo_blocks(model, x[rows], y[rows], n_train, batch_seed)
-            try:
-                loss = next(blocks)
-            except ValueError as exc:
-                # inputs were validated up front, so a loss-side rejection here
-                # means the parameters themselves degenerated
-                raise TrainingDivergedError(epoch, f"epoch {epoch}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            epoch_losses.append(loss)
-            step += 1
-            for offset, grad in blocks:
-                block = slice(offset, offset + grad.size)
-                _adam_step(flat[block], grad, moment1[block], moment2[block], step,
-                           config.learning_rate)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for epoch in range(config.epochs):
+                epoch_rows = train_idx[rng.permutation(n_train)]
+                epoch_losses = []
+                for start in range(0, n_train, batch_size):
+                    rows = epoch_rows[start : start + batch_size]
+                    batch_seed = int(rng.integers(0, 2**63 - 1))
+                    blocks = _elbo_blocks(model, x[rows], y[rows], n_train, batch_seed)
+                    epoch_losses.append(next(blocks))
+                    step += 1
+                    for offset, grad in blocks:
+                        block = slice(offset, offset + grad.size)
+                        _adam_step(flat[block], grad, moment1[block], moment2[block], step,
+                                   config.learning_rate)
 
-        metric = _metric(model, x, y, eval_idx, batch_size, accuracy)
-        history["train_loss"].append(float(np.mean(epoch_losses)))
-        history["val_metric"].append(metric)
-        if sign * metric > best:
-            best, best_epoch, stale = sign * metric, epoch, 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
+                metric = _metric(model, x, y, eval_idx, batch_size, accuracy)
+                history["train_loss"].append(float(np.mean(epoch_losses)))
+                history["val_metric"].append(metric)
+                if sign * metric > best:
+                    best, best_epoch, stale = sign * metric, epoch, 0
+                else:
+                    stale += 1
+                    if stale > config.patience:
+                        break
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(epoch, f"epoch {epoch}: {exc}") from exc
 
     history["best_epoch"] = best_epoch
     history["stopped_epoch"] = epoch  # the last epoch run

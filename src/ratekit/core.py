@@ -1,6 +1,7 @@
 """Helpers shared across modules: the dense symmetric kernels of the precision
-code and its one relative rank bound, the one rule for feature names and the
-one for a permutation of feature indices (``permutation``), the text
+code and its one relative rank bound, the one scan of every input check for a
+nan or infinite entry (``first_non_finite``), the one rule for feature names
+and the one for a permutation of feature indices (``permutation``), the text
 policy of every file ratekit reads or writes (``text_file``), the writers every
 CSV, JSON and SVG output goes through, so reruns write the same bytes, and the
 reader, type check and refusal rule (``in_file``) of every input. ``bnn``,
@@ -20,6 +21,7 @@ __all__ = [
     "checked",
     "checked_symmetric",
     "default_names",
+    "first_non_finite",
     "gram",
     "in_file",
     "permutation",
@@ -55,7 +57,7 @@ def checked_symmetric(s, name: str = "S") -> np.ndarray:
     """The symmetric part of a finite square matrix; an asymmetry beyond
     ``ASYMMETRY_TOL`` relative to its largest entry raises ``ValueError``."""
     s = _as_matrix(s, name)
-    if not np.all(np.isfinite(s)):
+    if first_non_finite(s) is not None:
         raise ValueError(f"{name} contains non-finite entries")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"{name} must be square, got shape {s.shape}")
@@ -79,6 +81,14 @@ def gram(g) -> np.ndarray:
     if not np.all(np.isfinite(np.diagonal(prod))):
         raise ValueError("G has a non-finite row or one whose squared norm overflows")
     return prod
+
+
+def first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first nan or +-inf entry of ``a`` in C order, or None. A min
+    and a max find one with no array-sized temporary, which only a failure builds."""
+    if a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())):
+        return None
+    return tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
 
 
 def permutation(values, p: int, name: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit.bnn import LogitPosterior
-from ratekit.core import default_names, write_csv
+from ratekit.core import default_names, first_non_finite, write_csv
 
 __all__ = [
     "EffectSizePosterior",
@@ -87,10 +87,9 @@ def _checked_x(x) -> np.ndarray:
         raise ValueError(f"x must be 2-dimensional, got shape {x.shape}")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations for a sample covariance")
-    # min and max reach nan and +-inf without an n x p temporary
-    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        i, j = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"x contains non-finite entries; row {i}, column {j} is {float(x[i, j])}")
+    if (at := first_non_finite(x)) is not None:
+        raise ValueError(f"x contains non-finite entries; row {at[0]}, column {at[1]} "
+                         f"is {float(x[at])}")
     return x
 
 

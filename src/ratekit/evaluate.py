@@ -17,7 +17,7 @@ import numpy as np
 
 from ratekit import bnn, esa, simgen
 from ratekit.bnn import Network, _check_labelled
-from ratekit.core import permutation, write_csv
+from ratekit.core import first_non_finite, permutation, write_csv
 
 __all__ = [
     "RocCurve",
@@ -82,9 +82,8 @@ def roc_auc(scores, mask) -> RocCurve:
     mask = np.asarray(mask, dtype=bool)
     if scores.shape != mask.shape or scores.ndim != 1:
         raise ValueError("scores and mask must be 1-d arrays of equal length")
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise ValueError(f"scores must be finite; scores[{bad[0]}] is {float(scores[bad[0]])!r}")
+    if (at := first_non_finite(scores)) is not None:
+        raise ValueError(f"scores must be finite; scores[{at[0]}] is {float(scores[at])!r}")
     n_pos = int(mask.sum())
     n_neg = int((~mask).sum())
     if n_pos == 0 or n_neg == 0:

@@ -69,8 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ratekit.core import (
-    RANK_RTOL, NotPositiveDefiniteError, checked, checked_symmetric, default_names, gram, in_file,
-    read_json, text_file, write_csv, write_json,
+    RANK_RTOL, NotPositiveDefiniteError, checked, checked_symmetric, default_names,
+    first_non_finite, gram, in_file, read_json, text_file, write_csv, write_json,
 )
 from ratekit.esa import EffectSizePosterior
 
@@ -135,9 +135,8 @@ class PrecisionModel:
             )
         if np.any(self.eigvals <= 0):
             raise ValueError("eigvals must be positive")
-        # a min and a max over U find a non-finite entry without a p x r temporary
         for name, values in (("mu", self.mu), ("eigvals", self.eigvals), ("basis", self.basis)):
-            if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            if first_non_finite(values) is not None:
                 raise ValueError(f"{name} must be finite")
         self.feature_names = default_names(self.p, self.feature_names)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ratekit.core import ENCODING, checked, default_names, in_file, permutation, read_json
-from ratekit.core import text_file, write_json
+from ratekit.core import first_non_finite, text_file, write_json
 
 __all__ = [
     "SynthSpec",
@@ -356,10 +356,8 @@ def load_dataset_csv(csv_path) -> Dataset:
             raise ValueError(f"data row 1 has {data.shape[1]} cells, expected {p + 1}")
         if len(labels) != n:
             raise RuntimeError(f"{csv_path}: numpy passed {len(labels)} labels for {n} data rows")
-        # min and max reach nan and +-inf without an n x (p + 1) temporary
-        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-            row, col = np.argwhere(~np.isfinite(data))[0]
-            raise ValueError(f"data row {row + 1}, column {header[col]!r} is not finite")
+        if (at := first_non_finite(data)) is not None:
+            raise ValueError(f"data row {at[0] + 1}, column {header[at[1]]!r} is not finite")
     y = data[:, p].copy()  # float() of each label, before X overwrites the column
     # drop the label column in place, so X is C-contiguous without a second
     # n x p buffer: row i moves from offset i (p + 1) to i p

@@ -8,6 +8,7 @@ import base64
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,10 @@ class TestBuildNetwork:
         (-1.0, "prior_scale must be positive"),
         (math.nan, "prior_scale must be positive"),
         (math.inf, "prior_scale must be finite, got inf"),
+        # squares that underflow below float64's normal range, or overflow
+        (1e-160, r"prior_scale must square to a normal float \(from about 1\.5e-154 to "
+                 r"1\.3e154\), got 1e-160"),
+        (1e160, r"must square to a normal float .*, got 1e\+160"),
     ])
     def test_prior_scale_must_be_positive_and_finite(self, scale, message):
         with pytest.raises(ValueError, match=message):
@@ -542,11 +547,38 @@ class TestTrain:
         assert not all(np.array_equal(t, p) for t, p in zip(trained.parameters(), before))
 
     def test_divergence_raises(self):
+        # one exception, carrying numpy's message and no warning, whatever the
+        # warning filters; -W error used to raise the overflow's RuntimeWarning
         x, y = blob_dataset(n=64, seed=1)
         cfg = NetworkConfig(input_dim=2, hidden_sizes=(8,))
-        net = build_network(cfg, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
-            train(net, (x, y), TrainConfig(epochs=20, learning_rate=1e18, seed=0))
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(TrainingDivergedError, match="^epoch 0: overflow encountered"):
+                    train(build_network(cfg, seed=0), (x, y),
+                          TrainConfig(epochs=20, learning_rate=1e18, seed=0))
+            assert not caught, action
+
+    def test_underflowed_output_variance_is_divergence(self):
+        # exp(rho) below float64's smallest subnormal is 0, which numpy reports
+        # as no error; kl_q_prior used to refuse it as "variances must be positive"
+        x, y = blob_dataset(n=64, seed=1)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        net.rho[3, 0] = -800.0
+        with pytest.raises(TrainingDivergedError, match="^epoch 0: underflow encountered in exp: "
+                                                        "an output-layer variance is 0$"):
+            train(net, (x, y), TrainConfig(epochs=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_parameter_is_refused(self, bad):
+        # a nan weight used to be a loss gone non-finite at epoch 0; nan raises
+        # no floating-point error, so training would run on it
+        x, y = blob_dataset(n=64, seed=1)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        net.m[5, 0] = bad  # after the 2 x 8 weights and the 8 biases
+        with pytest.raises(ValueError, match=f"^network parameters must be finite; flat "
+                                             f"parameter 29 is {bad}$"):
+            train(net, (x, y), TrainConfig(epochs=1, seed=0))
 
     @pytest.mark.parametrize(
         "val_fraction, batch_size",

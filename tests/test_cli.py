@@ -26,13 +26,18 @@ def run(*argv):
     return dispatch(list(argv))
 
 
-def run_escalating_warnings(*argv):
-    """``python -W error -m ratekit.cli *argv``: every warning is an exception."""
+def run_process(*argv, python_flags=()):
+    """``python *python_flags -m ratekit.cli *argv`` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ratekit.cli", *argv],
+        [sys.executable, *python_flags, "-m", "ratekit.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         capture_output=True, text=True,
     )
+
+
+def run_escalating_warnings(*argv):
+    """``python -W error -m ratekit.cli *argv``: every warning is an exception."""
+    return run_process(*argv, python_flags=("-W", "error"))
 
 
 #: Runs the CLI chain the way ``python -m ratekit.cli`` does, in a process
@@ -353,6 +358,14 @@ class TestSettings:
         # inf used to be echoed as the non-standard JSON Infinity, then exit 4 at [train]
         (("train", "--data", "d.csv", "--prior-scale", "inf"),
          "prior_scale must be finite, got inf"),
+        # each used to exit 4 at [train]: 1e-160 squares to a subnormal float,
+        # over which the KL's m^2 overflowed, and 1e160's square overflowed
+        (("train", "--data", "d.csv", "--prior-scale", "1e-160"),
+         "prior_scale must square to a normal float (from about 1.5e-154 to 1.3e154), "
+         "got 1e-160"),
+        (("train", "--data", "d.csv", "--prior-scale", "1e160"),
+         "prior_scale must square to a normal float (from about 1.5e-154 to 1.3e154), "
+         "got 1e+160"),
     ])
     def test_library_type_refusal_is_config_error_naming_the_flag(self, tmp_path, capsys, argv,
                                                                   message):
@@ -517,6 +530,20 @@ class TestEscalatedWarnings:
         assert line.startswith(f"ratekit: error [{stage}]: {message}")
         assert "Traceback" not in result.stderr
         assert not any(tmp_path.glob("*report*"))
+
+    @pytest.mark.parametrize("python_flags", [("-W", "error"), ()], ids=["W-error", "default"])
+    def test_diverged_training_exits_4_with_one_line(self, chain, tmp_path, python_flags):
+        # training raises numpy's floating-point errors, so an overflow is one
+        # error whatever the warning filters: it used to print six "ratekit:
+        # warning:" lines before exit 4, or end at the first, exit 3, under -W error
+        result = run_process(
+            "train", "--data", str(chain / "sim" / "dataset.csv"), "--hidden", "8",
+            "--learning-rate", "1e300", "--out", str(tmp_path), python_flags=python_flags,
+        )
+        assert result.returncode == 4
+        [line] = result.stderr.splitlines()
+        assert line.startswith("ratekit: error [train]: epoch 0: overflow encountered in ")
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestPipeline:
@@ -953,12 +980,11 @@ class TestPipeline:
                 assert f"error [{stage}]: {model}: {message}" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, pipeline, tmp_path):
-        with np.errstate(all="ignore"):
-            code = run(
-                "train", "--data", str(pipeline / "sim" / "train.csv"),
-                "--hidden", "8", "--learning-rate", "1e18", "--seed", "0",
-                "--out", str(tmp_path),
-            )
+        code = run(
+            "train", "--data", str(pipeline / "sim" / "train.csv"),
+            "--hidden", "8", "--learning-rate", "1e18", "--seed", "0",
+            "--out", str(tmp_path),
+        )
         assert code == 4
 
     def test_config_file_with_flag_override(self, pipeline, tmp_path):

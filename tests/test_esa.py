@@ -1,13 +1,16 @@
 """Tests for the covariance effect-size projection and the OLS baseline."""
 
 import csv
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ratekit import bnn, evaluate, rate, simgen
 from ratekit import esa as esa_module
-from ratekit.bnn import LogitPosterior
+from ratekit.bnn import LogitPosterior, NetworkConfig, build_network
+from ratekit.core import first_non_finite
 from ratekit.esa import (
     EffectSizePosterior,
     RankDeficientWarning,
@@ -16,8 +19,50 @@ from ratekit.esa import (
     effect_sizes_to_csv,
     ols_effect_size,
 )
-from ratekit.rate import build_precision, rate_scores
+from ratekit.evaluate import roc_auc
+from ratekit.rate import PrecisionModel, build_precision, rate_scores
 from ratekit.simgen import collinear_regression
+
+
+def _check_bnn_inputs(a, tmp_path):
+    net = build_network(NetworkConfig(input_dim=a.shape[1], hidden_sizes=(1,)))
+    bnn._check_labelled(net, (a, np.zeros(len(a))))
+
+
+def _check_esa_x(a, tmp_path):
+    esa_module._checked_x(a)
+
+
+def _check_rate_basis(a, tmp_path):
+    PrecisionModel(mu=np.zeros(len(a)), basis=a, eigvals=np.ones(a.shape[1]))
+
+
+def _check_simgen_csv(a, tmp_path):
+    path = tmp_path / "data.csv"
+    header = ",".join([*(f"f{j + 1}" for j in range(a.shape[1])), "y"])
+    path.write_text("".join(f"{line}\n" for line in [header, *(
+        ",".join([*map(repr, row), "0"]) for row in a.tolist())]))
+    simgen.load_dataset_csv(path)
+
+
+def _check_evaluate_scores(a, tmp_path):
+    roc_auc(a.ravel(), np.arange(a.size) % 2 == 0)
+
+
+#: Each input check that scans for nan and +-inf with core.first_non_finite:
+#: its module, a call of it on a 2-d array, and its message for the first bad
+#: cell (i, j) of a 4-column array, holding v.
+FINITE_CHECKS = {
+    "bnn": (bnn, _check_bnn_inputs,
+            lambda i, j, v: f"inputs must be finite; row {i}, column {j} is {v}"),
+    "esa": (esa_module, _check_esa_x,
+            lambda i, j, v: f"x contains non-finite entries; row {i}, column {j} is {v}"),
+    "rate": (rate, _check_rate_basis, lambda i, j, v: "basis must be finite"),
+    "simgen": (simgen, _check_simgen_csv,
+               lambda i, j, v: f"data row {i + 1}, column 'f{j + 1}' is not finite"),
+    "evaluate": (evaluate, _check_evaluate_scores,
+                 lambda i, j, v: f"scores must be finite; scores[{4 * i + j}] is {v!r}"),
+}
 
 
 def deterministic_lp(f, hidden=None):
@@ -108,16 +153,30 @@ class TestCovarianceEsa:
         with pytest.raises(ValueError, match="non-finite entries; row 1, column 2 is nan"):
             covariance_effect_sizes(x, np.arange(5.0))
 
-    def test_finite_check_holds_no_mask_of_x(self):
-        # min and max find a bad cell; np.isfinite(x) held an n x p mask
-        x = np.random.default_rng(17).standard_normal((1000, 200))
+    @pytest.mark.parametrize("site", FINITE_CHECKS)
+    def test_finite_check_holds_no_mask_of_x(self, site, tmp_path, monkeypatch):
+        # each input check scans with core.first_non_finite: it names the first
+        # bad cell in C order, here (1, 2) before (3, 0), and a finite array
+        # costs a min and a max, where np.isfinite(x) held an n x p mask
+        module, check, message = FINITE_CHECKS[site]
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.arange(1.0, 21.0).reshape(5, 4)
+            x[3, 0], x[1, 2] = (np.inf if np.isnan(bad) else np.nan), bad
+            with pytest.raises(ValueError, match=re.escape(message(1, 2, bad))):
+                check(x, tmp_path)
+        scanned = []
+        monkeypatch.setattr(module, "first_non_finite",
+                            lambda a: scanned.append(a.size) or first_non_finite(a))
+        check(np.arange(1.0, 21.0).reshape(5, 4), tmp_path)
+        assert max(scanned) >= 20
+        x = np.random.default_rng(17).standard_normal((2000, 1000))
         tracemalloc.start()
         try:
-            esa_module._checked_x(x)
+            assert first_non_finite(x) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < x.size // 8
+        assert peak < 64 * 1024
 
     def test_x_is_checked_once_for_both_products(self, monkeypatch):
         # the check scans all n*p cells; the mean and the projection share it
