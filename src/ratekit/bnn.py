@@ -66,6 +66,20 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
 
 
+def _check_prior_scale(prior_scale: float) -> None:
+    """The prior scale's one rule, for ``NetworkConfig`` and ``kl_q_prior``:
+    positive, finite, and squaring to a normal float, since over a subnormal
+    s^2 the KL's m^2 / s^2 overflows. Else ``ValueError``."""
+    if not prior_scale > 0:
+        raise ValueError("prior_scale must be positive")
+    if not math.isfinite(prior_scale):
+        raise ValueError(f"prior_scale must be finite, got {prior_scale}")
+    scale = float(prior_scale)  # a numpy scalar's square warns as it overflows
+    if not np.finfo(np.float64).tiny <= scale * scale < math.inf:
+        raise ValueError("prior_scale must square to a normal float (from about 1.5e-154 "
+                         f"to 1.3e154), got {prior_scale}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture description: p inputs -> ReLU hidden stack -> c outputs."""
@@ -90,13 +104,7 @@ class NetworkConfig:
             raise ValueError("softmax link requires n_classes >= 2")
         if self.link in ("sigmoid", "identity") and self.n_classes != 1:
             raise ValueError(f"{self.link} link requires n_classes == 1")
-        if not self.prior_scale > 0:
-            raise ValueError("prior_scale must be positive")
-        if not math.isfinite(self.prior_scale):
-            raise ValueError(f"prior_scale must be finite, got {self.prior_scale}")
-        if not np.finfo(np.float64).tiny <= self.prior_scale * self.prior_scale < math.inf:
-            raise ValueError("prior_scale must square to a normal float (from about 1.5e-154 "
-                             f"to 1.3e154), got {self.prior_scale}")
+        _check_prior_scale(self.prior_scale)
 
     @property
     def penultimate_dim(self) -> int:
@@ -241,14 +249,26 @@ def penultimate_activations(net: Network, x) -> np.ndarray:
 
 
 def kl_q_prior(m: np.ndarray, v: np.ndarray, prior_scale: float) -> float:
-    """KL from the factorized Gaussian q = N(m, diag(v)) to N(0, s^2 I)."""
+    """KL from the factorized Gaussian q = N(m, diag(v)) to N(0, s^2 I).
+
+    Refuses with ``ValueError``, and no warning: a ``prior_scale`` that
+    ``NetworkConfig`` refuses, by the same rule and messages; a nan or +-inf
+    entry of ``m`` or ``v``, named by argument and index; a variance that is
+    not positive."""
+    _check_prior_scale(prior_scale)
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    for name, a in (("m", m), ("v", v)):
+        if (at := first_non_finite(a)) is not None:
+            raise ValueError(f"{name} must be finite; {name}{list(at)} is {float(a[at])}")
     if np.any(v <= 0):
         raise ValueError("variances must be positive")
-    if not prior_scale > 0:
-        raise ValueError("prior_scale must be positive")
-    s2 = prior_scale**2
+    return _kl(m, v, prior_scale**2)
+
+
+def _kl(m: np.ndarray, v: np.ndarray, s2: float) -> float:
+    """``kl_q_prior`` at prior variance ``s2``, on arguments it would accept,
+    unchecked."""
     return float(0.5 * np.sum(v / s2 + m**2 / s2 - 1.0 - np.log(v / s2)))
 
 
@@ -351,12 +371,13 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     layer l's bias and weight rows once da = dz W_lᵀ is. So the consumer
     may update each block's parameters in place before asking for the next
     block. It may also overwrite ``grad``, which the next block may reuse.
-    """
-    x, y = _check_labelled(net, (x, y))
-    cfg = net.config
-    if n_total < x.shape[0]:
-        raise ValueError("n_total must be at least the batch size")
 
+    Precondition, not checked here: ``x`` and ``y`` are as ``_check_labelled``
+    returns them and ``n_total`` is at least their length. ``train`` checks
+    its rows once, before its first step, and ``_checked_elbo_blocks`` checks
+    a batch for the other callers.
+    """
+    cfg = net.config
     activations = [x, *_predict_hidden(net, x)]
     h = activations[-1]
     v = net.v
@@ -370,7 +391,8 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     z = np.random.default_rng(seed).standard_normal(size=mean.shape)
     nll, g = _nll_and_grad(cfg.link, mean + sd * z, y)
     kl_scale = x.shape[0] / n_total
-    yield kl_scale * kl_q_prior(net.m, v, cfg.prior_scale) + nll
+    s2 = cfg.prior_scale**2
+    yield kl_scale * _kl(net.m, v, s2) + nll
 
     # d loss / d var, guarding degenerate rows where var == 0 exactly
     q = np.divide(g * z, 2.0 * sd, out=np.zeros_like(mean), where=var > 0)
@@ -381,7 +403,6 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     tail = np.empty(starts[-1] - starts[-4])
     out = _flat_network(Network(cfg, [], [], net.m, net.rho, net.b), tail)
     dm, drho, db = out.m, out.rho, out.b
-    s2 = cfg.prior_scale**2
     np.matmul(h.T, g, out=dm)
     dm += kl_scale * net.m / s2
     np.matmul(h2.T, q, out=drho)
@@ -419,11 +440,20 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
             yield from _blocks(starts[2 * l] + r0 * w.shape[1], block)
 
 
+def _checked_elbo_blocks(net: Network, x, y, n_total: int, seed: int):
+    """``_elbo_blocks`` on a batch checked here: ``_elbo`` and ``elbo_loss``
+    take rows that no caller has checked."""
+    x, y = _check_labelled(net, (x, y))
+    if n_total < x.shape[0]:
+        raise ValueError("n_total must be at least the batch size")
+    return _elbo_blocks(net, x, y, n_total, seed)
+
+
 def _elbo(net: Network, x, y, n_total: int, seed: int):
     """Negative minibatch ELBO and its gradients, arrays shaped like
     ``net.parameters()`` and in that order: ``_elbo_blocks``' blocks,
     collected."""
-    blocks = _elbo_blocks(net, x, y, n_total, seed)
+    blocks = _checked_elbo_blocks(net, x, y, n_total, seed)
     loss = next(blocks)
     flat = np.empty(sum(p.size for p in net.parameters()))
     for start, grad in blocks:
@@ -434,7 +464,7 @@ def _elbo(net: Network, x, y, n_total: int, seed: int):
 def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
     """Negative minibatch ELBO: scaled KL-to-prior plus the NLL of one
     logit sample per example."""
-    return next(_elbo_blocks(net, x, y, n_total, seed))
+    return next(_checked_elbo_blocks(net, x, y, n_total, seed))
 
 
 def _posterior_mean(net: Network, x) -> np.ndarray:
@@ -539,7 +569,8 @@ def train(net: Network, dataset, config: TrainConfig):
 
     Numpy's floating-point errors in an epoch, underflow aside, and an output-layer
     variance exp(rho) underflowed to 0 raise ``TrainingDivergedError``, whatever the
-    warning filters. The inputs and initial parameters must be finite (else ``ValueError``).
+    warning filters. The inputs and initial parameters must be finite (else ``ValueError``);
+    both are checked once, before the first step, which trusts them.
     """
     x, y = _check_labelled(net, dataset)
 

@@ -44,6 +44,20 @@ def small_net(link="sigmoid", n_classes=1, hidden=(4,), p=3, seed=0):
     return build_network(cfg, seed=seed)
 
 
+#: Prior scales that NetworkConfig and kl_q_prior refuse, by one rule, and
+#: the message each refusal matches.
+PRIOR_SCALE_REFUSALS = [
+    (0.0, "prior_scale must be positive"),
+    (-1.0, "prior_scale must be positive"),
+    (math.nan, "prior_scale must be positive"),
+    (math.inf, "prior_scale must be finite, got inf"),
+    # squares that underflow below float64's normal range, or overflow
+    (1e-160, r"prior_scale must square to a normal float \(from about 1\.5e-154 to "
+             r"1\.3e154\), got 1e-160"),
+    (1e160, r"must square to a normal float .*, got 1e\+160"),
+]
+
+
 class TestBuildNetwork:
     def test_shapes(self):
         net = small_net(p=2, hidden=(3,))
@@ -67,16 +81,7 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=2, hidden_sizes=(0,))
 
-    @pytest.mark.parametrize("scale, message", [
-        (0.0, "prior_scale must be positive"),
-        (-1.0, "prior_scale must be positive"),
-        (math.nan, "prior_scale must be positive"),
-        (math.inf, "prior_scale must be finite, got inf"),
-        # squares that underflow below float64's normal range, or overflow
-        (1e-160, r"prior_scale must square to a normal float \(from about 1\.5e-154 to "
-                 r"1\.3e154\), got 1e-160"),
-        (1e160, r"must square to a normal float .*, got 1e\+160"),
-    ])
+    @pytest.mark.parametrize("scale, message", PRIOR_SCALE_REFUSALS)
     def test_prior_scale_must_be_positive_and_finite(self, scale, message):
         with pytest.raises(ValueError, match=message):
             NetworkConfig(input_dim=2, hidden_sizes=(3,), prior_scale=scale)
@@ -152,6 +157,30 @@ class TestKlQPrior:
         with pytest.raises(ValueError):
             kl_q_prior([0.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("scale, message", PRIOR_SCALE_REFUSALS)
+    def test_refuses_the_prior_scales_network_config_refuses(self, scale, message):
+        # 1e160 used to raise Python's OverflowError, 1e-160 to return nan with
+        # two RuntimeWarnings, and inf to return nan; a numpy scalar's square
+        # must not warn as it overflows
+        for given in (scale, np.float64(scale)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    kl_q_prior(np.zeros(3), np.ones(3), given)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["m", "v"])
+    def test_non_finite_entry_is_refused_by_name(self, name, bad):
+        # each used to come back as a nan or an inf KL, or as "variances must
+        # be positive" for v = -inf
+        args = {"m": np.zeros((3, 2)), "v": np.ones((3, 2))}
+        args[name][2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=fr"^{name} must be finite; {name}\[2, 1\] is "
+                                                 fr"{bad}$"):
+                kl_q_prior(args["m"], args["v"], 1.0)
+
 
 class TestElboLoss:
     def test_zero_variance_limit_is_log2(self):
@@ -191,6 +220,16 @@ class TestElboLoss:
         net = small_net()
         with pytest.raises(ValueError):
             elbo_loss(net, np.ones((2, 3)), np.array([0, 2]), n_total=2)
+
+    @pytest.mark.parametrize("loss", [
+        lambda net, x, y, n_total: elbo_loss(net, x, y, n_total),
+        lambda net, x, y, n_total: _elbo(net, x, y, n_total, 0),
+    ], ids=["elbo_loss", "_elbo"])
+    def test_n_total_below_the_batch_size_is_refused(self, loss):
+        net = small_net()
+        x, y = np.ones((4, 3)), np.array([0, 1, 1, 0])
+        with pytest.raises(ValueError, match="^n_total must be at least the batch size$"):
+            loss(net, x, y, 3)
 
 
 def _finite_difference_check(link, n_classes, y, seed=12345):
@@ -253,6 +292,7 @@ class TestGradients:
         net = small_net(link="softmax", n_classes=3, hidden=(5, 4), p=3, seed=2)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 2, 1, 0])
+        x, y = bnn._check_labelled(net, (x, y))  # _elbo_blocks' precondition
         loss, grads = _elbo(net, x, y, 10, 4)
         blocks = _elbo_blocks(net, x, y, 10, 4)
         assert next(blocks) == loss
@@ -283,7 +323,7 @@ class TestGradients:
         if block:
             monkeypatch.setattr(bnn, "_ADAM_BLOCK", block)
         net = small_net(link=link, n_classes=n_classes, hidden=(5, 4), p=3, seed=2)
-        x = np.random.default_rng(3).standard_normal((6, 3))
+        x, y = bnn._check_labelled(net, (np.random.default_rng(3).standard_normal((6, 3)), y))
         loss, expected = _elbo(net, x, y, 10, 4)
         flat = np.concatenate([p.ravel() for p in net.parameters()])
         spoiled = bnn._flat_network(net, flat)
@@ -545,6 +585,25 @@ class TestTrain:
         for t in trained.parameters():
             assert not any(np.shares_memory(t, p) for p in net.parameters())
         assert not all(np.array_equal(t, p) for t, p in zip(trained.parameters(), before))
+
+    def test_checks_its_rows_once(self, monkeypatch):
+        # the steps trust the rows train checked; each of the 4 steps here
+        # (51 training rows in batches of 32, 2 epochs) used to check its batch
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        check = bnn._check_labelled
+        monkeypatch.setattr(bnn, "_check_labelled", spy)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((64, 3))
+        y = (x[:, 0] > 0).astype(int)
+        net = build_network(NetworkConfig(input_dim=3, hidden_sizes=(8,)), seed=0)
+        _, history = train(net, (x, y), TrainConfig(epochs=2, val_fraction=0.2, seed=0))
+        assert len(history["train_loss"]) == 2
+        assert len(calls) == 1
 
     def test_divergence_raises(self):
         # one exception, carrying numpy's message and no warning, whatever the
