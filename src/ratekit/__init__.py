@@ -14,7 +14,6 @@ from ratekit.bnn import (
     TrainConfig,
     build_network,
     elbo_loss,
-    kl_q_prior,
     logit_posterior,
     network_from_json,
     network_to_json,

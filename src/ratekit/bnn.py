@@ -5,10 +5,14 @@ The hidden stack is an ordinary point-estimate MLP. The output layer keeps a
 fully factorized Gaussian over its weights (mean ``m``, variance
 ``v = exp(rho)``), so the latent pre-link outputs ("logits") of any input
 batch follow a closed-form Gaussian whose covariance factor is cheap to carry
-around. Training maximizes the variational lower bound with the local
-reparameterization trick, estimated from one logit sample per example;
-gradients are hand-written reverse-mode for this fixed affine+ReLU+Gaussian
-family and validated against finite differences in the test suite.
+around. Training fits the hidden stack, ``m`` and ``b`` deterministically at
+the v -> 0 limit of the variational lower bound (the NLL at the mean logits
+plus the prior on ``m``), with hand-written reverse-mode gradients validated
+against finite differences in the test suite. It then sets v at the bound's
+stationary point given those: the fixed point of 1/v_j = 1/s^2 + sum_i c_i
+h_ij^2 (Opper and Archambeau, Neural Computation 21(3), 2009), with c_i the
+expected curvature of the NLL under the logit's Gaussian, taken as the
+derivative of one Gauss-Hermite sum (``_curvature``).
 
 The three links are canonical, so one inverse link maps logits to the
 likelihood's mean, the NLL's logit gradient is mean - target for labels
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import io
 import json
 import math
@@ -38,7 +43,6 @@ __all__ = [
     "TrainingDivergedError",
     "build_network",
     "penultimate_activations",
-    "kl_q_prior",
     "elbo_loss",
     "train",
     "logit_posterior",
@@ -66,23 +70,13 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
 
 
-def _check_prior_scale(prior_scale: float) -> None:
-    """The prior scale's one rule, for ``NetworkConfig`` and ``kl_q_prior``:
-    positive, finite, and squaring to a normal float, since over a subnormal
-    s^2 the KL's m^2 / s^2 overflows. Else ``ValueError``."""
-    if not prior_scale > 0:
-        raise ValueError("prior_scale must be positive")
-    if not math.isfinite(prior_scale):
-        raise ValueError(f"prior_scale must be finite, got {prior_scale}")
-    scale = float(prior_scale)  # a numpy scalar's square warns as it overflows
-    if not np.finfo(np.float64).tiny <= scale * scale < math.inf:
-        raise ValueError("prior_scale must square to a normal float (from about 1.5e-154 "
-                         f"to 1.3e154), got {prior_scale}")
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture description: p inputs -> ReLU hidden stack -> c outputs."""
+    """Architecture description: p inputs -> ReLU hidden stack -> c outputs.
+
+    ``prior_scale`` s must be positive, finite, and square to a normal
+    float, since over a subnormal s^2 the prior's m^2 / s^2 overflows; else
+    ``ValueError``."""
 
     input_dim: int
     hidden_sizes: tuple[int, ...]
@@ -104,7 +98,14 @@ class NetworkConfig:
             raise ValueError("softmax link requires n_classes >= 2")
         if self.link in ("sigmoid", "identity") and self.n_classes != 1:
             raise ValueError(f"{self.link} link requires n_classes == 1")
-        _check_prior_scale(self.prior_scale)
+        if not self.prior_scale > 0:
+            raise ValueError("prior_scale must be positive")
+        if not math.isfinite(self.prior_scale):
+            raise ValueError(f"prior_scale must be finite, got {self.prior_scale}")
+        scale = float(self.prior_scale)  # a numpy scalar's square warns as it overflows
+        if not np.finfo(np.float64).tiny <= scale * scale < math.inf:
+            raise ValueError("prior_scale must square to a normal float (from about 1.5e-154 "
+                             f"to 1.3e154), got {self.prior_scale}")
 
     @property
     def penultimate_dim(self) -> int:
@@ -117,6 +118,7 @@ class Network:
 
     ``hidden_weights[l]`` has shape (fan_in, fan_out); ``m`` and ``rho`` are
     (k, c) with k the last hidden width; ``b`` is the per-class output bias.
+    ``rho`` is not among the ``parameters()``: ``train`` fits it after them.
     """
 
     config: NetworkConfig
@@ -133,11 +135,12 @@ class Network:
         return np.exp(self.rho)
 
     def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays, in a fixed order."""
+        """The arrays training fits by gradient, in a fixed order: each
+        hidden layer's weights and bias, then ``m`` and ``b``."""
         params: list[np.ndarray] = []
         for w, c in zip(self.hidden_weights, self.hidden_biases):
             params.extend((w, c))
-        params.extend((self.m, self.rho, self.b))
+        params.extend((self.m, self.b))
         return params
 
 
@@ -190,8 +193,9 @@ def build_network(config: NetworkConfig, seed: int = 0) -> Network:
     """Initialize a network deterministically from a seed.
 
     Hidden weights are fan-in-scaled uniform, hidden biases zero, output
-    means small Gaussians, and output log-variances -5 so the initial
-    posterior is narrow but not degenerate.
+    means small Gaussians, and output log-variances -5, so an untrained
+    network's posterior is narrow but not degenerate. ``train`` reads the
+    log-variances only as the start of its variance fit.
     """
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -248,30 +252,6 @@ def penultimate_activations(net: Network, x) -> np.ndarray:
     return h
 
 
-def kl_q_prior(m: np.ndarray, v: np.ndarray, prior_scale: float) -> float:
-    """KL from the factorized Gaussian q = N(m, diag(v)) to N(0, s^2 I).
-
-    Refuses with ``ValueError``, and no warning: a ``prior_scale`` that
-    ``NetworkConfig`` refuses, by the same rule and messages; a nan or +-inf
-    entry of ``m`` or ``v``, named by argument and index; a variance that is
-    not positive."""
-    _check_prior_scale(prior_scale)
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    for name, a in (("m", m), ("v", v)):
-        if (at := first_non_finite(a)) is not None:
-            raise ValueError(f"{name} must be finite; {name}{list(at)} is {float(a[at])}")
-    if np.any(v <= 0):
-        raise ValueError("variances must be positive")
-    return _kl(m, v, prior_scale**2)
-
-
-def _kl(m: np.ndarray, v: np.ndarray, s2: float) -> float:
-    """``kl_q_prior`` at prior variance ``s2``, on arguments it would accept,
-    unchecked."""
-    return float(0.5 * np.sum(v / s2 + m**2 / s2 - 1.0 - np.log(v / s2)))
-
-
 def _prepare_labels(link: str, n_classes: int, y) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
@@ -318,8 +298,8 @@ def _inverse_link(link: str, f: np.ndarray) -> np.ndarray:
 
 
 def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
-    """Total negative log-likelihood of one logit sample, and d nll / d f,
-    which is mean - target for each of the three canonical links."""
+    """Total negative log-likelihood at logits ``f``, and d nll / d f, which
+    is mean - target for each of the three canonical links."""
     g = _inverse_link(link, f) - _target(y, f.shape[1])
     if link == "sigmoid":
         fv = f[:, 0]
@@ -333,7 +313,8 @@ def _nll_and_grad(link: str, f: np.ndarray, y: np.ndarray):
 
 
 #: The most values of the flat gradient that ``_elbo_blocks`` hands over at
-#: once, and so the most that one ``_adam_step`` updates.
+#: once, and so the most that one ``_adam_step`` updates. The variance fit
+#: sizes its pieces of rows by it too.
 _ADAM_BLOCK = 32768
 
 
@@ -355,22 +336,24 @@ def _blocks(start: int, grad: np.ndarray):
         yield start + i, grad[i : i + _ADAM_BLOCK]
 
 
-def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
-    """Negative minibatch ELBO, then its gradient a block at a time.
+def _elbo_blocks(net: Network, x, y, n_total: int):
+    """Training's minibatch loss, then its gradient a block at a time.
 
-    A generator. Each example's logits are one sample from
-    N(h m + b, (h*h) v), the local reparameterization of the output-layer
-    weight posterior, with noise fixed by ``seed`` so the loss is a
-    deterministic function of (params, batch, seed). The loss is yielded
-    first, before the backward pass. Then come ``(start, grad)`` pairs:
-    ``grad`` holds at most ``_ADAM_BLOCK`` values of the gradient of the
-    flat parameter vector (``net.parameters()`` raveled and concatenated),
-    from offset ``start`` on; each offset comes exactly once. A block comes
-    only after the backward pass last reads its parameter: ``m``, ``rho``
-    and ``b`` (contiguous in the flat vector) once dh is formed, hidden
-    layer l's bias and weight rows once da = dz W_lᵀ is. So the consumer
-    may update each block's parameters in place before asking for the next
-    block. It may also overwrite ``grad``, which the next block may reuse.
+    The loss is the negative minibatch ELBO's part in the trained
+    parameters at v -> 0: the NLL at the mean logits h m + b plus the prior
+    term (batch / n_total) |m|^2 / (2 s^2). It is a deterministic function
+    of (parameters, batch).
+
+    A generator. The loss is yielded first, before the backward pass. Then
+    come ``(start, grad)`` pairs: ``grad`` holds at most ``_ADAM_BLOCK``
+    values of the gradient of the flat parameter vector (``net.parameters()``
+    raveled and concatenated), from offset ``start`` on; each offset comes
+    exactly once. A block comes only after the backward pass last reads its
+    parameter: ``m`` and ``b`` (contiguous in the flat vector) once dh is
+    formed, hidden layer l's bias and weight rows once da = dz W_lᵀ is. So
+    the consumer may update each block's parameters in place before asking
+    for the next block. It may also overwrite ``grad``, which the next block
+    may reuse.
 
     Precondition, not checked here: ``x`` and ``y`` are as ``_check_labelled``
     returns them and ``n_total`` is at least their length. ``train`` checks
@@ -380,43 +363,22 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
     cfg = net.config
     activations = [x, *_predict_hidden(net, x)]
     h = activations[-1]
-    v = net.v
-    if not v.all():  # numpy reports no error for exp(rho) that underflows to 0
-        raise FloatingPointError("underflow encountered in exp: an output-layer variance is 0")
-    mean = h @ net.m + net.b
-    h2 = h**2  # serves the forward variance and the backward drho
-    var = h2 @ v
-    sd = np.sqrt(var)
-
-    z = np.random.default_rng(seed).standard_normal(size=mean.shape)
-    nll, g = _nll_and_grad(cfg.link, mean + sd * z, y)
-    kl_scale = x.shape[0] / n_total
-    s2 = cfg.prior_scale**2
-    yield kl_scale * _kl(net.m, v, s2) + nll
-
-    # d loss / d var, guarding degenerate rows where var == 0 exactly
-    q = np.divide(g * z, 2.0 * sd, out=np.zeros_like(mean), where=var > 0)
+    nll, g = _nll_and_grad(cfg.link, h @ net.m + net.b, y)
+    decay = x.shape[0] / (n_total * cfg.prior_scale**2)  # d prior / d m = decay m
+    yield 0.5 * decay * float(np.sum(net.m**2)) + nll
 
     starts = np.cumsum([0] + [p.size for p in net.parameters()]).tolist()
-    # the gradient of m, rho and b, the flat vector's last arrays: the layout
-    # of a network without hidden layers
-    tail = np.empty(starts[-1] - starts[-4])
-    out = _flat_network(Network(cfg, [], [], net.m, net.rho, net.b), tail)
-    dm, drho, db = out.m, out.rho, out.b
+    # the gradient of m and b, the flat vector's last arrays
+    tail = np.empty(starts[-1] - starts[-3])
+    dm, db = tail[: net.m.size].reshape(net.m.shape), tail[net.m.size :]
     np.matmul(h.T, g, out=dm)
-    dm += kl_scale * net.m / s2
-    np.matmul(h2.T, q, out=drho)
-    del h2
-    drho *= v
-    drho += kl_scale * 0.5 * (v / s2 - 1.0)
+    dm += decay * net.m
     np.sum(g, axis=0, out=db)
-    # da starts as d loss / d h, the bits of g mᵀ + 2 h (q vᵀ) formed in
-    # place; the backward pass keeps only the layers it has still to reach
-    da = 2.0 * h
-    da *= q @ v.T
-    da += g @ net.m.T
+    # da starts as d loss / d h; the backward pass keeps only the layers it
+    # has still to reach
+    da = g @ net.m.T
     del h
-    yield from _blocks(starts[-4], tail)
+    yield from _blocks(starts[-3], tail)
 
     # A weight gradient is formed a block of whole rows, about _ADAM_BLOCK
     # values, at a time, in one buffer that every block reuses. (With
@@ -440,20 +402,20 @@ def _elbo_blocks(net: Network, x, y, n_total: int, seed: int):
             yield from _blocks(starts[2 * l] + r0 * w.shape[1], block)
 
 
-def _checked_elbo_blocks(net: Network, x, y, n_total: int, seed: int):
+def _checked_elbo_blocks(net: Network, x, y, n_total: int):
     """``_elbo_blocks`` on a batch checked here: ``_elbo`` and ``elbo_loss``
     take rows that no caller has checked."""
     x, y = _check_labelled(net, (x, y))
     if n_total < x.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    return _elbo_blocks(net, x, y, n_total, seed)
+    return _elbo_blocks(net, x, y, n_total)
 
 
-def _elbo(net: Network, x, y, n_total: int, seed: int):
-    """Negative minibatch ELBO and its gradients, arrays shaped like
+def _elbo(net: Network, x, y, n_total: int):
+    """Training's minibatch loss and its gradients, arrays shaped like
     ``net.parameters()`` and in that order: ``_elbo_blocks``' blocks,
     collected."""
-    blocks = _checked_elbo_blocks(net, x, y, n_total, seed)
+    blocks = _checked_elbo_blocks(net, x, y, n_total)
     loss = next(blocks)
     flat = np.empty(sum(p.size for p in net.parameters()))
     for start, grad in blocks:
@@ -461,10 +423,11 @@ def _elbo(net: Network, x, y, n_total: int, seed: int):
     return loss, _flat_network(net, flat).parameters()
 
 
-def elbo_loss(net: Network, x, y, n_total: int, *, seed: int = 0) -> float:
-    """Negative minibatch ELBO: scaled KL-to-prior plus the NLL of one
-    logit sample per example."""
-    return next(_checked_elbo_blocks(net, x, y, n_total, seed))
+def elbo_loss(net: Network, x, y, n_total: int) -> float:
+    """Training's minibatch loss: the NLL at the mean logits plus
+    (batch / n_total) |m|^2 / (2 s^2), the negative ELBO's part in the
+    trained parameters at v -> 0."""
+    return next(_checked_elbo_blocks(net, x, y, n_total))
 
 
 def _posterior_mean(net: Network, x) -> np.ndarray:
@@ -505,16 +468,16 @@ def _metric(net: Network, x: np.ndarray, y: np.ndarray, rows: np.ndarray, chunk:
 
 
 def _flat_network(net: Network, flat: np.ndarray) -> Network:
-    """A network with ``net``'s config and seed whose arrays, shaped as
-    ``net``'s, are consecutive views into ``flat``, in ``parameters()``
-    order: the layout of the flat parameter vector and of its gradient."""
+    """A network with ``net``'s config, seed and ``rho`` whose parameters,
+    shaped as ``net``'s, are consecutive views into ``flat``, in
+    ``parameters()`` order: the layout of the flat parameter vector and of
+    its gradient."""
     views, start = [], 0
     for p in net.parameters():
         views.append(flat[start : start + p.size].reshape(p.shape))
         start += p.size
-    n_hidden = len(net.hidden_weights)
-    return Network(net.config, views[0 : 2 * n_hidden : 2], views[1 : 2 * n_hidden : 2],
-                   *views[2 * n_hidden :], seed=net.seed)
+    *hidden, m, b = views
+    return Network(net.config, hidden[0::2], hidden[1::2], m, net.rho, b, seed=net.seed)
 
 
 def _adam_step(p, g, mu, nu, step: int, lr: float) -> None:
@@ -546,16 +509,159 @@ def _adam_step(p, g, mu, nu, step: int, lr: float) -> None:
     p -= g
 
 
-def train(net: Network, dataset, config: TrainConfig):
-    """Adam-train the network with early stopping.
+#: The output-variance fit's Gauss-Hermite node count, its tolerance on
+#: max_j |v_j / F(v)_j - 1| (twice the largest derivative in rho of the
+#: negative quadrature ELBO), and the most evaluations of the map F it makes.
+_GH_NODES = 20
+_FIT_RTOL = 1e-10
+_FIT_MAX_ITERATIONS = 500
 
-    Each minibatch step updates one flat buffer of the parameters in place,
-    a gradient block at a time (``_adam_step``), and each epoch's metric is
-    computed a batch of rows at a time (``_metric``). So training holds
-    three parameter-sized buffers (the parameters and Adam's two
-    unnormalised moments) plus one batch's activations, whatever the number
-    of rows, and no scratch buffer; only its row orders and the metric's
-    per-row results grow with the rows, by a few values per row.
+
+@functools.cache
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """The positive nodes x_k of the ``_GH_NODES``-node Gauss-Hermite rule
+    for the standard normal, and their weights w_k. The rule's other nodes
+    are the -x_k with the same weights, so it is exactly symmetric.
+
+    Golub and Welsch's rule: the nodes are the eigenvalues of the Jacobi
+    matrix of the probabilists' Hermite recurrence, and each weight is the
+    square of its eigenvector's first entry."""
+    off = np.sqrt(np.arange(1.0, _GH_NODES))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    positive = nodes > 0
+    return nodes[positive], vectors[0, positive] ** 2
+
+
+def _curvature(link: str, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Twice the derivative in ``var`` of the Gauss-Hermite expected NLL,
+    per row and class: the c of the variance fit's map.
+
+    The expected NLL of a row is sum_k w_k nll(mean + sd x_k) over the
+    symmetric rule of ``_gauss_hermite``, sd = sqrt(var). For softmax, each
+    class's variance enters through a one-dimensional sum over its own
+    logit, the other classes' logits at their means: the expectation is
+    nll(mean) + sum_a [sum_k w_k nll(mean + sd_a x_k e_a) - nll(mean)]. The
+    classes' logits are independent under the posterior, so this is exact
+    to second order in sd.
+
+    Twice the derivative in var is sum_k w_k x_k nll'(mean + sd x_k) / sd,
+    with nll' the inverse link's mean less the target. It is the expected
+    curvature by Stein's lemma, but taken from the sum itself, so that the
+    fit's fixed point is stationary for the sum; the sum of the curvature
+    is not. Over the symmetric nodes the target cancels, leaving
+    sum_{x_k > 0} w_k x_k [g(mean + sd x_k) - g(mean - sd x_k)] / sd with g
+    the inverse link (``_inverse_link``), whose terms are non-negative as g
+    increases. It is exactly 1 for the identity link, whose sum is exact,
+    and 0 where var is 0. The rows are taken a piece at a time, so that the
+    inverse link's few temporaries hold about ``_ADAM_BLOCK`` values
+    together, as a training step's weight-gradient block does.
+    """
+    if link == "identity":
+        return np.ones_like(mean)
+    nodes, weights = _gauss_hermite()
+    shifts = np.concatenate([nodes, -nodes])
+    n, c = mean.shape
+    classes = np.arange(c)
+    sd = np.sqrt(var)
+    out = np.empty_like(mean)
+    rows = max(1, _ADAM_BLOCK // (4 * shifts.size * c * c))
+    for r0 in range(0, n, rows):
+        part = slice(r0, r0 + rows)
+        # f[i, a, k]: row i's mean logits with class a's moved by sd shifts[k]
+        f = np.repeat(mean[part, None, None, :], c, axis=1).repeat(shifts.size, axis=2)
+        f[:, classes, :, classes] += (sd[part, :, None] * shifts).transpose(1, 0, 2)
+        g = _inverse_link(link, f.reshape(-1, c)).reshape(f.shape)[:, classes, :, classes]
+        out[part] = ((g[..., : nodes.size] - g[..., nodes.size :]) @ (weights * nodes)).T
+    return np.divide(out, sd, out=np.zeros_like(out), where=sd > 0)
+
+
+def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray, v: np.ndarray,
+                          budget: int) -> tuple[np.ndarray, int]:
+    """The output-layer variances at the stationary point of the negative
+    quadrature ELBO in v, given ``net``'s hidden stack, ``m`` and ``b``, on
+    rows ``rows`` of ``x``; and how many times the map was evaluated.
+
+    The point is the fixed point of F(v) = s^2 / (1 + s^2 (H∘H)ᵀ c), that
+    is 1/v_j = 1/s^2 + sum_i c_i h_ij^2 per class, with c = ``_curvature``
+    at the logit variances (H∘H) v. A unit that is 0 on every row gets s^2.
+    From the start ``v`` the fit takes one plain step, v <- F(v), which
+    lifts a start of 0; then it damps, v <- sqrt(v F(v)), since the plain
+    map can settle into a 2-cycle. It stops at the first v evaluated with
+    max |v / F(v) - 1| <= ``_FIT_RTOL`` and returns it. Where F does not
+    depend on v (the identity link), that is the first step's exact F.
+    After ``_FIT_MAX_ITERATIONS`` evaluations it raises ``FloatingPointError``.
+
+    It holds H∘H and the mean logits of the first rows, as many as
+    ``budget`` values of H∘H allow, and recomputes the rest at each
+    evaluation, as it computes the first: a piece of rows at a time, whose
+    inputs and two widest layers hold about ``_ADAM_BLOCK`` values, as a
+    training step's weight-gradient block does.
+    """
+    cfg = net.config
+    s2 = cfg.prior_scale**2
+    n_held = min(len(rows), budget // cfg.penultimate_dim)
+    piece = _ADAM_BLOCK // (x.shape[1] + 2 * max(cfg.hidden_sizes))
+
+    def hidden(rows):
+        """H∘H and the mean logits of ``rows``, a piece at a time."""
+        bounds = _row_bounds(len(rows), piece)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            h = penultimate_activations(net, x[rows[r0:r1]])
+            mean = h @ net.m + net.b
+            yield np.square(h, out=h), mean
+
+    hh, mean, start = np.empty((n_held, cfg.penultimate_dim)), np.empty((n_held, cfg.n_classes)), 0
+    for part, part_mean in hidden(rows[:n_held]):
+        hh[start : start + len(part)], mean[start : start + len(part)] = part, part_mean
+        start += len(part)
+
+    def pieces():
+        yield hh, mean
+        yield from hidden(rows[n_held:])
+
+    def step(v):
+        total = np.zeros_like(v)
+        for part, part_mean in pieces():
+            total += part.T @ _curvature(cfg.link, part_mean, part @ v)
+        return s2 / (1.0 + s2 * total)
+
+    v, iterations = step(v), 1
+    while True:
+        new, iterations = step(v), iterations + 1
+        change = float(np.max(np.abs(v / new - 1.0)))
+        if change <= _FIT_RTOL:
+            return v, iterations
+        if iterations >= _FIT_MAX_ITERATIONS:
+            raise FloatingPointError(
+                f"the output-variance fit did not converge in {iterations} iterations "
+                f"(largest relative change {change:.3g})")
+        v = np.sqrt(v * new)
+
+
+def train(net: Network, dataset, config: TrainConfig):
+    """Adam-train the network with early stopping, then fit the output
+    variances.
+
+    The steps minimise the deterministic loss of ``_elbo_blocks``: the NLL
+    at the mean logits plus the prior on ``m``, so the hidden stack, ``m``
+    and ``b`` are trained at the v -> 0 limit of the ELBO. Each minibatch
+    step updates one flat buffer of those parameters in place, a gradient
+    block at a time (``_adam_step``), and each epoch's metric is computed a
+    batch of rows at a time (``_metric``). So the epochs hold three
+    parameter-sized buffers (the parameters and Adam's two unnormalised
+    moments) plus one batch's activations, whatever the number of rows, and
+    no scratch buffer; only its row orders and the metric's per-row results
+    grow with the rows, by a few values per row.
+
+    After the last epoch, the moments are released, and
+    ``_fit_output_variances`` sets ``rho`` = log v at the ELBO's stationary
+    point in v given the trained parameters, on the rows the steps trained
+    on (all rows but the validation split). It starts from the input
+    network's ``rho``, which nothing else reads. It holds at most as many
+    values of H∘H as the moments held and recomputes any rows beyond those
+    at each iteration, a piece of rows at a time, so its memory, like the
+    epochs', does not grow with the rows. ``history["variance_fit"]``
+    records its ``iterations`` and v's ``v_min``, ``v_median`` and ``v_max``.
 
     Early stopping watches ``history["metric_name"]``: ``val_accuracy`` for
     a classification link with a validation split, else the posterior-mean
@@ -567,10 +673,10 @@ def train(net: Network, dataset, config: TrainConfig):
     ``history["best_epoch"]`` names. Returns ``(trained_network, history)``;
     the input network is not modified.
 
-    Numpy's floating-point errors in an epoch, underflow aside, and an output-layer
-    variance exp(rho) underflowed to 0 raise ``TrainingDivergedError``, whatever the
-    warning filters. The inputs and initial parameters must be finite (else ``ValueError``);
-    both are checked once, before the first step, which trusts them.
+    Numpy's floating-point errors in an epoch or in the fit, underflow aside, and a fit
+    that does not converge raise ``TrainingDivergedError``, whatever the warning filters.
+    The inputs and initial parameters, ``rho`` included, must be finite (else
+    ``ValueError``); both are checked once, before the first step, which trusts them.
     """
     x, y = _check_labelled(net, dataset)
 
@@ -603,6 +709,8 @@ def train(net: Network, dataset, config: TrainConfig):
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
     if (at := first_non_finite(flat)) is not None:
         raise ValueError(f"network parameters must be finite; flat parameter {at[0]} is {flat[at]}")
+    if (at := first_non_finite(net.rho)) is not None:
+        raise ValueError(f"network parameters must be finite; rho{list(at)} is {net.rho[at]}")
     model = _flat_network(net, flat)
     # The initial arrays are not needed past this point. Dropping this frame's
     # reference frees them before the moments are allocated when the caller
@@ -625,8 +733,7 @@ def train(net: Network, dataset, config: TrainConfig):
                 epoch_losses = []
                 for start in range(0, n_train, batch_size):
                     rows = epoch_rows[start : start + batch_size]
-                    batch_seed = int(rng.integers(0, 2**63 - 1))
-                    blocks = _elbo_blocks(model, x[rows], y[rows], n_train, batch_seed)
+                    blocks = _elbo_blocks(model, x[rows], y[rows], n_train)
                     epoch_losses.append(next(blocks))
                     step += 1
                     for offset, grad in blocks:
@@ -643,11 +750,18 @@ def train(net: Network, dataset, config: TrainConfig):
                     stale += 1
                     if stale > config.patience:
                         break
+
+            budget = moment1.size + moment2.size
+            del grad, moment1, moment2  # grad: a view of the last step's gradient buffer
+            v, iterations = _fit_output_variances(model, x, train_idx, np.exp(model.rho), budget)
+            model.rho = np.log(v)
     except FloatingPointError as exc:
         raise TrainingDivergedError(epoch, f"epoch {epoch}: {exc}") from exc
 
     history["best_epoch"] = best_epoch
     history["stopped_epoch"] = epoch  # the last epoch run
+    history["variance_fit"] = {"iterations": iterations, "v_min": float(v.min()),
+                               "v_median": float(np.median(v)), "v_max": float(v.max())}
     return model, history
 
 

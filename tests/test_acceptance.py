@@ -17,6 +17,7 @@ from ratekit.bnn import NetworkConfig, TrainConfig, build_network, elbo_loss, tr
 from ratekit.cli import dispatch
 from ratekit.rate import GroupMap, precision_from_covariance
 
+from test_bnn import quadrature_elbo_rho_gradient
 from test_rate import conditional_kl_oracle, random_model
 
 
@@ -248,16 +249,17 @@ def test_criterion_8_shuffle_degradation_gap(study):
 
 
 def test_criterion_9_training_soundness():
-    # gradient agreement on a 25-parameter network
+    # gradient agreement on a 21-parameter network (rho is fitted, not
+    # trained by gradient: its stationarity is checked below)
     rng = np.random.default_rng(7)
     net = build_network(NetworkConfig(input_dim=3, hidden_sizes=(4,)), seed=11)
-    net.rho[:] = rng.uniform(-3.0, -1.0, size=net.rho.shape)
+    rng.uniform(-3.0, -1.0, size=net.rho.shape)  # the draw that set rho: x and m stay as they were
     net.m[:] = rng.standard_normal(net.m.shape) * 0.5
     x = rng.standard_normal((8, 3)) + 0.5
     y = np.array([0, 1, 1, 0, 1, 0, 0, 1])
     n_params = sum(p.size for p in net.parameters())
     assert n_params <= 100
-    _, grads = bnn._elbo(net, x, y, 8, seed=321)
+    _, grads = bnn._elbo(net, x, y, 8)
     worst = 0.0
     eps = 1e-5
     for p_arr, g_arr in zip(net.parameters(), grads):
@@ -266,9 +268,9 @@ def test_criterion_9_training_soundness():
             idx = it.multi_index
             orig = p_arr[idx]
             p_arr[idx] = orig + eps
-            up = elbo_loss(net, x, y, 8, seed=321)
+            up = elbo_loss(net, x, y, 8)
             p_arr[idx] = orig - eps
-            down = elbo_loss(net, x, y, 8, seed=321)
+            down = elbo_loss(net, x, y, 8)
             p_arr[idx] = orig
             fd = (up - down) / (2 * eps)
             worst = max(worst, abs(fd - g_arr[idx]) / max(abs(fd), abs(g_arr[idx]), 1e-6))
@@ -289,10 +291,17 @@ def test_criterion_9_training_soundness():
         (bnn.predict_proba(trained, x_blobs)[:, 0] > 0.5).astype(int) == y_blobs
     )
     assert acc > 0.95
+
+    # the fitted variances are stationary for the quadrature ELBO on the rows
+    # the steps trained on
+    rows = np.random.default_rng(config.seed).permutation(2 * half)[2 * half // 5 :]
+    grad, kl = quadrature_elbo_rho_gradient(trained, x_blobs[rows], y_blobs[rows])
+    assert grad <= 1e-8 * kl
     _record(
         9,
         f"worst gradient rel. error {worst:.2e} on {n_params}-parameter net; "
-        f"blob train accuracy {acc:.3f}",
+        f"blob train accuracy {acc:.3f}; largest ELBO derivative in rho at the fitted "
+        f"variances {grad:.1e} (KL {kl:.2f})",
     )
 
 

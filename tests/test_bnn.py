@@ -1,7 +1,9 @@
-"""Tests for network construction, the variational objective, and training.
+"""Tests for network construction, the training loss, training and the
+output-variance fit.
 
-The centerpiece is the finite-difference oracle: every hand-written gradient
-is checked against central differences of the loss at fixed sampling noise.
+The centerpieces are the finite-difference oracles: every hand-written
+gradient is checked against central differences of the loss, and the fitted
+variances against central differences of the quadrature ELBO in rho.
 """
 
 import base64
@@ -27,7 +29,6 @@ from ratekit.bnn import (
     _predict_classes,
     build_network,
     elbo_loss,
-    kl_q_prior,
     load_network_json,
     logit_posterior,
     network_from_json,
@@ -44,8 +45,13 @@ def small_net(link="sigmoid", n_classes=1, hidden=(4,), p=3, seed=0):
     return build_network(cfg, seed=seed)
 
 
-#: Prior scales that NetworkConfig and kl_q_prior refuse, by one rule, and
-#: the message each refusal matches.
+def arrays(net):
+    """Every array of ``net``: the parameters, then ``rho``."""
+    return [*net.parameters(), net.rho]
+
+
+#: Prior scales that NetworkConfig refuses, and the message each refusal
+#: matches.
 PRIOR_SCALE_REFUSALS = [
     (0.0, "prior_scale must be positive"),
     (-1.0, "prior_scale must be positive"),
@@ -70,7 +76,7 @@ class TestBuildNetwork:
     def test_deterministic(self):
         a = small_net(seed=42)
         b = small_net(seed=42)
-        for pa, pb in zip(a.parameters(), b.parameters()):
+        for pa, pb in zip(arrays(a), arrays(b)):
             assert np.array_equal(pa, pb)
 
     def test_initial_variance(self):
@@ -133,88 +139,34 @@ class TestPenultimateActivations:
         assert peak < 2.25 * h.nbytes
 
 
-class TestKlQPrior:
-    def test_zero_when_q_equals_prior(self):
-        assert kl_q_prior(np.zeros((3, 1)), np.full((3, 1), 4.0), 2.0) == 0.0
-
-    def test_single_weight_half(self):
-        s = 1.7
-        np.testing.assert_allclose(kl_q_prior([[s]], [[s * s]], s), 0.5)
-
-    def test_sum_of_terms(self):
-        np.testing.assert_allclose(kl_q_prior([1.0, 0.0], [1.0, 1.0], 1.0), 0.5)
-
-    def test_nonnegative_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.standard_normal((4, 2))
-            v = rng.uniform(0.1, 3.0, size=(4, 2))
-            assert kl_q_prior(m, v, 1.3) >= 0.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            kl_q_prior([0.0], [0.0], 1.0)
-        with pytest.raises(ValueError):
-            kl_q_prior([0.0], [1.0], 0.0)
-
-    @pytest.mark.parametrize("scale, message", PRIOR_SCALE_REFUSALS)
-    def test_refuses_the_prior_scales_network_config_refuses(self, scale, message):
-        # 1e160 used to raise Python's OverflowError, 1e-160 to return nan with
-        # two RuntimeWarnings, and inf to return nan; a numpy scalar's square
-        # must not warn as it overflows
-        for given in (scale, np.float64(scale)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=message):
-                    kl_q_prior(np.zeros(3), np.ones(3), given)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["m", "v"])
-    def test_non_finite_entry_is_refused_by_name(self, name, bad):
-        # each used to come back as a nan or an inf KL, or as "variances must
-        # be positive" for v = -inf
-        args = {"m": np.zeros((3, 2)), "v": np.ones((3, 2))}
-        args[name][2, 1] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=fr"^{name} must be finite; {name}\[2, 1\] is "
-                                                 fr"{bad}$"):
-                kl_q_prior(args["m"], args["v"], 1.0)
-
-
 class TestElboLoss:
-    def test_zero_variance_limit_is_log2(self):
-        # v -> 0 and m = 0 make every sampled logit 0, so the Bernoulli NLL
-        # is exactly log 2 per example once the KL part is subtracted.
+    def test_zero_logits_cost_log2_each(self):
+        # m = 0 and b = 0 make every mean logit 0 and the prior term 0, so
+        # the Bernoulli NLL is exactly log 2 per example, whatever rho is
         net = small_net(seed=1)
         net.m[:] = 0.0
-        net.rho[:] = -40.0
         net.b[:] = 0.0
         x = np.random.default_rng(2).standard_normal((6, 3))
         y = np.array([0, 1, 0, 1, 1, 0])
-        loss = elbo_loss(net, x, y, n_total=6, seed=5)
-        kl_part = (6 / 6) * kl_q_prior(net.m, net.v, net.config.prior_scale)
-        np.testing.assert_allclose(loss - kl_part, 6 * math.log(2.0), atol=1e-8)
+        loss = elbo_loss(net, x, y, n_total=6)
+        np.testing.assert_allclose(loss, 6 * math.log(2.0), rtol=1e-15)
+        net.rho[:] = 3.0
+        assert elbo_loss(net, x, y, n_total=6) == loss
 
-    def test_pure_nll_when_q_equals_prior(self):
-        # with m = 0 and v = s^2 the KL term vanishes; reproduce the NLL by
-        # replaying the documented sampling recipe
-        net = small_net(seed=3)
-        net.m[:] = 0.0
-        net.rho[:] = 0.0  # v = 1 = prior_scale^2
+    def test_mean_logit_nll_plus_scaled_prior(self):
+        # the NLL at the mean logits plus (batch / n_total) |m|^2 / (2 s^2)
+        cfg = NetworkConfig(input_dim=3, hidden_sizes=(4,), prior_scale=0.7)
+        net = build_network(cfg, seed=3)
         rng = np.random.default_rng(4)
+        net.m[:] = rng.standard_normal(net.m.shape)
         x = rng.standard_normal((5, 3))
         y = np.array([1, 0, 1, 1, 0])
-        seed = 99
-        loss = elbo_loss(net, x, y, n_total=5, seed=seed)
+        loss = elbo_loss(net, x, y, n_total=20)
 
-        h = penultimate_activations(net, x)
-        mean = h @ net.m + net.b
-        sd = np.sqrt((h**2) @ net.v)
-        z = np.random.default_rng(seed).standard_normal((5, 1))
-        f = (mean + sd * z)[:, 0]
+        f = (penultimate_activations(net, x) @ net.m + net.b)[:, 0]
         nll = np.sum(np.logaddexp(0.0, f) - y * f)
-        np.testing.assert_allclose(loss, nll, rtol=1e-12)
+        prior = 5 / 20 * np.sum(net.m**2) / (2 * 0.7**2)
+        np.testing.assert_allclose(loss, nll + prior, rtol=1e-12)
 
     def test_label_link_mismatch(self):
         net = small_net()
@@ -223,7 +175,7 @@ class TestElboLoss:
 
     @pytest.mark.parametrize("loss", [
         lambda net, x, y, n_total: elbo_loss(net, x, y, n_total),
-        lambda net, x, y, n_total: _elbo(net, x, y, n_total, 0),
+        lambda net, x, y, n_total: _elbo(net, x, y, n_total),
     ], ids=["elbo_loss", "_elbo"])
     def test_n_total_below_the_batch_size_is_refused(self, loss):
         net = small_net()
@@ -232,11 +184,10 @@ class TestElboLoss:
             loss(net, x, y, 3)
 
 
-def _finite_difference_check(link, n_classes, y, seed=12345):
+def _finite_difference_check(link, n_classes, y):
     rng = np.random.default_rng(7)
     cfg = NetworkConfig(input_dim=3, hidden_sizes=(4,), link=link, n_classes=n_classes)
     net = build_network(cfg, seed=11)
-    net.rho[:] = rng.uniform(-3.0, -1.0, size=net.rho.shape)
     net.m[:] = rng.standard_normal(net.m.shape) * 0.5
     net.b[:] = rng.standard_normal(net.b.shape) * 0.1
     x = rng.standard_normal((8, 3)) + 0.5
@@ -245,11 +196,9 @@ def _finite_difference_check(link, n_classes, y, seed=12345):
     # see a smooth function
     z_pre = x @ net.hidden_weights[0] + net.hidden_biases[0]
     assert np.abs(z_pre).min() > 1e-3
-    h = penultimate_activations(net, x)
-    assert (h**2).sum(axis=1).min() > 1e-3
 
     n_total = 8
-    _, grads = _elbo(net, x, y, n_total, seed)
+    _, grads = _elbo(net, x, y, n_total)
     params = net.parameters()
     eps = 1e-5
     worst = 0.0
@@ -259,9 +208,9 @@ def _finite_difference_check(link, n_classes, y, seed=12345):
             idx = it.multi_index
             orig = p_arr[idx]
             p_arr[idx] = orig + eps
-            up = elbo_loss(net, x, y, n_total, seed=seed)
+            up = elbo_loss(net, x, y, n_total)
             p_arr[idx] = orig - eps
-            down = elbo_loss(net, x, y, n_total, seed=seed)
+            down = elbo_loss(net, x, y, n_total)
             p_arr[idx] = orig
             fd = (up - down) / (2 * eps)
             an = g_arr[idx]
@@ -293,8 +242,8 @@ class TestGradients:
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 3)), np.array([0, 1, 2, 2, 1, 0])
         x, y = bnn._check_labelled(net, (x, y))  # _elbo_blocks' precondition
-        loss, grads = _elbo(net, x, y, 10, 4)
-        blocks = _elbo_blocks(net, x, y, 10, 4)
+        loss, grads = _elbo(net, x, y, 10)
+        blocks = _elbo_blocks(net, x, y, 10)
         assert next(blocks) == loss
         filled = np.full(sum(p.size for p in net.parameters()), np.nan)
         times = np.zeros(filled.size, int)
@@ -324,10 +273,10 @@ class TestGradients:
             monkeypatch.setattr(bnn, "_ADAM_BLOCK", block)
         net = small_net(link=link, n_classes=n_classes, hidden=(5, 4), p=3, seed=2)
         x, y = bnn._check_labelled(net, (np.random.default_rng(3).standard_normal((6, 3)), y))
-        loss, expected = _elbo(net, x, y, 10, 4)
+        loss, expected = _elbo(net, x, y, 10)
         flat = np.concatenate([p.ravel() for p in net.parameters()])
         spoiled = bnn._flat_network(net, flat)
-        blocks = _elbo_blocks(spoiled, x, y, 10, 4)
+        blocks = _elbo_blocks(spoiled, x, y, 10)
         assert next(blocks) == loss
         seen = np.full(flat.size, np.nan)
         for start, grad in blocks:
@@ -347,10 +296,10 @@ class TestGradients:
         net = small_net(hidden=hidden, p=p, seed=4)
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((32, p)), rng.integers(0, 2, 32)
-        loss, blocked = _elbo(net, x, y, 40, 1)
+        loss, blocked = _elbo(net, x, y, 40)
         monkeypatch.setattr(bnn, "_ADAM_BLOCK", 2**40)
-        assert _elbo(net, x, y, 40, 1)[0] == loss
-        for a, b in zip(blocked, _elbo(net, x, y, 40, 1)[1]):
+        assert _elbo(net, x, y, 40)[0] == loss
+        for a, b in zip(blocked, _elbo(net, x, y, 40)[1]):
             assert np.array_equal(a, b)
 
 
@@ -463,7 +412,7 @@ class TestAdamStep:
         for key in ("stopped_epoch", "best_epoch", "metric_name"):
             assert history[key] == ref_history[key]
         assert history["val_metric"] == pytest.approx(ref_history["val_metric"], rel=1e-9)
-        for p, ref in zip(net.parameters(), ref_net.parameters()):
+        for p, ref in zip(arrays(net), arrays(ref_net)):
             np.testing.assert_allclose(p, ref, rtol=1e-9, atol=0)
 
 
@@ -496,9 +445,10 @@ class TestTrain:
         # Parameters and two Adam moments, at paper scale: the initial network,
         # passed as a temporary, is freed once copied, and the gradient comes
         # to Adam a block at a time. The 1 MiB of slack covers the 256 KiB
-        # gradient block, which Adam updates in place, and the ELBO's
+        # gradient block, which Adam updates in place, and the loss's
         # batch-sized activations (32 rows of width 512); a parameter-sized
-        # gradient buffer adds 2.4 MiB.
+        # gradient buffer adds 2.4 MiB. The variance fit holds its H∘H where
+        # the moments were.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 100))
         y = (x[:, 0] > 0).astype(int)
@@ -554,14 +504,15 @@ class TestTrain:
             TrainConfig(patience=-3)
         TrainConfig(learning_rate=1e18, patience=0)  # large but valid
 
-    def test_one_sample_elbo_has_no_sample_count(self):
-        # the ELBO draws one logit sample per example; no setting chooses more
+    def test_loss_draws_no_sample(self):
+        # the loss is at the mean logits: no setting chooses a sample count,
+        # and no seed fixes a draw
         with pytest.raises(TypeError):
             TrainConfig(mc_samples=2)
         net = small_net()
         x, y = np.ones((2, 3)), np.array([0, 1])
         with pytest.raises(TypeError):
-            elbo_loss(net, x, y, 2, 2)  # seed is keyword-only
+            elbo_loss(net, x, y, 2, seed=2)
 
     def test_fixed_seed_reproducible(self):
         x, y = blob_dataset(n=120, seed=3)
@@ -572,19 +523,19 @@ class TestTrain:
             trained, history = train(net, (x, y), TrainConfig(epochs=5, seed=9))
             runs.append((trained, history))
         assert runs[0][1] == runs[1][1]
-        for pa, pb in zip(runs[0][0].parameters(), runs[1][0].parameters()):
+        for pa, pb in zip(arrays(runs[0][0]), arrays(runs[1][0])):
             assert np.array_equal(pa, pb)
 
     def test_input_network_unchanged_and_unshared(self):
         x, y = blob_dataset(n=120, seed=4)
         net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8, 4)), seed=1)
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in arrays(net)]
         trained, _ = train(net, (x, y), TrainConfig(epochs=3, seed=2))
-        for p, ref in zip(net.parameters(), before):
+        for p, ref in zip(arrays(net), before):
             assert np.array_equal(p, ref)
-        for t in trained.parameters():
-            assert not any(np.shares_memory(t, p) for p in net.parameters())
-        assert not all(np.array_equal(t, p) for t, p in zip(trained.parameters(), before))
+        for t in arrays(trained):
+            assert not any(np.shares_memory(t, p) for p in arrays(net))
+        assert not any(np.array_equal(t, p) for t, p in zip(arrays(trained), before))
 
     def test_checks_its_rows_once(self, monkeypatch):
         # the steps trust the rows train checked; each of the 4 steps here
@@ -615,18 +566,8 @@ class TestTrain:
                 warnings.simplefilter(action)
                 with pytest.raises(TrainingDivergedError, match="^epoch 0: overflow encountered"):
                     train(build_network(cfg, seed=0), (x, y),
-                          TrainConfig(epochs=20, learning_rate=1e18, seed=0))
+                          TrainConfig(epochs=20, learning_rate=1e300, seed=0))
             assert not caught, action
-
-    def test_underflowed_output_variance_is_divergence(self):
-        # exp(rho) below float64's smallest subnormal is 0, which numpy reports
-        # as no error; kl_q_prior used to refuse it as "variances must be positive"
-        x, y = blob_dataset(n=64, seed=1)
-        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
-        net.rho[3, 0] = -800.0
-        with pytest.raises(TrainingDivergedError, match="^epoch 0: underflow encountered in exp: "
-                                                        "an output-layer variance is 0$"):
-            train(net, (x, y), TrainConfig(epochs=2, seed=0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_parameter_is_refused(self, bad):
@@ -637,6 +578,17 @@ class TestTrain:
         net.m[5, 0] = bad  # after the 2 x 8 weights and the 8 biases
         with pytest.raises(ValueError, match=f"^network parameters must be finite; flat "
                                              f"parameter 29 is {bad}$"):
+            train(net, (x, y), TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_rho_is_refused(self, bad):
+        # rho is out of the flat buffer the first check scans, and the fit
+        # starts from exp(rho): it is checked by its own name
+        x, y = blob_dataset(n=64, seed=1)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        net.rho[5, 0] = bad
+        with pytest.raises(ValueError, match=fr"^network parameters must be finite; "
+                                             fr"rho\[5, 0\] is {bad}$"):
             train(net, (x, y), TrainConfig(epochs=1, seed=0))
 
     @pytest.mark.parametrize(
@@ -714,6 +666,210 @@ class TestTrain:
         _, history = train(net, (x, y), TrainConfig(epochs=3, val_fraction=0.0, seed=2))
         assert history["metric_name"] == "train_mse"
         assert len(history["train_loss"]) <= 3
+
+
+def quadrature_elbo(net, x, y, rho):
+    """The negative ELBO in ``rho`` whose stationary point the variance fit
+    finds, and its KL term: per row, nll(mean) + sum_a [sum_k w_k nll(mean +
+    sd_a x_k e_a) - nll(mean)] over both halves of the fit's Gauss-Hermite
+    rule, plus KL(N(m, exp(rho)) | N(0, s^2)), summed one node at a time."""
+    link, s2 = net.config.link, net.config.prior_scale**2
+    y = bnn._prepare_labels(link, net.config.n_classes, y)
+    h = penultimate_activations(net, x)
+    mean = h @ net.m + net.b
+    v = np.exp(rho)
+    sd = np.sqrt(h**2 @ v)
+    half_nodes, half_weights = bnn._gauss_hermite()
+    nodes = np.concatenate([half_nodes, -half_nodes])
+    weights = np.concatenate([half_weights, half_weights])
+    at_mean = _nll_and_grad(link, mean, y)[0]
+    total = at_mean
+    for a in range(mean.shape[1]):
+        expected = 0.0
+        for node, weight in zip(nodes, weights):
+            f = mean.copy()
+            f[:, a] += sd[:, a] * node
+            expected += weight * _nll_and_grad(link, f, y)[0]
+        total += expected - at_mean
+    kl = 0.5 * np.sum(v / s2 + net.m**2 / s2 - 1.0 - np.log(v / s2))
+    return total + kl, kl
+
+
+def quadrature_elbo_rho_gradient(net, x, y, eps=1e-4):
+    """The largest central difference of ``quadrature_elbo`` in one entry of
+    rho at ``net.rho``, and the KL term there."""
+    worst = 0.0
+    for idx in np.ndindex(net.rho.shape):
+        rho = net.rho.copy()
+        rho[idx] += eps
+        up = quadrature_elbo(net, x, y, rho)[0]
+        rho[idx] -= 2 * eps
+        down = quadrature_elbo(net, x, y, rho)[0]
+        worst = max(worst, abs(up - down) / (2 * eps))
+    return worst, quadrature_elbo(net, x, y, net.rho)[1]
+
+
+#: (link, n_classes) of every variance-fit case.
+FIT_LINKS = [("sigmoid", 1), ("identity", 1), ("softmax", 2), ("softmax", 3)]
+FIT_IDS = ["sigmoid", "identity", "softmax2", "softmax3"]
+
+
+def fit_case(link, n_classes, n=40, seed=3):
+    """A network with moderate random output means, inputs and labels."""
+    rng = np.random.default_rng(seed)
+    cfg = NetworkConfig(input_dim=4, hidden_sizes=(8, 6), link=link, n_classes=n_classes,
+                        prior_scale=1.5)
+    net = build_network(cfg, seed=2)
+    net.m[:] = rng.standard_normal(net.m.shape)
+    x = rng.standard_normal((n, 4))
+    y = {"sigmoid": rng.integers(0, 2, n), "identity": rng.standard_normal(n),
+         "softmax": rng.integers(0, n_classes, n)}[link]
+    return net, x, y
+
+
+def fit(net, x, budget=10**6):
+    """``_fit_output_variances`` on every row of ``x``, from ``net.rho``."""
+    return bnn._fit_output_variances(net, x, np.arange(len(x)), np.exp(net.rho), budget)
+
+
+def train_case(link, n_classes, rho, seed=4):
+    """A small network trained from initial log-variances ``rho``."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((90, 3))
+    scores = x @ rng.standard_normal((3, 3))
+    y = {"sigmoid": (scores[:, 0] > 0).astype(int), "softmax": scores[:, :n_classes].argmax(axis=1),
+         "identity": scores[:, 0] + 0.1 * rng.standard_normal(90)}[link]
+    cfg = NetworkConfig(input_dim=3, hidden_sizes=(8, 6), link=link, n_classes=n_classes,
+                        prior_scale=0.7)
+    net = build_network(cfg, seed=5)
+    net.rho[:] = rho
+    return train(net, (x, y), TrainConfig(epochs=6, learning_rate=1e-2, batch_size=16, seed=6))
+
+
+class TestVarianceFit:
+    # The bound is stated before the runs: the fit stops once every
+    # derivative of the quadrature ELBO in rho is at most _FIT_RTOL / 2 =
+    # 5e-11, and central differences at eps = 1e-4 carry about 1e-9 of
+    # rounding here; the bound is 1e-8 of the KL term (7 to 18 here).
+    @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
+    def test_fitted_variances_are_stationary(self, link, n_classes):
+        net, x, y = fit_case(link, n_classes)
+        v, _ = fit(net, x)
+        net.rho = np.log(v)
+        grad, kl = quadrature_elbo_rho_gradient(net, x, y)
+        assert grad <= 1e-8 * kl, (grad, kl)
+        # the control: 1% off the fitted v, the derivative is 1e4 times the bound
+        net.rho = np.log(v) + 0.01
+        assert quadrature_elbo_rho_gradient(net, x, y)[0] > 1e-4 * kl
+
+    def test_identity_closed_form_is_exact(self):
+        # the curvature is 1, so F does not depend on v: the first step lands
+        # on 1/v = 1/s^2 + sum_i h_ij^2, and the second confirms it
+        net, x, _ = fit_case("identity", 1)
+        v, iterations = fit(net, x)
+        hh = penultimate_activations(net, x) ** 2
+        s2 = net.config.prior_scale**2
+        assert np.array_equal(v, s2 / (1.0 + s2 * (hh.T @ np.ones((len(x), 1)))))
+        assert iterations == 2
+
+    @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
+    def test_dead_unit_gets_the_prior_variance(self, link, n_classes):
+        # a unit that is 0 on every row adds nothing to 1/v: v = s^2 exactly
+        net, x, _ = fit_case(link, n_classes)
+        net.hidden_weights[-1][:, 2] = 0.0
+        net.hidden_biases[-1][2] = 0.0
+        assert not penultimate_activations(net, x)[:, 2].any()
+        v, _ = fit(net, x)
+        assert (v[2] == net.config.prior_scale**2).all()
+        assert (v[[0, 1, 3, 4, 5]] < net.config.prior_scale**2).any()
+
+    @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
+    def test_rows_past_the_budget_are_recomputed(self, link, n_classes):
+        # 3 rows' H∘H held and 37 recomputed give the v of 40 rows held
+        net, x, _ = fit_case(link, n_classes)
+        held, iterations = fit(net, x)
+        recomputed, again = fit(net, x, budget=3 * net.config.penultimate_dim + 5)
+        np.testing.assert_allclose(recomputed, held, rtol=1e-12)
+        assert again == iterations
+
+    def test_damped_map_converges_where_the_plain_map_cycles(self):
+        # one unit, h = 1 on 1000 rows, mean logit 12, s = 3: the curvature
+        # grows steeply with the logit variance out in the sigmoid's tail, and
+        # the plain map v <- F(v) alternates between two points for ever
+        cfg = NetworkConfig(input_dim=1, hidden_sizes=(1,), prior_scale=3.0)
+        net = build_network(cfg, seed=0)
+        net.hidden_weights[0][:] = 1.0
+        net.m[:], net.b[:] = 0.0, 12.0
+        x = np.ones((1000, 1))
+
+        def plain(v):
+            c = bnn._curvature("sigmoid", np.full((1000, 1), 12.0), np.full((1000, 1), v))
+            return 9.0 / (1.0 + 9.0 * c.sum())
+
+        v = math.exp(-5.0)
+        for _ in range(300):
+            v = plain(v)
+        low, high = sorted([v, plain(v)])
+        assert plain(plain(v)) == v
+        assert high > 1.5 * low
+
+        fitted, iterations = fit(net, x)
+        assert low < fitted[0, 0] < high
+        assert abs(fitted[0, 0] / plain(fitted[0, 0]) - 1.0) <= bnn._FIT_RTOL
+        assert iterations < 50
+
+    @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
+    def test_initial_rho_does_not_steer_training(self, link, n_classes):
+        # rho is out of the loss, so two starts train the same weights, bit
+        # for bit; the fit starts from each, and lands within its tolerance
+        (a, history_a), (b, history_b) = (train_case(link, n_classes, rho) for rho in (-9.0, -1.0))
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            assert np.array_equal(pa, pb)
+        for key in ("train_loss", "val_metric", "best_epoch", "stopped_epoch"):
+            assert history_a[key] == history_b[key]
+        assert np.abs(a.v / b.v - 1.0).max() <= 10 * bnn._FIT_RTOL
+
+    @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
+    def test_underflowed_start_is_lifted(self, link, n_classes):
+        # exp(-800) is 0; the first, plain step takes every variance to s^2
+        # or below it, and the fit converges where a start of exp(-5) does
+        (zero, history), (usual, _) = (train_case(link, n_classes, rho) for rho in (-800.0, -5.0))
+        assert history["variance_fit"]["v_min"] > 0
+        assert np.abs(zero.v / usual.v - 1.0).max() <= 10 * bnn._FIT_RTOL
+
+    def test_fit_runs_on_the_training_rows(self, monkeypatch):
+        calls = []
+
+        def spy(net, x, rows, v, budget):
+            calls.append((x, rows, v, budget))
+            return fit_output_variances(net, x, rows, v, budget)
+
+        fit_output_variances = bnn._fit_output_variances
+        monkeypatch.setattr(bnn, "_fit_output_variances", spy)
+        x, y = blob_dataset(n=100, seed=2)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        buffer = sum(p.size for p in net.parameters())
+        trained, history = train(net, (x, y), TrainConfig(epochs=2, val_fraction=0.2, seed=3))
+        [(given, rows, start, budget)] = calls
+        assert given.base is x or given is x
+        assert np.array_equal(rows, np.random.default_rng(3).permutation(100)[20:])
+        assert np.array_equal(start, np.exp(net.rho))
+        assert budget == 2 * buffer  # the moments' values
+        v, iterations = fit_output_variances(trained, x, rows, start, budget)
+        np.testing.assert_allclose(trained.v, v, rtol=1e-15)
+        assert history["variance_fit"] == {
+            "iterations": iterations, "v_min": float(v.min()),
+            "v_median": float(np.median(v)), "v_max": float(v.max()),
+        }
+
+    def test_hitting_the_cap_is_divergence(self, monkeypatch):
+        monkeypatch.setattr(bnn, "_FIT_MAX_ITERATIONS", 3)
+        x, y = blob_dataset(n=64, seed=1)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^epoch \d+: the output-variance fit did not converge in 3 "
+                                 r"iterations \(largest relative change "):
+            train(net, (x, y), TrainConfig(epochs=2, seed=0))
 
 
 class TestLogitPosterior:
@@ -817,7 +973,7 @@ class TestSerialization:
         back = network_from_json(text)
         assert back.config == net.config
         assert back.seed == net.seed
-        for pa, pb in zip(net.parameters(), back.parameters()):
+        for pa, pb in zip(arrays(net), arrays(back)):
             assert np.array_equal(pa, pb)
         assert network_to_json(back) == text
 
@@ -837,8 +993,9 @@ class TestSerialization:
         specials = [-0.0, 5e-324, np.inf, -np.inf, np.nan, nan_payload]
         net.hidden_weights[0].flat[:] = specials
         net.m[:, 0] = specials[3:]
+        net.rho[:, 0] = specials[:3]
         back = network_from_json(network_to_json(net))
-        for pa, pb in zip(net.parameters(), back.parameters()):
+        for pa, pb in zip(arrays(net), arrays(back)):
             assert np.array_equal(pa.view(np.uint64), pb.view(np.uint64))
             assert pb.dtype == np.float64 and pb.dtype.isnative
             assert pb.flags.owndata and pb.flags.writeable
@@ -922,7 +1079,7 @@ class TestSerialization:
         save_network_json(net, path)
         back = load_network_json(path)
         assert back.config == net.config and back.seed == net.seed
-        for pa, pb in zip(net.parameters(), back.parameters()):
+        for pa, pb in zip(arrays(net), arrays(back)):
             assert pa.tobytes() == pb.tobytes()
         assert network_to_json(back) == network_to_json(net)
 

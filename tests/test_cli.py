@@ -982,10 +982,28 @@ class TestPipeline:
     def test_numerical_failure_exit_code(self, pipeline, tmp_path):
         code = run(
             "train", "--data", str(pipeline / "sim" / "train.csv"),
-            "--hidden", "8", "--learning-rate", "1e18", "--seed", "0",
+            "--hidden", "8", "--learning-rate", "1e300", "--seed", "0",
             "--out", str(tmp_path),
         )
         assert code == 4
+
+    def test_variance_fit_that_does_not_converge_exits_4(self, pipeline, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(bnn, "_FIT_MAX_ITERATIONS", 3)
+        code = run("train", "--data", str(pipeline / "sim" / "train.csv"), "--hidden", "8",
+                   "--seed", "0", "--out", str(tmp_path))
+        assert code == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.match(r"ratekit: error \[train\]: epoch \d+: the output-variance fit did not "
+                        r"converge in 3 iterations \(largest relative change ", line), line
+        assert not (tmp_path / "model.json").exists()
+
+    def test_history_records_the_variance_fit(self, pipeline):
+        history = json.loads((pipeline / "model" / "history.json").read_text())
+        fit = history["variance_fit"]
+        assert sorted(fit) == ["iterations", "v_max", "v_median", "v_min"]
+        assert 2 <= fit["iterations"] <= bnn._FIT_MAX_ITERATIONS
+        assert 0 < fit["v_min"] <= fit["v_median"] <= fit["v_max"] <= 1.0  # the prior's s^2
 
     def test_config_file_with_flag_override(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
