@@ -827,6 +827,7 @@ class TestVarianceFit:
             assert np.array_equal(pa, pb)
         for key in ("train_loss", "val_metric", "best_epoch", "stopped_epoch"):
             assert history_a[key] == history_b[key]
+        # each v is within _FIT_RTOL of its F(v), so the two lie a few of it apart
         assert np.abs(a.v / b.v - 1.0).max() <= 10 * bnn._FIT_RTOL
 
     @pytest.mark.parametrize("link, n_classes", FIT_LINKS, ids=FIT_IDS)
