@@ -595,7 +595,8 @@ def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray, v: np.n
     ``budget`` values of H∘H allow, and recomputes the rest at each
     evaluation, as it computes the first: a piece of rows at a time, whose
     inputs and two widest layers hold about ``_ADAM_BLOCK`` values, as a
-    training step's weight-gradient block does.
+    training step's weight-gradient block does; ``_curvature``'s temporaries
+    are another such block.
     """
     cfg = net.config
     s2 = cfg.prior_scale**2
@@ -657,10 +658,10 @@ def train(net: Network, dataset, config: TrainConfig):
     ``_fit_output_variances`` sets ``rho`` = log v at the ELBO's stationary
     point in v given the trained parameters, on the rows the steps trained
     on (all rows but the validation split). It starts from the input
-    network's ``rho``, which nothing else reads. It holds at most as many
-    values of H∘H as the moments held and recomputes any rows beyond those
-    at each iteration, a piece of rows at a time, so its memory, like the
-    epochs', does not grow with the rows. ``history["variance_fit"]``
+    network's ``rho``, which nothing else reads. It holds the moments' worth of
+    H∘H and two blocks of temporaries and recomputes the rows beyond those, so
+    its memory does not grow with the rows; where the parameters are few
+    against a block, it sets training's peak. ``history["variance_fit"]``
     records its ``iterations`` and v's ``v_min``, ``v_median`` and ``v_max``.
 
     Early stopping watches ``history["metric_name"]``: ``val_accuracy`` for
@@ -794,24 +795,40 @@ def _field(obj: dict, prefix: str, key: str, kind: type):
 def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]) -> np.ndarray:
     """Inverse of ``_write_network``'s encoding for the array at
     ``parent[key]``, checked against the shape the config implies; returns a
-    native float64 array that owns its data."""
+    native float64 array that owns its data. The base64 is decoded strictly
+    into the array, ``_BASE64_CHUNK`` bytes at a time, and then dropped from
+    ``parent``; a payload of another length, or padded before its end, is
+    decoded whole, so that it is read or refused as it always was."""
     name = f"{prefix}.{key}" if prefix else key
     obj = _field(parent, prefix, key, dict)
     shape = tuple(_field(obj, name, "shape", list))
     if shape != expected:
         raise ValueError(f"{name} has shape {shape}, expected {expected}")
+    data, out = _field(obj, name, "data", str), np.empty(expected, "<f8")
+    view, size = out.reshape(-1).view(np.uint8), out.nbytes
     try:
-        raw = base64.b64decode(_field(obj, name, "data", str), validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"{name} data is not valid base64: {exc}") from None
-    size = 8 * math.prod(expected)
-    if len(raw) != size:
-        raise ValueError(f"{name} holds {len(raw)} bytes, expected {size} for shape {expected}")
-    return np.frombuffer(raw, dtype="<f8").reshape(expected).astype(np.float64)
+        if len(data) != -(-size // 3) * 4:
+            raise binascii.Error
+        for at in range(0, size, _BASE64_CHUNK):
+            chars = data[at // 3 * 4 : (at + _BASE64_CHUNK) // 3 * 4]
+            part = binascii.a2b_base64(chars, strict_mode=True)
+            if len(part) != min(_BASE64_CHUNK, size - at):  # padded mid-payload
+                raise binascii.Error
+            view[at : at + len(part)] = np.frombuffer(part, np.uint8)
+    except binascii.Error:
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except binascii.Error as exc:
+            raise ValueError(f"{name} data is not valid base64: {exc}") from None
+        if len(raw) != size:
+            raise ValueError(f"{name} holds {len(raw)} bytes, expected {size} for shape {expected}")
+        view[:] = np.frombuffer(raw, np.uint8)
+    del obj["data"]
+    return out.astype(np.float64, copy=False)
 
 
-#: Bytes of an array that one base64 write encodes. A multiple of 3, so the
-#: chunks' base64 joins into the whole array's.
+#: Bytes of an array that one base64 write encodes or one read decodes. A
+#: multiple of 3, so the chunks' base64 joins into the whole array's.
 _BASE64_CHUNK = 3 * 2**16
 
 

@@ -448,7 +448,8 @@ class TestTrain:
         # gradient block, which Adam updates in place, and the loss's
         # batch-sized activations (32 rows of width 512); a parameter-sized
         # gradient buffer adds 2.4 MiB. The variance fit holds its H∘H where
-        # the moments were.
+        # the moments were, and its two 256 KiB blocks of temporaries in the
+        # slack.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 100))
         y = (x[:, 0] > 0).astype(int)
@@ -792,6 +793,27 @@ class TestVarianceFit:
         np.testing.assert_allclose(recomputed, held, rtol=1e-12)
         assert again == iterations
 
+    @pytest.mark.parametrize("n", [640, 10_000])
+    def test_traced_peak_is_the_budget_and_two_blocks(self, n):
+        # The fit holds the budget's H∘H (a training's moments), the held rows'
+        # mean logits, and two blocks of about _ADAM_BLOCK values (0.5 MiB): a
+        # piece's inputs and activations, and _curvature's temporaries. At
+        # hidden (64, 64) the moments are 0.16 MiB, so the fit, not the
+        # epochs, sets training's peak: 0.55-0.58 MiB here.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, 100))
+        net = build_network(NetworkConfig(input_dim=100, hidden_sizes=(64, 64)), seed=0)
+        rows = np.arange(n - n // 5)
+        budget = 2 * sum(p.size for p in net.parameters())
+        tracemalloc.start()
+        try:
+            bnn._fit_output_variances(net, x, rows, net.v, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = min(len(rows), budget // 64)
+        assert peak <= 8 * (budget + held + 2 * bnn._ADAM_BLOCK) + 2**16
+
     def test_damped_map_converges_where_the_plain_map_cycles(self):
         # one unit, h = 1 on 1000 rows, mean logit 12, s = 3: the curvature
         # grows steeply with the logit variance out in the sigmoid's tail, and
@@ -968,6 +990,11 @@ class TestPredictClasses:
 
 
 class TestSerialization:
+    @pytest.fixture(scope="class")
+    def paper_net(self):
+        """A network at paper scale: p = 100, hidden 512,512."""
+        return small_net(hidden=(512, 512), p=100, seed=1)
+
     def test_round_trip_bit_exact(self):
         net = small_net(hidden=(5, 3), seed=13)
         text = network_to_json(net)
@@ -1072,6 +1099,52 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak <= 2**20
         assert (tmp_path / "model.json").read_text() == text + "\n"
+
+    def test_loader_decodes_each_array_into_its_own_buffer(self, tmp_path, paper_net):
+        # A paper-scale model file is 3.2 MiB; its arrays are 2.4 MiB. The
+        # loader holds the file's text and the parsed document, each about
+        # the file's size, the arrays, and one chunk's base64 and bytes.
+        # Decoding a payload whole into bytes and then copying them peaks at
+        # 11.5 MiB.
+        path = tmp_path / "model.json"
+        save_network_json(paper_net, path)
+        tracemalloc.start()
+        try:
+            back = load_network_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in arrays(paper_net))
+        assert peak <= 2 * path.stat().st_size + held + 2**20
+        for pa, pb in zip(arrays(paper_net), arrays(back)):
+            assert pa.tobytes() == pb.tobytes()
+
+    @pytest.mark.parametrize("offset, chars", [
+        (1000, "!"),  # an invalid character in the second chunk
+        (-1, "="),  # padding that ends the first chunk, which that chunk alone accepts
+        (-2, "=="),
+    ], ids=["invalid-in-chunk-2", "pad-ends-chunk-1", "double-pad-ends-chunk-1"])
+    def test_refuses_bad_base64_past_the_first_chunk(self, paper_net, offset, chars):
+        # offset: from the end of the first decode chunk of the 512x512 payload
+        doc = json.loads(network_to_json(paper_net))
+        data = doc["hidden"][1]["weights"]["data"]
+        step = bnn._BASE64_CHUNK // 3 * 4
+        assert len(data) > 2 * step
+        start = step + offset
+        data = data[:start] + chars + data[start + len(chars):]
+        if chars.startswith("="):
+            base64.b64decode(data[:step], validate=True)
+        doc["hidden"][1]["weights"]["data"] = data
+        with pytest.raises(ValueError, match=r"^hidden\[1\]\.weights data is not valid base64: "):
+            network_from_json(json.dumps(doc))
+
+    def test_reads_any_serialization_of_the_document(self, paper_net):
+        # indented, and with every "/" of the payloads escaped as JSON allows
+        text = json.dumps(json.loads(network_to_json(paper_net)), indent=1).replace("/", "\\/")
+        assert '\\/' in text and "\n " in text
+        back = network_from_json(text)
+        for pa, pb in zip(arrays(paper_net), arrays(back)):
+            assert pa.tobytes() == pb.tobytes()
 
     def test_loader_reads_what_the_writer_wrote(self, tmp_path):
         net = small_net(link="softmax", n_classes=3, hidden=(5, 3), seed=8)
