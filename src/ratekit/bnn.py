@@ -194,8 +194,8 @@ def build_network(config: NetworkConfig, seed: int = 0) -> Network:
 
     Hidden weights are fan-in-scaled uniform, hidden biases zero, output
     means small Gaussians, and output log-variances -5, so an untrained
-    network's posterior is narrow but not degenerate. ``train`` reads the
-    log-variances only as the start of its variance fit.
+    network's posterior is narrow but not degenerate. ``train`` does not
+    read them: it fits the variances from the prior's.
     """
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -432,13 +432,13 @@ def elbo_loss(net: Network, x, y, n_total: int) -> float:
 
 def _posterior_mean(net: Network, x) -> np.ndarray:
     """The likelihood's mean at the posterior-mean logits of inputs ``x``."""
-    return _inverse_link(net.config.link, logit_posterior(net, x).mean)
+    return _inverse_link(net.config.link, penultimate_activations(net, x) @ net.m + net.b)
 
 
 def _predict_classes(net: Network, x: np.ndarray) -> np.ndarray:
     """Posterior-mean classes: 1 where the sigmoid's logit is positive (its
     float64 mean rounds to 0.5 up to 1.1e-16), else 0; softmax's argmax."""
-    f = logit_posterior(net, x).mean
+    f = penultimate_activations(net, x) @ net.m + net.b
     if f.shape[1] == 1:
         return (f[:, 0] > 0).astype(np.intp)
     return f.argmax(axis=1)
@@ -539,43 +539,45 @@ def _curvature(link: str, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     The expected NLL of a row is sum_k w_k nll(mean + sd x_k) over the
     symmetric rule of ``_gauss_hermite``, sd = sqrt(var). For softmax, each
     class's variance enters through a one-dimensional sum over its own
-    logit, the other classes' logits at their means: the expectation is
-    nll(mean) + sum_a [sum_k w_k nll(mean + sd_a x_k e_a) - nll(mean)]. The
-    classes' logits are independent under the posterior, so this is exact
-    to second order in sd.
+    logit, the other classes' logits at their means: nll(mean) + sum_a
+    [sum_k w_k nll(mean + sd_a x_k e_a) - nll(mean)], exact to second order
+    in sd as the classes' logits are independent under the posterior.
 
     Twice the derivative in var is sum_k w_k x_k nll'(mean + sd x_k) / sd,
-    with nll' the inverse link's mean less the target. It is the expected
+    with nll' the inverse link's mean less the target: the expected
     curvature by Stein's lemma, but taken from the sum itself, so that the
-    fit's fixed point is stationary for the sum; the sum of the curvature
-    is not. Over the symmetric nodes the target cancels, leaving
-    sum_{x_k > 0} w_k x_k [g(mean + sd x_k) - g(mean - sd x_k)] / sd with g
-    the inverse link (``_inverse_link``), whose terms are non-negative as g
-    increases. It is exactly 1 for the identity link, whose sum is exact,
-    and 0 where var is 0. The rows are taken a piece at a time, so that the
-    inverse link's few temporaries hold about ``_ADAM_BLOCK`` values
-    together, as a training step's weight-gradient block does.
+    fit's fixed point is stationary for the sum. Over the symmetric nodes
+    the target cancels. Moving only class a's logit, by d, moves the
+    softmax's mean of a to exactly sigma(z_a + d), z_a = mean_a - log
+    sum_{b != a} exp(mean_b); so both classification links take
+    sum_{x_k > 0} w_k x_k [sigma(z + sd x_k) - sigma(z - sd x_k)] / sd, with
+    z the mean logit for the sigmoid, and its terms are non-negative. It is
+    exactly 1 for the identity link, whose sum is exact, and 0 where var is
+    0. The rows are taken a piece at a time, so that the sigmoid's
+    temporaries hold about ``_ADAM_BLOCK`` values together, as a training
+    step's weight-gradient block does.
     """
     if link == "identity":
         return np.ones_like(mean)
     nodes, weights = _gauss_hermite()
     shifts = np.concatenate([nodes, -nodes])
-    n, c = mean.shape
-    classes = np.arange(c)
-    sd = np.sqrt(var)
-    out = np.empty_like(mean)
-    rows = max(1, _ADAM_BLOCK // (4 * shifts.size * c * c))
-    for r0 in range(0, n, rows):
+    sd, out = np.sqrt(var), np.empty_like(mean)
+    rows = max(1, _ADAM_BLOCK // (4 * shifts.size * mean.shape[1]))
+    for r0 in range(0, len(mean), rows):
         part = slice(r0, r0 + rows)
-        # f[i, a, k]: row i's mean logits with class a's moved by sd shifts[k]
-        f = np.repeat(mean[part, None, None, :], c, axis=1).repeat(shifts.size, axis=2)
-        f[:, classes, :, classes] += (sd[part, :, None] * shifts).transpose(1, 0, 2)
-        g = _inverse_link(link, f.reshape(-1, c)).reshape(f.shape)[:, classes, :, classes]
-        out[part] = ((g[..., : nodes.size] - g[..., nodes.size :]) @ (weights * nodes)).T
+        z = mean[part]
+        if link == "softmax":  # class a's others: the running log-sum-exps before and after a
+            edge = np.full((len(z), 1), -np.inf)
+            before = np.logaddexp.accumulate(np.hstack([edge, z[:, :-1]]), axis=1)
+            after = np.logaddexp.accumulate(np.hstack([edge, z[:, :0:-1]]), axis=1)[:, ::-1]
+            z = z - np.logaddexp(before, after)
+        g = _inverse_link("sigmoid", z[..., None] + sd[part, :, None] * shifts)
+        half = (g[..., : nodes.size] - g[..., nodes.size :]).reshape(-1, nodes.size)
+        out[part] = (half @ (weights * nodes)).reshape(g.shape[:2])
     return np.divide(out, sd, out=np.zeros_like(out), where=sd > 0)
 
 
-def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray, v: np.ndarray,
+def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray,
                           budget: int) -> tuple[np.ndarray, int]:
     """The output-layer variances at the stationary point of the negative
     quadrature ELBO in v, given ``net``'s hidden stack, ``m`` and ``b``, on
@@ -584,8 +586,8 @@ def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray, v: np.n
     The point is the fixed point of F(v) = s^2 / (1 + s^2 (H∘H)ᵀ c), that
     is 1/v_j = 1/s^2 + sum_i c_i h_ij^2 per class, with c = ``_curvature``
     at the logit variances (H∘H) v. A unit that is 0 on every row gets s^2.
-    From the start ``v`` the fit takes one plain step, v <- F(v), which
-    lifts a start of 0; then it damps, v <- sqrt(v F(v)), since the plain
+    From s^2, where a start of 0 lands after one step, the fit takes one
+    plain step, v <- F(v); then it damps, v <- sqrt(v F(v)), since the plain
     map can settle into a 2-cycle. It stops at the first v evaluated with
     max |v / F(v) - 1| <= ``_FIT_RTOL`` and returns it. Where F does not
     depend on v (the identity link), that is the first step's exact F.
@@ -626,7 +628,7 @@ def _fit_output_variances(net: Network, x: np.ndarray, rows: np.ndarray, v: np.n
             total += part.T @ _curvature(cfg.link, part_mean, part @ v)
         return s2 / (1.0 + s2 * total)
 
-    v, iterations = step(v), 1
+    v, iterations = step(np.full((cfg.penultimate_dim, cfg.n_classes), s2)), 1
     while True:
         new, iterations = step(v), iterations + 1
         change = float(np.max(np.abs(v / new - 1.0)))
@@ -657,8 +659,8 @@ def train(net: Network, dataset, config: TrainConfig):
     After the last epoch, the moments are released, and
     ``_fit_output_variances`` sets ``rho`` = log v at the ELBO's stationary
     point in v given the trained parameters, on the rows the steps trained
-    on (all rows but the validation split). It starts from the input
-    network's ``rho``, which nothing else reads. It holds the moments' worth of
+    on (all rows but the validation split). It starts from the prior, so no
+    step reads the input network's ``rho``. It holds the moments' worth of
     H∘H and two blocks of temporaries and recomputes the rows beyond those, so
     its memory does not grow with the rows; where the parameters are few
     against a block, it sets training's peak. ``history["variance_fit"]``
@@ -676,8 +678,8 @@ def train(net: Network, dataset, config: TrainConfig):
 
     Numpy's floating-point errors in an epoch or in the fit, underflow aside, and a fit
     that does not converge raise ``TrainingDivergedError``, whatever the warning filters.
-    The inputs and initial parameters, ``rho`` included, must be finite (else
-    ``ValueError``); both are checked once, before the first step, which trusts them.
+    The inputs and the initial ``parameters()`` must be finite (else ``ValueError``);
+    both are checked once, before the first step, which trusts them.
     """
     x, y = _check_labelled(net, dataset)
 
@@ -710,8 +712,6 @@ def train(net: Network, dataset, config: TrainConfig):
     flat = np.concatenate([p.ravel() for p in net.parameters()], dtype=np.float64)
     if (at := first_non_finite(flat)) is not None:
         raise ValueError(f"network parameters must be finite; flat parameter {at[0]} is {flat[at]}")
-    if (at := first_non_finite(net.rho)) is not None:
-        raise ValueError(f"network parameters must be finite; rho{list(at)} is {net.rho[at]}")
     model = _flat_network(net, flat)
     # The initial arrays are not needed past this point. Dropping this frame's
     # reference frees them before the moments are allocated when the caller
@@ -752,9 +752,8 @@ def train(net: Network, dataset, config: TrainConfig):
                     if stale > config.patience:
                         break
 
-            budget = moment1.size + moment2.size
             del grad, moment1, moment2  # grad: a view of the last step's gradient buffer
-            v, iterations = _fit_output_variances(model, x, train_idx, np.exp(model.rho), budget)
+            v, iterations = _fit_output_variances(model, x, train_idx, 2 * flat.size)
             model.rho = np.log(v)
     except FloatingPointError as exc:
         raise TrainingDivergedError(epoch, f"epoch {epoch}: {exc}") from exc
@@ -797,8 +796,9 @@ def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]
     ``parent[key]``, checked against the shape the config implies; returns a
     native float64 array that owns its data. The base64 is decoded strictly
     into the array, ``_BASE64_CHUNK`` bytes at a time, and then dropped from
-    ``parent``; a payload of another length, or padded before its end, is
-    decoded whole, so that it is read or refused as it always was."""
+    ``parent``. A payload of another length, or padded before its end, is
+    decoded whole only to name its fault: invalid base64, the wrong number
+    of bytes, or, where it holds the right bytes, excess ``=`` after them."""
     name = f"{prefix}.{key}" if prefix else key
     obj = _field(parent, prefix, key, dict)
     shape = tuple(_field(obj, name, "shape", list))
@@ -822,7 +822,7 @@ def _decode_array(parent: dict, prefix: str, key: str, expected: tuple[int, ...]
             raise ValueError(f"{name} data is not valid base64: {exc}") from None
         if len(raw) != size:
             raise ValueError(f"{name} holds {len(raw)} bytes, expected {size} for shape {expected}")
-        view[:] = np.frombuffer(raw, np.uint8)
+        raise ValueError(f"{name} data is not valid base64: excess padding")
     del obj["data"]
     return out.astype(np.float64, copy=False)
 
