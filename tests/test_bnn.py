@@ -581,6 +581,23 @@ class TestTrain:
                                              f"parameter 29 is {bad}$"):
             train(net, (x, y), TrainConfig(epochs=1, seed=0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_rho_is_ignored(self, bad):
+        # rho is out of the loss, the metric takes the mean logits and the fit
+        # starts from the prior: a rho whose exp overflows or is nan trains,
+        # without a warning, the model of the network as built
+        x, y = blob_dataset(n=64, seed=1)
+        net = build_network(NetworkConfig(input_dim=2, hidden_sizes=(8,)), seed=0)
+        want, want_history = train(net, (x, y), TrainConfig(epochs=1, seed=0))
+        net.rho[5, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, history = train(net, (x, y), TrainConfig(epochs=1, seed=0))
+        for pa, pb in zip([*want.parameters(), want.rho], [*got.parameters(), got.rho]):
+            assert np.array_equal(pa, pb)
+        assert np.isfinite(got.rho).all()
+        assert history == want_history
+
     @pytest.mark.parametrize(
         "val_fraction, batch_size",
         [(0.2, 32), (0.0, 32), (0.2, 7), (0.0, 7)],
